@@ -39,7 +39,7 @@ from .lower import (
     pack_theta,
     unpack_theta,
 )
-from .potentials import CornerRounded1Norm, Quadratic, phi_bounds, phi_derivatives
+from .potentials import CornerRounded1Norm, Quadratic
 from .signals import (
     Grid,
     as_filter,

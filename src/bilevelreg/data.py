@@ -433,6 +433,13 @@ def build_optimizer(spec: dict) -> dict:
     elif kind == "ba":
         out["ss_upper"] = float(sec.take("ss_upper"))
         ss_lower = sec.take("ss_lower", "paper-default")
+        positive = (isinstance(ss_lower, (int, float))
+                    and not isinstance(ss_lower, bool) and ss_lower > 0)
+        if ss_lower != "paper-default" and not positive:
+            raise ConfigError(
+                "config key 'optimizer.ss_lower' must be a positive number or "
+                f"'paper-default', got {ss_lower!r}"
+            )
         out["ss_lower"] = ss_lower if isinstance(ss_lower, str) else float(ss_lower)
         out["inner_iters"] = int(sec.take("inner_iters", 10))
         out["warm_start"] = bool(sec.take("warm_start", False))

@@ -27,9 +27,6 @@ class ForwardModel:
         """Return (sigma1^2, sigmaN^2) of A."""
         raise NotImplementedError
 
-    def gram(self, x: np.ndarray) -> np.ndarray:
-        return self.adjoint(self.apply(x))
-
     def _check(self, x: np.ndarray) -> None:
         if x.shape != self.grid.dims:
             raise DimensionError(

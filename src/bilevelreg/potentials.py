@@ -37,6 +37,7 @@ class CornerRounded1Norm:
         return self.epsilon**2 / self.phi(z) ** 3
 
     def derivatives(self, z):
+        """(phi, phi', phi'') evaluated elementwise at z."""
         root = self.phi(z)
         return root, np.asarray(z) / root, self.epsilon**2 / root**3
 
@@ -53,6 +54,7 @@ class CornerRounded1Norm:
         return _HYPERBOLA_D3_SUP / self.epsilon**2
 
     def bounds(self) -> tuple[float, float]:
+        """(sup |phi'|, sup phi''); raises UnboundedError when a sup is infinite."""
         return self.gradient_bound(), self.curvature_bound()
 
     def __repr__(self):
@@ -91,13 +93,3 @@ class Quadratic:
 
 
 Potential = CornerRounded1Norm | Quadratic
-
-
-def phi_derivatives(potential: Potential, z):
-    """(phi, phi', phi'') evaluated elementwise at z."""
-    return potential.derivatives(z)
-
-
-def phi_bounds(potential: Potential) -> tuple[float, float]:
-    """(sup |phi'|, sup phi''); raises UnboundedError when a sup is infinite."""
-    return potential.bounds()

@@ -4,15 +4,18 @@ Drivers: HOAG (double loop with a summable inner-tolerance sequence), BA
 (double loop with a per-iteration inner GD budget and projected steps), TTSA
 (two-timescale single loop), STABLE (single-timescale dense recursions), a
 generic GD/Adam driver over any hypergradient engine, and a scalar grid
-search.  All randomness flows through explicitly seeded PCG64 generators and
-per-sample reductions run in a fixed order, so identical configurations
-reproduce bit-identical traces (wall-time fields aside).
+search.  HOAG, BA and GD/Adam share one sample loop and differ only in their
+inner-accuracy policy and update rule.  All randomness flows through
+explicitly seeded PCG64 generators and per-sample reductions run in a fixed
+order, so identical configurations reproduce bit-identical traces (wall-time
+fields aside).
 """
 
 from __future__ import annotations
 
 import csv
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -21,6 +24,9 @@ import numpy as np
 from .errors import ConfigError, DimensionError, DivergenceError, StepTooLargeError
 from .forward import ForwardModel
 from .hypergrad import (
+    HypergradResult,
+    UpperLoss,
+    _mixed_jacobian_columns,
     hypergrad_minimizer,
     hypergrad_unrolled_forward,
     hypergrad_unrolled_reverse,
@@ -126,17 +132,27 @@ class PowerLaw:
 StepSchedule = Constant | DecreaseAdaptive | PowerLaw
 
 
-def _default_x0(train: TrainSet, j: int) -> np.ndarray:
-    return train.A.adjoint(train.y[j])
+def _cold_start(train: TrainSet, x0: np.ndarray | None, j: int) -> np.ndarray:
+    """Initial lower iterate of sample j: a copy of ``x0`` if given, else A'y_j."""
+    return np.array(x0, copy=True) if x0 is not None else train.A.adjoint(train.y[j])
 
 
-def _bind_sample_loss(spec, train, j, theta, solver_cfg):
-    denoiser = None
-    if isinstance(spec, SureMCLoss):
-        def denoiser(yy, _theta=theta):
-            prob = LowerProblem(train.A, yy, _theta)
-            return gd_minimize(prob, train.A.adjoint(yy), solver_cfg).x
-    return bind_loss(spec, train.y[j], train.A, train.x_true[j], denoiser)
+def _require_gradient_loss(loss_spec: LossSpec) -> None:
+    """Reject value-only losses before a hypergradient driver does any work."""
+    if isinstance(loss_spec, SureMCLoss):
+        raise ConfigError(
+            f"loss kind {loss_spec.kind!r} is value-only and cannot drive "
+            "hypergradient steps; use it with evaluate_upper or a grid search"
+        )
+
+
+@contextmanager
+def _located(where: str):
+    """Prefix a DivergenceError raised in the block with ``where``."""
+    try:
+        yield
+    except DivergenceError as exc:
+        raise DivergenceError(f"{where}: {exc}", iteration=exc.iteration) from exc
 
 
 def evaluate_upper(
@@ -147,17 +163,17 @@ def evaluate_upper(
     x0: np.ndarray | None = None,
 ) -> tuple[float, list[float]]:
     """Mean upper loss over the training set at fully solved lower problems."""
+
+    def denoiser(yy):  # used by the value-only SURE loss, ignored by the others
+        prob = LowerProblem(train.A, yy, theta)
+        return gd_minimize(prob, train.A.adjoint(yy), solver_cfg).x
+
     per_sample = []
     for j in range(train.n_samples):
         problem = LowerProblem(train.A, train.y[j], theta)
-        start = x0 if x0 is not None else _default_x0(train, j)
-        try:
-            res = gd_minimize(problem, start, solver_cfg)
-        except DivergenceError as exc:
-            raise DivergenceError(
-                f"sample {j}: {exc}", iteration=exc.iteration
-            ) from exc
-        loss = _bind_sample_loss(loss_spec, train, j, theta, solver_cfg)
+        with _located(f"sample {j}"):
+            res = gd_minimize(problem, _cold_start(train, x0, j), solver_cfg)
+        loss = bind_loss(loss_spec, train.y[j], train.A, train.x_true[j], denoiser)
         per_sample.append(loss.value(res.x))
     return float(np.mean(per_sample)), per_sample
 
@@ -169,12 +185,8 @@ class _StepController:
         self.schedule = schedule
         self.prev_loss: float | None = None
         self.increase_streak = 0
-        if isinstance(schedule, DecreaseAdaptive):
-            self.alpha = schedule.alpha0
-        elif isinstance(schedule, Constant):
-            self.alpha = schedule.alpha
-        else:
-            self.alpha = None
+        # only the decrease-adaptive schedule carries a step between calls
+        self.alpha = schedule.alpha0 if isinstance(schedule, DecreaseAdaptive) else None
 
     def step(self, iteration: int, loss: float) -> float:
         if isinstance(self.schedule, PowerLaw):
@@ -216,14 +228,107 @@ def _theta_converged(theta_old: np.ndarray, theta_new: np.ndarray, rel_tol: floa
     return float(np.linalg.norm(theta_new - theta_old)) / denom <= rel_tol
 
 
-def _as_eps_schedule(eps_schedule) -> Callable[[int], float]:
-    if callable(eps_schedule):
-        return eps_schedule
-    if isinstance(eps_schedule, (int, float)):
-        eps0 = float(eps_schedule)
-        return lambda i: eps0 / i**2
-    seq = list(eps_schedule)
+def _per_iteration(schedule, from_number: Callable) -> Callable[[int], float]:
+    """Per-iteration value of a schedule given by the caller.
+
+    A callable of the 1-based iteration is used as is, a number goes through
+    ``from_number``, and a sequence is indexed by iteration, holding its last
+    entry.
+    """
+    if callable(schedule):
+        return schedule
+    if isinstance(schedule, (int, float)):
+        return from_number(schedule)
+    seq = list(schedule)
     return lambda i: seq[min(i, len(seq)) - 1]
+
+
+_SampleGrad = Callable[[int, LowerProblem, UpperLoss, np.ndarray], HypergradResult]
+
+
+def _double_loop(
+    theta0: HyperParams,
+    x0: np.ndarray | None,
+    train: TrainSet,
+    loss_spec: LossSpec,
+    max_upper: int,
+    theta_rel_tol: float,
+    learn_mask: np.ndarray | None,
+    warm_start: bool,
+    sample_grad: _SampleGrad,
+    update: Callable[[int, np.ndarray, np.ndarray, float], tuple[np.ndarray, dict]],
+) -> tuple[HyperParams, OptTrace]:
+    """The sample loop shared by HOAG, BA and GD/Adam.
+
+    Upper iteration i asks ``sample_grad(i, problem, loss, start)`` for the
+    hypergradient of every sample in index order, starting from the sample's
+    previous ``x_final`` when ``warm_start`` is set and from the cold start
+    otherwise.  It averages the gradients and the losses at ``x_final``,
+    applies the learn mask, and takes the new flat theta and the record's
+    extras from ``update(i, theta_vec, g, mean_loss)``.
+    """
+    _require_gradient_loss(loss_spec)
+    theta = theta0
+    warm: dict[int, np.ndarray] = {}
+    trace = OptTrace()
+    for i in range(1, max_upper + 1):
+        t_start = time.perf_counter()
+        grads = []
+        values = []
+        lower_iters = 0
+        for j in range(train.n_samples):
+            problem = LowerProblem(train.A, train.y[j], theta)
+            loss = bind_loss(loss_spec, train.y[j], train.A, train.x_true[j])
+            start = warm[j] if j in warm else _cold_start(train, x0, j)
+            with _located(f"upper iteration {i}, sample {j}"):
+                result = sample_grad(i, problem, loss, start)
+            if warm_start:
+                warm[j] = result.x_final
+            lower_iters += result.lower_iters
+            grads.append(result.grad)
+            values.append(loss.value(result.x_final))
+        g = np.mean(grads, axis=0)
+        if learn_mask is not None:
+            g = g * learn_mask
+        value = float(np.mean(values))
+        theta_vec = pack_theta(theta)
+        theta_new_vec, extra = update(i, theta_vec, g, value)
+        theta = unpack_theta(theta, theta_new_vec)
+        trace.records.append(
+            TraceRecord(
+                iteration=i,
+                loss=value,
+                grad_norm=float(np.linalg.norm(g)),
+                lower_iters=lower_iters,
+                wall_ms=(time.perf_counter() - t_start) * 1e3,
+                theta=theta_new_vec.copy(),
+                extra=extra,
+            )
+        )
+        if _theta_converged(theta_vec, theta_new_vec, theta_rel_tol):
+            break
+    return theta, trace
+
+
+def _implicit_engine(
+    accuracy: Callable[[int, LowerProblem], tuple[GDConfig, float]],
+    cg_max_iters: int | None,
+) -> _SampleGrad:
+    """Implicit hypergradients under an inner-accuracy policy.
+
+    ``accuracy(i, problem)`` gives the lower GD settings and the CG tolerance
+    of upper iteration i.
+    """
+
+    def sample_grad(i, problem, loss, start):
+        cfg, cg_tol = accuracy(i, problem)
+        res = gd_minimize(problem, start, cfg)
+        return hypergrad_minimizer(
+            problem, loss, res.x, cg_tol=cg_tol,
+            cg_max_iters=cg_max_iters, lower_iters=res.iters_run,
+        )
+
+    return sample_grad
 
 
 def hoag(
@@ -246,70 +351,25 @@ def hoag(
     else ||grad Phi|| <= eps_i), solves the Hessian system to residual eps_i,
     and takes a scheduled gradient step on theta.
     """
-    eps_at = _as_eps_schedule(eps_schedule)
+    eps_at = _per_iteration(eps_schedule, lambda eps0: lambda i: float(eps0) / i**2)
     solver_cfg = solver_cfg or GDConfig(max_iters=5000, warm_start=True)
     mu = train.A.spectral_bounds()[1]
-    theta = theta0
-    warm = [
-        np.array(x0, copy=True) if x0 is not None else _default_x0(train, j)
-        for j in range(train.n_samples)
-    ]
-    controller = _StepController(step)
-    trace = OptTrace()
-    for i in range(1, max_upper + 1):
-        t_start = time.perf_counter()
+
+    def accuracy(i, problem):
         eps_i = eps_at(i)
         grad_tol = eps_i * mu if mu > 0 else eps_i
-        grads = []
-        values = []
-        lower_iters = 0
-        for j in range(train.n_samples):
-            problem = LowerProblem(train.A, train.y[j], theta)
-            cfg_i = replace(solver_cfg, grad_tol=grad_tol, record_trajectory=False)
-            start = warm[j] if solver_cfg.warm_start else (
-                np.array(x0, copy=True) if x0 is not None else _default_x0(train, j)
-            )
-            res = gd_minimize(problem, start, cfg_i)
-            warm[j] = res.x
-            lower_iters += res.iters_run
-            loss = _bind_sample_loss(loss_spec, train, j, theta, cfg_i)
-            result = hypergrad_minimizer(
-                problem, loss, res.x, cg_tol=eps_i,
-                cg_max_iters=cg_max_iters, lower_iters=res.iters_run,
-            )
-            grads.append(result.grad)
-            values.append(loss.value(res.x))
-        g = np.mean(grads, axis=0)
-        if learn_mask is not None:
-            g = g * learn_mask
-        value = float(np.mean(values))
+        return replace(solver_cfg, grad_tol=grad_tol, record_trajectory=False), eps_i
+
+    controller = _StepController(step)
+
+    def update(i, theta_vec, g, value):
         alpha = controller.step(i, value)
-        theta_vec = pack_theta(theta)
-        theta_new_vec = theta_vec - alpha * g
-        theta = unpack_theta(theta, theta_new_vec)
-        trace.records.append(
-            TraceRecord(
-                iteration=i,
-                loss=value,
-                grad_norm=float(np.linalg.norm(g)),
-                lower_iters=lower_iters,
-                wall_ms=(time.perf_counter() - t_start) * 1e3,
-                theta=theta_new_vec.copy(),
-                extra={"eps": eps_i, "step": alpha},
-            )
-        )
-        if _theta_converged(theta_vec, theta_new_vec, theta_rel_tol):
-            break
-    return theta, trace
+        return theta_vec - alpha * g, {"eps": eps_at(i), "step": alpha}
 
-
-def _as_inner_schedule(inner_schedule) -> Callable[[int], int]:
-    if callable(inner_schedule):
-        return inner_schedule
-    if isinstance(inner_schedule, int):
-        return lambda i: inner_schedule
-    seq = list(inner_schedule)
-    return lambda i: seq[min(i, len(seq)) - 1]
+    return _double_loop(
+        theta0, x0, train, loss_spec, max_upper, theta_rel_tol, learn_mask,
+        solver_cfg.warm_start, _implicit_engine(accuracy, cg_max_iters), update,
+    )
 
 
 def ba(
@@ -333,67 +393,30 @@ def ba(
     ``ss_lower`` may be "paper-default", meaning 2/(L + mu) recomputed from
     the current hyperparameters each outer iteration (requires mu > 0).
     """
-    inner_at = _as_inner_schedule(inner_schedule)
+    inner_at = _per_iteration(inner_schedule, lambda t: lambda i: t)
     mu = train.A.spectral_bounds()[1]
     if ss_lower == "paper-default" and not mu > 0:
         raise ConfigError(
             "ss_lower='paper-default' needs a strongly convex problem (mu > 0)"
         )
-    theta = theta0
-    warm = [
-        np.array(x0, copy=True) if x0 is not None else _default_x0(train, j)
-        for j in range(train.n_samples)
-    ]
-    trace = OptTrace()
-    for i in range(1, max_upper + 1):
-        t_start = time.perf_counter()
-        t_inner = inner_at(i)
-        grads = []
-        values = []
-        lower_iters = 0
-        for j in range(train.n_samples):
-            problem = LowerProblem(train.A, train.y[j], theta)
-            if ss_lower == "paper-default":
-                step_low = 2.0 / (problem.lipschitz_grad() + mu)
-            else:
-                step_low = float(ss_lower)
-            cfg = GDConfig(step=step_low, max_iters=t_inner, grad_tol=0.0)
-            start = warm[j] if warm_start else (
-                np.array(x0, copy=True) if x0 is not None else _default_x0(train, j)
-            )
-            res = gd_minimize(problem, start, cfg)
-            warm[j] = res.x
-            lower_iters += res.iters_run
-            loss = _bind_sample_loss(loss_spec, train, j, theta, cfg)
-            result = hypergrad_minimizer(
-                problem, loss, res.x, cg_tol=cg_tol,
-                cg_max_iters=cg_max_iters, lower_iters=res.iters_run,
-            )
-            grads.append(result.grad)
-            values.append(loss.value(res.x))
-        g = np.mean(grads, axis=0)
-        if learn_mask is not None:
-            g = g * learn_mask
-        value = float(np.mean(values))
-        theta_vec = pack_theta(theta)
+
+    def accuracy(i, problem):
+        if ss_lower == "paper-default":
+            step_low = 2.0 / (problem.lipschitz_grad() + mu)
+        else:
+            step_low = float(ss_lower)
+        return GDConfig(step=step_low, max_iters=inner_at(i), grad_tol=0.0), cg_tol
+
+    def update(i, theta_vec, g, value):
         theta_new_vec = theta_vec - ss_upper * g
         if box is not None:
             theta_new_vec = np.clip(theta_new_vec, box[0], box[1])
-        theta = unpack_theta(theta, theta_new_vec)
-        trace.records.append(
-            TraceRecord(
-                iteration=i,
-                loss=value,
-                grad_norm=float(np.linalg.norm(g)),
-                lower_iters=lower_iters,
-                wall_ms=(time.perf_counter() - t_start) * 1e3,
-                theta=theta_new_vec.copy(),
-                extra={"inner_iters": float(t_inner)},
-            )
-        )
-        if _theta_converged(theta_vec, theta_new_vec, theta_rel_tol):
-            break
-    return theta, trace
+        return theta_new_vec, {"inner_iters": float(inner_at(i))}
+
+    return _double_loop(
+        theta0, x0, train, loss_spec, max_upper, theta_rel_tol, learn_mask,
+        warm_start, _implicit_engine(accuracy, cg_max_iters), update,
+    )
 
 
 def ttsa(
@@ -416,6 +439,7 @@ def ttsa(
     gradient uses the implicit formula at the current iterate with CG on the
     batch-mean Hessian.  The upper/lower step-size ratio must vanish.
     """
+    _require_gradient_loss(loss_spec)
     if batch > train.n_samples:
         raise ConfigError(
             f"batch {batch} exceeds training set size {train.n_samples}"
@@ -435,7 +459,7 @@ def ttsa(
         step_up = up_schedule.at(i)
         problems = [LowerProblem(train.A, train.y[j], theta) for j in idx]
         losses = [
-            _bind_sample_loss(loss_spec, train, j, theta, GDConfig()) for j in idx
+            bind_loss(loss_spec, train.y[j], train.A, train.x_true[j]) for j in idx
         ]
         g_low = np.mean([p.grad_x(x) for p in problems], axis=0)
         x = x - step_low * g_low
@@ -515,8 +539,6 @@ def _dense_hessian(problem: LowerProblem, x: np.ndarray) -> np.ndarray:
 
 
 def _dense_mixed(problem: LowerProblem, x: np.ndarray) -> np.ndarray:
-    from .hypergrad import _mixed_jacobian_columns
-
     cols = _mixed_jacobian_columns(problem, x)
     return cols.reshape(cols.shape[0], -1).T
 
@@ -536,6 +558,7 @@ def stable_step(
     need explicit matrices.  The recursion pairs the current sample at the
     previous and current iterates; tau = 1 discards the memory entirely.
     """
+    _require_gradient_loss(loss_spec)
     n = state.x.size
     if n > STABLE_DENSE_LIMIT:
         raise DimensionError(
@@ -668,78 +691,39 @@ def adam_or_gd_upper(
     solver_cfg = solver_cfg or GDConfig(
         max_iters=5000, grad_tol=1e-8, warm_start=True
     )
-    theta = theta0
-    warm = [
-        np.array(x0, copy=True) if x0 is not None else _default_x0(train, j)
-        for j in range(train.n_samples)
-    ]
+    if engine == "minimizer":
+        sample_grad = _implicit_engine(
+            lambda i, problem: (solver_cfg, cg_tol), cg_max_iters
+        )
+    else:
+        def sample_grad(i, problem, loss, start):
+            fn = (
+                hypergrad_unrolled_reverse
+                if engine == "reverse"
+                else hypergrad_unrolled_forward
+            )
+            return fn(problem, loss, start, unroll_steps, unroll_step)
+
     m = np.zeros(theta0.theta_size())
     v = np.zeros(theta0.theta_size())
-    trace = OptTrace()
-    for i in range(1, max_upper + 1):
-        t_start = time.perf_counter()
-        grads = []
-        values = []
-        lower_iters = 0
-        for j in range(train.n_samples):
-            problem = LowerProblem(train.A, train.y[j], theta)
-            loss = _bind_sample_loss(loss_spec, train, j, theta, solver_cfg)
-            if engine == "minimizer":
-                start = warm[j] if solver_cfg.warm_start else (
-                    np.array(x0, copy=True)
-                    if x0 is not None
-                    else _default_x0(train, j)
-                )
-                res = gd_minimize(problem, start, solver_cfg)
-                warm[j] = res.x
-                lower_iters += res.iters_run
-                result = hypergrad_minimizer(
-                    problem, loss, res.x, cg_tol=cg_tol,
-                    cg_max_iters=cg_max_iters, lower_iters=res.iters_run,
-                )
-                values.append(loss.value(res.x))
-            else:
-                start = (
-                    np.array(x0, copy=True)
-                    if x0 is not None
-                    else _default_x0(train, j)
-                )
-                fn = (
-                    hypergrad_unrolled_reverse
-                    if engine == "reverse"
-                    else hypergrad_unrolled_forward
-                )
-                result = fn(problem, loss, start, unroll_steps, unroll_step)
-                lower_iters += result.lower_iters
-                values.append(loss.value(result.x_final))
-            grads.append(result.grad)
-        g = np.mean(grads, axis=0)
-        if learn_mask is not None:
-            g = g * learn_mask
-        value = float(np.mean(values))
-        theta_vec = pack_theta(theta)
+
+    def update(i, theta_vec, g, value):
+        nonlocal m, v
         if optimizer == "gd":
-            theta_new_vec = theta_vec - step * g
-        else:
-            m = adam_beta1 * m + (1.0 - adam_beta1) * g
-            v = adam_beta2 * v + (1.0 - adam_beta2) * g * g
-            m_hat = m / (1.0 - adam_beta1**i)
-            v_hat = v / (1.0 - adam_beta2**i)
-            theta_new_vec = theta_vec - step * m_hat / (np.sqrt(v_hat) + adam_eps)
-        theta = unpack_theta(theta, theta_new_vec)
-        trace.records.append(
-            TraceRecord(
-                iteration=i,
-                loss=value,
-                grad_norm=float(np.linalg.norm(g)),
-                lower_iters=lower_iters,
-                wall_ms=(time.perf_counter() - t_start) * 1e3,
-                theta=theta_new_vec.copy(),
-            )
-        )
-        if _theta_converged(theta_vec, theta_new_vec, theta_rel_tol):
-            break
-    return theta, trace
+            return theta_vec - step * g, {}
+        m = adam_beta1 * m + (1.0 - adam_beta1) * g
+        v = adam_beta2 * v + (1.0 - adam_beta2) * g * g
+        m_hat = m / (1.0 - adam_beta1**i)
+        v_hat = v / (1.0 - adam_beta2**i)
+        return theta_vec - step * m_hat / (np.sqrt(v_hat) + adam_eps), {}
+
+    # the unrolled steps are differentiated from a theta-independent start,
+    # so only the implicit engine may warm start
+    warm_start = engine == "minimizer" and solver_cfg.warm_start
+    return _double_loop(
+        theta0, x0, train, loss_spec, max_upper, theta_rel_tol, learn_mask,
+        warm_start, sample_grad, update,
+    )
 
 
 def grid_search(
@@ -802,10 +786,9 @@ def default_theta_init(
     if beta0 is not None:
         hp = replace(hp, beta0=float(beta0))
     elif train is not None and n_filters > 0:
-        x_start = _default_x0(train, 0)
+        x_start = _cold_start(train, None, 0)
         g_data = train.A.adjoint(train.A.apply(x_start) - train.y[0])
-        flat = replace(hp, beta0=0.0)
-        g_reg = LowerProblem(train.A, train.y[0], flat).grad_x(x_start) - g_data
+        g_reg = LowerProblem(train.A, train.y[0], hp).grad_x(x_start) - g_data
         data_norm = float(np.linalg.norm(g_data))
         reg_norm = float(np.linalg.norm(g_reg))
         if data_norm > 0 and reg_norm > 0:

@@ -152,6 +152,19 @@ class TestErrors:
         assert main(["train", "--config", str(cfg)]) == 1
         assert "dataset.mystery" in capsys.readouterr().err
 
+    def test_value_only_loss_is_one_line_error(self, tmp_path, monkeypatch,
+                                               capsys):
+        doc = json.loads((CONFIGS / "toy_train.json").read_text())
+        doc["optimizer"] = {"kind": "ttsa", "max_upper": 3}
+        doc["loss"] = {"kind": "sure-mc", "sigma": 0.05}
+        cfg = tmp_path / "sure.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_in(tmp_path, monkeypatch, ["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "sure-mc" in err
+        assert not (tmp_path / "params.json").exists()
+
     def test_bad_signal_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.sig"
         bad.write_bytes(b"not a signal")

@@ -9,6 +9,7 @@ from bilevelreg.data import (
     build_forward,
     build_grid,
     build_loss,
+    build_optimizer,
     build_potential,
     build_train_set,
     gen_piecewise_constant,
@@ -201,6 +202,17 @@ class TestBuilders:
     def test_unknown_key_named_in_error(self):
         with pytest.raises(ConfigError, match="loss.flavor"):
             build_loss({"kind": "mse", "flavor": "ranch"})
+
+    @pytest.mark.parametrize("ss_lower", ["paper_default", 0, -0.5, True, None])
+    def test_ba_lower_step_validated(self, ss_lower):
+        with pytest.raises(ConfigError, match="optimizer.ss_lower"):
+            build_optimizer({"kind": "ba", "ss_upper": 0.1, "ss_lower": ss_lower})
+
+    def test_ba_lower_step_accepted_values(self):
+        default = build_optimizer({"kind": "ba", "ss_upper": 0.1})
+        assert default["ss_lower"] == "paper-default"
+        fixed = build_optimizer({"kind": "ba", "ss_upper": 0.1, "ss_lower": 1})
+        assert fixed["ss_lower"] == 1.0 and isinstance(fixed["ss_lower"], float)
 
     def test_dataset_and_train_set(self):
         ds = build_dataset_spec(

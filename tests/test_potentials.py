@@ -4,47 +4,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilevelreg.errors import UnboundedError
-from bilevelreg.potentials import (
-    CornerRounded1Norm,
-    Quadratic,
-    phi_bounds,
-    phi_derivatives,
-)
+from bilevelreg.potentials import CornerRounded1Norm, Quadratic
 
 
 class TestDerivativeTriples:
     def test_hyperbola_at_zero(self):
-        phi, dphi, ddphi = phi_derivatives(CornerRounded1Norm(0.1), 0.0)
+        phi, dphi, ddphi = CornerRounded1Norm(0.1).derivatives(0.0)
         assert phi == pytest.approx(0.1)
         assert dphi == pytest.approx(0.0)
         assert ddphi == pytest.approx(10.0)
 
     def test_hyperbola_at_one(self):
-        phi, dphi, ddphi = phi_derivatives(CornerRounded1Norm(0.01), 1.0)
+        phi, dphi, ddphi = CornerRounded1Norm(0.01).derivatives(1.0)
         assert phi == pytest.approx(np.sqrt(1.0001))
         assert dphi == pytest.approx(1.0 / np.sqrt(1.0001))
         assert ddphi == pytest.approx(1e-4 / 1.0001**1.5)
 
     def test_quadratic(self):
-        phi, dphi, ddphi = phi_derivatives(Quadratic(), 3.0)
+        phi, dphi, ddphi = Quadratic().derivatives(3.0)
         assert (phi, dphi, ddphi) == (4.5, 3.0, 1.0)
 
     def test_vectorized(self):
         pot = CornerRounded1Norm(0.5)
         z = np.array([-1.0, 0.0, 2.0])
-        phi, dphi, ddphi = phi_derivatives(pot, z)
+        phi, dphi, ddphi = pot.derivatives(z)
         assert phi.shape == dphi.shape == ddphi.shape == (3,)
 
 
 class TestBounds:
     def test_hyperbola_bounds(self):
-        assert phi_bounds(CornerRounded1Norm(0.1)) == (1.0, pytest.approx(10.0))
-        assert phi_bounds(CornerRounded1Norm(0.5)) == (1.0, pytest.approx(2.0))
+        assert CornerRounded1Norm(0.1).bounds() == (1.0, pytest.approx(10.0))
+        assert CornerRounded1Norm(0.5).bounds() == (1.0, pytest.approx(2.0))
 
     def test_quadratic_unbounded_slope(self):
         assert Quadratic().curvature_bound() == 1.0
         with pytest.raises(UnboundedError):
-            phi_bounds(Quadratic())
+            Quadratic().bounds()
 
     def test_third_derivative_sup(self):
         # analytic sup of |phi'''| is (3/2)(4/5)^{5/2} / eps^2

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from bilevelreg.data import add_noise, gen_piecewise_constant
-from bilevelreg.errors import ConfigError, StepTooLargeError
+from bilevelreg.errors import ConfigError, DivergenceError, StepTooLargeError
 from bilevelreg.forward import Identity
 from bilevelreg.hypergrad import grad_compare, hypergrad_minimizer
-from bilevelreg.losses import MSELoss, bind_loss
+from bilevelreg.losses import MSELoss, SureMCLoss, bind_loss
 from bilevelreg.lower import (
     HyperParams,
     LowerProblem,
@@ -478,3 +478,99 @@ class TestDeterminism:
                         [(r.loss, r.grad_norm, tuple(r.theta)) for r in trace.records]))
         np.testing.assert_array_equal(out[0][0], out[1][0])
         assert out[0][1] == out[1][1]
+
+
+def _two_filter_theta():
+    return HyperParams(-1.0, [0.0, -0.5],
+                       [np.array([0.7, -0.7]), np.array([0.5, 0.1, -0.6])],
+                       CornerRounded1Norm(0.1), learn_beta0=True)
+
+
+_SOLVE = GDConfig(step="one-over-L", max_iters=5_000, grad_tol=1e-8,
+                  warm_start=True)
+
+# Every upper-level entry point, run for three steps under a learn mask.
+UPPER_DRIVERS = {
+    "hoag": lambda hp, train, loss, mask: hoag(
+        hp, None, train, loss, eps_schedule=0.1, step=Constant(0.05),
+        max_upper=3, solver_cfg=_SOLVE, theta_rel_tol=0.0, learn_mask=mask),
+    "ba": lambda hp, train, loss, mask: ba(
+        hp, None, 0.05, "paper-default", 10, train, loss, max_upper=3,
+        theta_rel_tol=0.0, learn_mask=mask),
+    **{
+        f"{opt}-{engine}": (
+            lambda hp, train, loss, mask, opt=opt, engine=engine:
+            adam_or_gd_upper(hp, None, train, loss, engine=engine,
+                             optimizer=opt, step=0.05, max_upper=3,
+                             solver_cfg=_SOLVE, unroll_steps=20,
+                             unroll_step=0.3, theta_rel_tol=0.0,
+                             learn_mask=mask)
+        )
+        for opt in ("gd", "adam")
+        for engine in ("minimizer", "reverse", "forward")
+    },
+    "ttsa": lambda hp, train, loss, mask: ttsa(
+        hp, train.A.adjoint(train.y[0]), PowerLaw(0.1, 0.75),
+        PowerLaw(0.5, 0.5), train, loss, batch=2, seed=0, max_iter=3,
+        learn_mask=mask),
+}
+
+
+class TestLearnMask:
+    @pytest.mark.parametrize("name", sorted(UPPER_DRIVERS))
+    def test_frozen_taps_never_move(self, name):
+        train = filter_train_set(n_samples=2, n=16)
+        hp = _two_filter_theta()
+        taps = theta_mask(hp, beta0=False, betas=False) == 1.0
+        start = pack_theta(hp)
+        theta, trace = UPPER_DRIVERS[name](
+            hp, train, MSELoss(), theta_mask(hp, taps=False)
+        )
+        np.testing.assert_array_equal(pack_theta(theta)[taps], start[taps])
+        for rec in trace.records:
+            np.testing.assert_array_equal(rec.theta[taps], start[taps])
+        # the unmasked weights do move, so the check is not vacuous
+        assert np.any(pack_theta(theta)[~taps] != start[~taps])
+
+
+class TestUpperFailures:
+    @pytest.mark.parametrize("name", sorted(UPPER_DRIVERS))
+    def test_value_only_loss_rejected_before_any_solve(self, name, monkeypatch):
+        import bilevelreg.upper as upper
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("lower solve started")
+
+        monkeypatch.setattr(upper, "gd_minimize", no_solve)
+        monkeypatch.setattr(upper, "hypergrad_unrolled_reverse", no_solve)
+        monkeypatch.setattr(upper, "hypergrad_unrolled_forward", no_solve)
+        hp = _two_filter_theta()
+        train = filter_train_set(n_samples=2, n=16)
+        with pytest.raises(ConfigError, match="sure-mc"):
+            UPPER_DRIVERS[name](hp, train, SureMCLoss(0.05), None)
+
+    def test_stable_step_rejects_value_only_loss(self):
+        hp, train, _, _ = scalar_toy()
+        state = StableState(theta=hp, x=np.array([0.0]), step_upper=0.3,
+                            step_lower=0.4)
+        with pytest.raises(ConfigError, match="sure-mc"):
+            stable_step(state, (train.x_true[0], train.y[0]), train.A,
+                        SureMCLoss(0.05), 1.0, 10.0, 1.0)
+
+    @pytest.mark.parametrize("run", [
+        lambda hp, train: ba(hp, None, 0.1, 10.0, 2_000, train, MSELoss(),
+                             max_upper=2),
+        lambda hp, train: adam_or_gd_upper(
+            hp, None, train, MSELoss(), engine="minimizer", optimizer="adam",
+            max_upper=2, solver_cfg=GDConfig(step=10.0, max_iters=2_000)),
+        lambda hp, train: adam_or_gd_upper(
+            hp, None, train, MSELoss(), engine="reverse", optimizer="gd",
+            max_upper=2, unroll_steps=2_000, unroll_step=10.0),
+    ], ids=["ba", "adam-minimizer", "gd-reverse"])
+    def test_divergence_names_iteration_and_sample(self, run):
+        hp, train, _, _ = scalar_toy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError,
+                               match="upper iteration 1, sample 0: ") as info:
+                run(hp, train)
+        assert info.value.iteration is not None
