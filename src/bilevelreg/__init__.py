@@ -35,6 +35,7 @@ from .losses import (
 from .lower import (
     THETA_LAYOUT,
     HyperParams,
+    Linearization,
     LowerProblem,
     pack_theta,
     unpack_theta,
@@ -49,6 +50,7 @@ from .signals import (
     circshift,
     filter_spectrum,
     filter_spectrum_max,
+    shifted,
 )
 from .solvers import CGResult, GDConfig, GDResult, cg_solve, gd_minimize
 from .upper import (

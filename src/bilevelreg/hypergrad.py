@@ -12,8 +12,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DivergenceError
 from .lower import LowerProblem
-from .signals import circ_conv, circ_conv_adjoint
 from .solvers import GDConfig, cg_solve, gd_minimize
 
 
@@ -64,10 +64,9 @@ def hypergrad_minimizer(
     grad_loss = _require_grad(loss)(x_approx)
     if cg_max_iters is None:
         cg_max_iters = 10 * x_approx.size
-    cg = cg_solve(
-        lambda v: problem.hess_vec(x_approx, v), grad_loss, cg_tol, cg_max_iters
-    )
-    grad = -problem.jac_adjoint_apply(x_approx, cg.x)
+    lin = problem.linearize(x_approx)
+    cg = cg_solve(lin.hess_vec, grad_loss, cg_tol, cg_max_iters)
+    grad = -lin.jac_adjoint_apply(cg.x)
     gnorm = float(np.linalg.norm(problem.grad_x(x_approx)))
     warning = None
     if gnorm > 1e-4 * (1.0 + float(np.linalg.norm(grad_loss))):
@@ -96,7 +95,8 @@ def hypergrad_unrolled_reverse(
     """Backpropagation through ``n_steps`` gradient-descent updates.
 
     Stores the full trajectory (memory O(T N)) and sweeps it backwards with
-    one Hessian-vector and one Jacobian-adjoint product per step.
+    one Hessian-vector and one Jacobian-adjoint product per step, both from
+    one linearization at that step's iterate.
     """
     grad_loss = _require_grad(loss)
     cfg = GDConfig(step=step, max_iters=n_steps, grad_tol=0.0, record_trajectory=True)
@@ -105,9 +105,9 @@ def hypergrad_unrolled_reverse(
     grad = np.zeros(problem.theta.theta_size())
     delta = grad_loss(run.x)
     for t in range(n_steps, 0, -1):
-        x_prev = trajectory[t - 1]
-        grad -= step * problem.jac_adjoint_apply(x_prev, delta)
-        delta = delta - step * problem.hess_vec(x_prev, delta)
+        lin = problem.linearize(trajectory[t - 1])
+        grad -= step * lin.jac_adjoint_apply(delta)
+        delta = delta - step * lin.hess_vec(delta)
     return HypergradResult(
         grad=grad,
         method="reverse",
@@ -124,15 +124,22 @@ def unrolled_forward_sensitivity(
 
     Returns (x_T, Z) with Z[p] the sensitivity of x_T to theta coordinate p;
     Z starts at zero because the initializer does not depend on theta.
+    Raises DivergenceError naming the step at which x or Z stops being finite.
     """
     n_params = problem.theta.theta_size()
     x = np.array(x0, dtype=np.float64, copy=True)
     z = np.zeros((n_params,) + x.shape)
-    for _ in range(n_steps):
-        cols = _mixed_jacobian_columns(problem, x)
+    for t in range(n_steps):
+        lin = problem.linearize(x)
+        cols = lin.jac_columns()
         for p in range(n_params):
-            z[p] -= step * (problem.hess_vec(x, z[p]) + cols[p])
+            z[p] -= step * (lin.hess_vec(z[p]) + cols[p])
         x -= step * problem.grad_x(x)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+            raise DivergenceError(
+                f"non-finite iterate or sensitivity at unrolled step {t + 1}",
+                iteration=t + 1,
+            )
     return x, z
 
 
@@ -155,32 +162,6 @@ def hypergrad_unrolled_forward(
         lower_final_grad_norm=float(np.linalg.norm(problem.grad_x(x))),
         x_final=x,
     )
-
-
-def _mixed_jacobian_columns(problem: LowerProblem, x: np.ndarray) -> np.ndarray:
-    """All columns of d(grad_x Phi)/d theta at x, shaped (P, *grid)."""
-    hp = problem.theta
-    pot = hp.potential
-    cols = np.zeros((hp.theta_size(),) + x.shape)
-    pos = 1 if hp.learn_beta0 else 0
-    tap_pos = pos + hp.n_filters
-    axes = tuple(range(x.ndim))
-    for k, (w, c) in enumerate(zip(hp.weights(), hp.filters)):
-        z = circ_conv(x, c)
-        slope = pot.dphi(z)
-        curv = pot.ddphi(z)
-        beta_col = w * circ_conv_adjoint(slope, c)
-        cols[pos + k] = beta_col
-        if hp.learn_beta0:
-            cols[0] += beta_col
-        for s in np.ndindex(c.shape):
-            neg = tuple(-i for i in s)
-            cols[tap_pos] = w * (
-                np.roll(slope, neg, axis=axes)
-                + circ_conv_adjoint(curv * np.roll(x, s, axis=axes), c)
-            )
-            tap_pos += 1
-    return cols
 
 
 def grad_compare(g_est: np.ndarray, g_ref: np.ndarray) -> tuple[float, float]:

@@ -18,7 +18,8 @@ Derivative conventions (validated against finite differences; see README):
     d(grad_x Phi)/d c_{k,s} = w_k [circshift(phi'.(z_k), -s)
                                    + c~_k * (phi''.(z_k) .* circshift(x, s))]
 
-where z_k = c_k * x and w_k = e^{b0 + b_k}.
+where z_k = c_k * x and w_k = e^{b0 + b_k}.  ``LowerProblem.linearize(x)``
+evaluates the last three at one x, building z_k, phi' and phi'' once.
 """
 
 from __future__ import annotations
@@ -29,7 +30,13 @@ import numpy as np
 
 from .forward import ForwardModel
 from .potentials import Potential
-from .signals import as_filter, circ_conv, circ_conv_adjoint, filter_spectrum_max
+from .signals import (
+    as_filter,
+    circ_conv,
+    circ_conv_adjoint,
+    filter_spectrum_max,
+    shifted,
+)
 
 THETA_LAYOUT = "b0?:betas:taps-rowmajor:v1"
 
@@ -153,71 +160,9 @@ class LowerProblem:
             g += w * circ_conv_adjoint(pot.dphi(circ_conv(x, c)), c)
         return g
 
-    def hess_vec(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        h = self.A.adjoint(self.A.apply(v))
-        pot = self.theta.potential
-        for w, c in zip(self.theta.weights(), self.theta.filters):
-            curv = pot.ddphi(circ_conv(x, c))
-            h += w * circ_conv_adjoint(curv * circ_conv(v, c), c)
-        return h
-
-    def jac_adjoint_apply(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """(d(grad_x Phi)/d theta)' u as a flat theta-shaped vector."""
-        hp = self.theta
-        pot = hp.potential
-        out = np.zeros(hp.theta_size())
-        pos = 1 if hp.learn_beta0 else 0
-        tap_pos = pos + hp.n_filters
-        beta_total = 0.0
-        axes = tuple(range(x.ndim))
-        for k, (w, c) in enumerate(zip(hp.weights(), hp.filters)):
-            z = circ_conv(x, c)
-            slope = pot.dphi(z)
-            curv_cu = pot.ddphi(z) * circ_conv(u, c)
-            beta_entry = w * float(np.vdot(circ_conv_adjoint(slope, c), u))
-            out[pos + k] = beta_entry
-            beta_total += beta_entry
-            for s in np.ndindex(c.shape):
-                # <circshift(slope,-s), u> = <slope, circshift(u,s)>;
-                # <c~*(curv.*circshift(x,s)), u> = <circshift(x,s), curv.*(c*u)>
-                out[tap_pos] = w * (
-                    float(np.vdot(slope, np.roll(u, s, axis=axes)))
-                    + float(np.vdot(np.roll(x, s, axis=axes), curv_cu))
-                )
-                tap_pos += 1
-        if hp.learn_beta0:
-            out[0] = beta_total
-        return out
-
-    def jac_apply(self, x: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
-        """d(grad_x Phi)/d theta applied to a flat direction dtheta."""
-        hp = self.theta
-        pot = hp.potential
-        dtheta = np.asarray(dtheta, dtype=np.float64).reshape(-1)
-        if dtheta.size != hp.theta_size():
-            raise ValueError(
-                f"dtheta length {dtheta.size} does not match layout size {hp.theta_size()}"
-            )
-        pos = 1 if hp.learn_beta0 else 0
-        db0 = dtheta[0] if hp.learn_beta0 else 0.0
-        tap_pos = pos + hp.n_filters
-        out = np.zeros_like(x)
-        for k, (w, c) in enumerate(zip(hp.weights(), hp.filters)):
-            z = circ_conv(x, c)
-            slope = pot.dphi(z)
-            dbk = dtheta[pos + k] + db0
-            if dbk != 0.0:
-                out += dbk * w * circ_conv_adjoint(slope, c)
-            dc = dtheta[tap_pos : tap_pos + c.size].reshape(c.shape)
-            tap_pos += c.size
-            if np.any(dc != 0.0):
-                # sum_s dc_s circshift(slope,-s) = dc~ * slope, and the
-                # curvature terms collapse into one convolution with dc.
-                out += w * (
-                    circ_conv_adjoint(slope, dc)
-                    + circ_conv_adjoint(pot.ddphi(z) * circ_conv(x, dc), c)
-                )
-        return out
+    def linearize(self, x: np.ndarray) -> "Linearization":
+        """Derivatives of ``grad_x Phi`` in x and theta at a fixed ``x``."""
+        return Linearization(self, x)
 
     def lipschitz_grad(self) -> float:
         """L = sigma1^2(A) + e^{b0} L_phi' sum_k e^{bk} sigma1^2(C_k)."""
@@ -253,3 +198,113 @@ class LowerProblem:
             ],
         }
         return report
+
+
+@dataclass
+class _FilterTerm:
+    """One filter's share of a linearization: w_k, c_k and what x fixes."""
+
+    weight: float
+    taps: np.ndarray
+    slope: np.ndarray  # phi'.(c_k * x)
+    curv: np.ndarray  # phi''.(c_k * x)
+    x_shifts: np.ndarray  # circshift(x, s) for every tap s of c_k
+
+
+class Linearization:
+    """Hessian and mixed Jacobian of the lower cost at a fixed ``x``.
+
+    Builds z_k = c_k * x, phi'.(z_k), phi''.(z_k) and the tap shifts of x
+    once, so every product a CG solve or an unrolled step takes at this x
+    reuses them.  ``x`` is copied; later changes to the caller's array do not
+    reach the linearization.
+    """
+
+    def __init__(self, problem: LowerProblem, x: np.ndarray):
+        self.problem = problem
+        self.x = np.array(x, dtype=np.float64)
+        pot = problem.theta.potential
+        self._terms = []
+        for w, c in zip(problem.theta.weights(), problem.theta.filters):
+            z = circ_conv(self.x, c)
+            self._terms.append(_FilterTerm(
+                w, c, pot.dphi(z), pot.ddphi(z), shifted(self.x, c.shape, 1)
+            ))
+
+    def hess_vec(self, v: np.ndarray) -> np.ndarray:
+        """hess(x) v = A'(Av) + sum_k w_k c~_k * (phi''.(z_k) .* (c_k * v))."""
+        A = self.problem.A
+        h = A.adjoint(A.apply(v))
+        for t in self._terms:
+            h += t.weight * circ_conv_adjoint(t.curv * circ_conv(v, t.taps), t.taps)
+        return h
+
+    def jac_adjoint_apply(self, u: np.ndarray) -> np.ndarray:
+        """(d(grad_x Phi)/d theta)' u as a flat theta-shaped vector."""
+        hp = self.problem.theta
+        out = np.zeros(hp.theta_size())
+        pos = 1 if hp.learn_beta0 else 0
+        tap_pos = pos + hp.n_filters
+        beta_total = 0.0
+        for k, t in enumerate(self._terms):
+            curv_cu = t.curv * circ_conv(u, t.taps)
+            beta_entry = t.weight * float(
+                np.vdot(circ_conv_adjoint(t.slope, t.taps), u)
+            )
+            out[pos + k] = beta_entry
+            beta_total += beta_entry
+            # <circshift(slope,-s), u> = <slope, circshift(u,s)>;
+            # <c~*(curv.*circshift(x,s)), u> = <circshift(x,s), curv.*(c*u)>
+            for u_s, x_s in zip(shifted(u, t.taps.shape, 1), t.x_shifts):
+                out[tap_pos] = t.weight * (
+                    float(np.vdot(t.slope, u_s)) + float(np.vdot(x_s, curv_cu))
+                )
+                tap_pos += 1
+        if hp.learn_beta0:
+            out[0] = beta_total
+        return out
+
+    def jac_apply(self, dtheta: np.ndarray) -> np.ndarray:
+        """d(grad_x Phi)/d theta applied to a flat direction dtheta."""
+        hp = self.problem.theta
+        dtheta = np.asarray(dtheta, dtype=np.float64).reshape(-1)
+        if dtheta.size != hp.theta_size():
+            raise ValueError(
+                f"dtheta length {dtheta.size} does not match layout size {hp.theta_size()}"
+            )
+        pos = 1 if hp.learn_beta0 else 0
+        db0 = dtheta[0] if hp.learn_beta0 else 0.0
+        tap_pos = pos + hp.n_filters
+        out = np.zeros_like(self.x)
+        for k, t in enumerate(self._terms):
+            dbk = dtheta[pos + k] + db0
+            if dbk != 0.0:
+                out += dbk * t.weight * circ_conv_adjoint(t.slope, t.taps)
+            dc = dtheta[tap_pos : tap_pos + t.taps.size].reshape(t.taps.shape)
+            tap_pos += t.taps.size
+            if np.any(dc != 0.0):
+                # sum_s dc_s circshift(slope,-s) = dc~ * slope, and the
+                # curvature terms collapse into one convolution with dc.
+                out += t.weight * (
+                    circ_conv_adjoint(t.slope, dc)
+                    + circ_conv_adjoint(t.curv * circ_conv(self.x, dc), t.taps)
+                )
+        return out
+
+    def jac_columns(self) -> np.ndarray:
+        """All columns of d(grad_x Phi)/d theta, shaped (P, *grid)."""
+        hp = self.problem.theta
+        cols = np.zeros((hp.theta_size(),) + self.x.shape)
+        pos = 1 if hp.learn_beta0 else 0
+        tap_pos = pos + hp.n_filters
+        for k, t in enumerate(self._terms):
+            beta_col = t.weight * circ_conv_adjoint(t.slope, t.taps)
+            cols[pos + k] = beta_col
+            if hp.learn_beta0:
+                cols[0] += beta_col
+            for slope_s, x_s in zip(shifted(t.slope, t.taps.shape, -1), t.x_shifts):
+                cols[tap_pos] = t.weight * (
+                    slope_s + circ_conv_adjoint(t.curv * x_s, t.taps)
+                )
+                tap_pos += 1
+        return cols

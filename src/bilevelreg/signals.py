@@ -16,6 +16,7 @@ is the convention pinned by the worked shift examples; see README
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,35 +67,74 @@ def as_filter(taps) -> np.ndarray:
     return c
 
 
-def _check_filter_fits(x: np.ndarray, c: np.ndarray) -> None:
-    if c.ndim != x.ndim:
+def _check_filter_fits(x: np.ndarray, c_shape: tuple[int, ...]) -> None:
+    if len(c_shape) != x.ndim:
         raise DimensionError(
-            f"filter rank {c.ndim} does not match signal rank {x.ndim}"
+            f"filter rank {len(c_shape)} does not match signal rank {x.ndim}"
         )
-    if any(rc > rx for rc, rx in zip(c.shape, x.shape)):
+    if any(rc > rx for rc, rx in zip(c_shape, x.shape)):
         raise DimensionError(
-            f"filter extents {c.shape} exceed grid extents {x.shape}"
+            f"filter extents {c_shape} exceed grid extents {x.shape}"
         )
+
+
+@functools.lru_cache(maxsize=32)
+def _shift_index(c_shape: tuple[int, ...], grid: tuple[int, ...], sign: int) -> np.ndarray:
+    """Flat gather index of every tap shift, shaped (taps, N) and read-only.
+
+    Row s (taps in row-major order) holds the flat indices of
+    ``circshift(x, sign * s)``, so ``x.reshape(-1)[index]`` stacks all the
+    shifts a filter of shape ``c_shape`` reads.  Only shapes are keys, so the
+    few grids and filter shapes of a run share a handful of entries.
+    """
+    flat = np.arange(int(np.prod(grid))).reshape(grid)
+    axes = tuple(range(len(grid)))
+    index = np.stack([
+        np.roll(flat, tuple(sign * k for k in s), axis=axes).reshape(-1)
+        for s in np.ndindex(c_shape)
+    ])
+    index.flags.writeable = False
+    return index
+
+
+def _tap_rows(x: np.ndarray, c_shape: tuple[int, ...], sign: int) -> np.ndarray:
+    """circshift(x, sign * s) for every tap s of a ``c_shape`` filter, as (taps, N)."""
+    _check_filter_fits(x, c_shape)
+    return x.reshape(-1)[_shift_index(c_shape, x.shape, sign)]
+
+
+def _conv(x: np.ndarray, c: np.ndarray, sign: int) -> np.ndarray:
+    """sum_s c_s circshift(x, sign * s), accumulated in row-major tap order.
+
+    ``np.add.reduce`` over the tap axis, which is not the fast axis, adds the
+    rows one after another onto the +0.0 start, so every output entry is the
+    sum ``0 + c_0 x_.. + c_1 x_.. + ...`` in the order of a per-tap loop.
+    """
+    rows = _tap_rows(x, c.shape, sign)
+    rows *= c.reshape(-1, 1)
+    return np.add.reduce(rows, axis=0, initial=0.0).reshape(x.shape)
 
 
 def circ_conv(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Circular convolution (c * x)_i = sum_s c_s x_{i-s}."""
-    _check_filter_fits(x, c)
-    axes = tuple(range(x.ndim))
-    out = np.zeros_like(x)
-    for s in np.ndindex(c.shape):
-        out += c[s] * np.roll(x, s, axis=axes)
-    return out
+    return _conv(x, c, 1)
 
 
 def circ_conv_adjoint(u: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Adjoint of ``circ_conv(., c)``: correlation with c, i.e. c~ * u."""
-    _check_filter_fits(u, c)
-    axes = tuple(range(u.ndim))
-    out = np.zeros_like(u)
-    for s in np.ndindex(c.shape):
-        out += c[s] * np.roll(u, tuple(-k for k in s), axis=axes)
-    return out
+    return _conv(u, c, -1)
+
+
+def shifted(x: np.ndarray, c_shape: tuple[int, ...], sign: int) -> np.ndarray:
+    """Every tap shift of ``x`` for a filter of shape ``c_shape``.
+
+    Returns an array shaped ``(taps, *x.shape)`` whose entry s, taps in
+    row-major order, is ``circshift(x, sign * s)``; ``sign`` is +1 or -1.
+    """
+    if sign not in (1, -1):
+        raise ValueError(f"shift sign must be +1 or -1, got {sign}")
+    rows = _tap_rows(x, tuple(c_shape), sign)
+    return rows.reshape((len(rows),) + x.shape)
 
 
 def circshift(x: np.ndarray, offset) -> np.ndarray:

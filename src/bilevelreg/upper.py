@@ -26,13 +26,12 @@ from .forward import ForwardModel
 from .hypergrad import (
     HypergradResult,
     UpperLoss,
-    _mixed_jacobian_columns,
     hypergrad_minimizer,
     hypergrad_unrolled_forward,
     hypergrad_unrolled_reverse,
 )
 from .losses import LossSpec, SureMCLoss, bind_loss
-from .lower import HyperParams, LowerProblem, pack_theta, unpack_theta
+from .lower import HyperParams, Linearization, LowerProblem, pack_theta, unpack_theta
 from .solvers import GDConfig, cg_solve, gd_minimize
 
 
@@ -265,7 +264,10 @@ def _double_loop(
     previous ``x_final`` when ``warm_start`` is set and from the cold start
     otherwise.  It averages the gradients and the losses at ``x_final``,
     applies the learn mask, and takes the new flat theta and the record's
-    extras from ``update(i, theta_vec, g, mean_loss)``.
+    extras from ``update(i, theta_vec, g, mean_loss)``.  Each record also
+    counts the samples whose hypergradient came with a warning
+    (``warnings``) and, for engines that solve by CG, keeps the largest
+    final CG residual over the samples (``cg_residual``).
     """
     _require_gradient_loss(loss_spec)
     theta = theta0
@@ -276,6 +278,8 @@ def _double_loop(
         grads = []
         values = []
         lower_iters = 0
+        warnings = 0
+        cg_residuals = []
         for j in range(train.n_samples):
             problem = LowerProblem(train.A, train.y[j], theta)
             loss = bind_loss(loss_spec, train.y[j], train.A, train.x_true[j])
@@ -285,6 +289,9 @@ def _double_loop(
             if warm_start:
                 warm[j] = result.x_final
             lower_iters += result.lower_iters
+            warnings += result.warning is not None
+            if result.cg_residual is not None:
+                cg_residuals.append(result.cg_residual)
             grads.append(result.grad)
             values.append(loss.value(result.x_final))
         g = np.mean(grads, axis=0)
@@ -293,6 +300,9 @@ def _double_loop(
         value = float(np.mean(values))
         theta_vec = pack_theta(theta)
         theta_new_vec, extra = update(i, theta_vec, g, value)
+        extra["warnings"] = float(warnings)
+        if cg_residuals:
+            extra["cg_residual"] = max(cg_residuals)
         theta = unpack_theta(theta, theta_new_vec)
         trace.records.append(
             TraceRecord(
@@ -437,7 +447,8 @@ def ttsa(
 
     The lower iterate tracks the batch-mean reconstruction cost; each theta
     gradient uses the implicit formula at the current iterate with CG on the
-    batch-mean Hessian.  The upper/lower step-size ratio must vanish.
+    batch-mean Hessian.  The upper/lower step-size ratio must vanish.  Each
+    record's extras hold both step sizes and the final CG residual.
     """
     _require_gradient_loss(loss_spec)
     if batch > train.n_samples:
@@ -464,15 +475,16 @@ def ttsa(
         g_low = np.mean([p.grad_x(x) for p in problems], axis=0)
         x = x - step_low * g_low
         b = np.mean([loss.grad_x(x) for loss in losses], axis=0)
+        lins = [p.linearize(x) for p in problems]
 
         def hess_action(v):
-            return np.mean([p.hess_vec(x, v) for p in problems], axis=0)
+            return np.mean([lin.hess_vec(v) for lin in lins], axis=0)
 
         cg = cg_solve(
             hess_action, b, cg_tol,
             cg_max_iters if cg_max_iters is not None else 10 * x.size,
         )
-        g = -np.mean([p.jac_adjoint_apply(x, cg.x) for p in problems], axis=0)
+        g = -np.mean([lin.jac_adjoint_apply(cg.x) for lin in lins], axis=0)
         if learn_mask is not None:
             g = g * learn_mask
         theta_vec = pack_theta(theta)
@@ -487,7 +499,8 @@ def ttsa(
                 lower_iters=1,
                 wall_ms=(time.perf_counter() - t_start) * 1e3,
                 theta=theta_new_vec.copy(),
-                extra={"step_upper": step_up, "step_lower": step_low},
+                extra={"step_upper": step_up, "step_lower": step_low,
+                       "cg_residual": cg.residual_norm},
             )
         )
     return theta, trace
@@ -526,20 +539,20 @@ def clip_matrix_norm(m: np.ndarray, cap: float) -> np.ndarray:
     return (u * np.minimum(s, cap)) @ vt
 
 
-def _dense_hessian(problem: LowerProblem, x: np.ndarray) -> np.ndarray:
-    n = x.size
+def _dense_hessian(lin: Linearization) -> np.ndarray:
+    n = lin.x.size
     h = np.zeros((n, n))
-    basis = np.zeros_like(x)
+    basis = np.zeros_like(lin.x)
     flat = basis.reshape(-1)
     for i in range(n):
         flat[i] = 1.0
-        h[:, i] = problem.hess_vec(x, basis).reshape(-1)
+        h[:, i] = lin.hess_vec(basis).reshape(-1)
         flat[i] = 0.0
     return h
 
 
-def _dense_mixed(problem: LowerProblem, x: np.ndarray) -> np.ndarray:
-    cols = _mixed_jacobian_columns(problem, x)
+def _dense_mixed(lin: Linearization) -> np.ndarray:
+    cols = lin.jac_columns()
     return cols.reshape(cols.shape[0], -1).T
 
 
@@ -568,12 +581,13 @@ def stable_step(
         raise ConfigError("STABLE eigenvalue truncation needs mu > 0")
     x_true, y = sample
     problem = LowerProblem(A, y, state.theta)
-    h_new = _dense_hessian(problem, state.x)
-    m_new = _dense_mixed(problem, state.x)
+    lin = problem.linearize(state.x)
+    h_new = _dense_hessian(lin)
+    m_new = _dense_mixed(lin)
     if state.prev_x is not None and tau < 1.0:
-        prev_problem = LowerProblem(A, y, state.prev_theta)
-        h_prev = _dense_hessian(prev_problem, state.prev_x)
-        m_prev = _dense_mixed(prev_problem, state.prev_x)
+        prev_lin = LowerProblem(A, y, state.prev_theta).linearize(state.prev_x)
+        h_prev = _dense_hessian(prev_lin)
+        m_prev = _dense_mixed(prev_lin)
         h_raw = (1.0 - tau) * (state.hess_est - h_prev) + h_new
         m_raw = (1.0 - tau) * (state.mixed_est - m_prev) + m_new
     else:

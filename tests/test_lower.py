@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bilevelreg.forward import Identity, Mask
+from bilevelreg.forward import Circulant, Identity, Mask
 from bilevelreg.lower import (
     HyperParams,
     LowerProblem,
@@ -9,7 +9,7 @@ from bilevelreg.lower import (
     unpack_theta,
 )
 from bilevelreg.potentials import CornerRounded1Norm, Quadratic
-from bilevelreg.signals import Grid
+from bilevelreg.signals import Grid, circ_conv, circ_conv_adjoint
 
 
 def make_problem(dims=(16,), k=2, taps=(3,), eps=0.1, seed=0, learn_beta0=False,
@@ -132,16 +132,18 @@ class TestHessVec:
     def test_scalar_case(self):
         problem = scalar_problem(lam=1.0)
         v = np.array([3.0])
-        np.testing.assert_allclose(problem.hess_vec(np.array([1.0]), v), 2.0 * v)
+        lin = problem.linearize(np.array([1.0]))
+        np.testing.assert_allclose(lin.hess_vec(v), 2.0 * v)
 
     def test_symmetry(self):
         problem, rng = make_problem()
         x = rng.standard_normal(problem.A.grid.dims)
+        lin = problem.linearize(x)
         for _ in range(10):
             v = rng.standard_normal(x.shape)
             w = rng.standard_normal(x.shape)
-            lhs = np.vdot(problem.hess_vec(x, v), w)
-            rhs = np.vdot(v, problem.hess_vec(x, w))
+            lhs = np.vdot(lin.hess_vec(v), w)
+            rhs = np.vdot(v, lin.hess_vec(w))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
     def test_matches_dense_fd_of_gradient(self):
@@ -156,7 +158,7 @@ class TestHessVec:
         for _ in range(5):
             v = rng.standard_normal(8)
             np.testing.assert_allclose(
-                problem.hess_vec(x, v), dense @ v, rtol=1e-5, atol=1e-8
+                problem.linearize(x).hess_vec(v), dense @ v, rtol=1e-5, atol=1e-8
             )
 
     def test_positive_semidefinite_with_mu(self):
@@ -165,7 +167,7 @@ class TestHessVec:
         mu = problem.regularity_report(1.0)["mu"]
         for _ in range(20):
             v = rng.standard_normal(x.shape)
-            quad = float(np.vdot(v, problem.hess_vec(x, v)))
+            quad = float(np.vdot(v, problem.linearize(x).hess_vec(v)))
             assert quad >= mu * float(np.vdot(v, v)) - 1e-10
 
 
@@ -174,11 +176,11 @@ class TestMixedJacobian:
         grid = Grid((4,))
         hp = HyperParams(0.0, [], [], CornerRounded1Norm(0.1))
         problem = LowerProblem(Identity(grid), np.zeros(4), hp)
-        assert problem.jac_adjoint_apply(np.zeros(4), np.ones(4)).size == 0
+        assert problem.linearize(np.zeros(4)).jac_adjoint_apply(np.ones(4)).size == 0
 
     def test_scalar_beta_entry(self):
         problem = scalar_problem(lam=1.0)
-        out = problem.jac_adjoint_apply(np.array([1.0]), np.array([-0.5]))
+        out = problem.linearize(np.array([1.0])).jac_adjoint_apply(np.array([-0.5]))
         assert out[0] == pytest.approx(-0.5)
 
     @pytest.mark.parametrize("learn_beta0", [False, True])
@@ -188,7 +190,7 @@ class TestMixedJacobian:
         u = rng.standard_normal(16)
         theta_vec = pack_theta(problem.theta)
         h = 1e-6
-        out = problem.jac_adjoint_apply(x, u)
+        out = problem.linearize(x).jac_adjoint_apply(u)
         assert out.size == theta_vec.size
         for p in range(theta_vec.size):
             tp = theta_vec.copy()
@@ -213,7 +215,7 @@ class TestMixedJacobian:
         x = rng.standard_normal(grid.dims)
         u = rng.standard_normal(grid.dims)
         theta_vec = pack_theta(hp)
-        out = problem.jac_adjoint_apply(x, u)
+        out = problem.linearize(x).jac_adjoint_apply(u)
         h = 1e-6
         for p in range(theta_vec.size):
             tp = theta_vec.copy()
@@ -230,17 +232,18 @@ class TestJacApply:
     def test_zero_direction(self):
         problem, rng = make_problem()
         x = rng.standard_normal(problem.A.grid.dims)
-        out = problem.jac_apply(x, np.zeros(problem.theta.theta_size()))
+        out = problem.linearize(x).jac_apply(np.zeros(problem.theta.theta_size()))
         np.testing.assert_array_equal(out, np.zeros_like(x))
 
     def test_transpose_identity(self):
         problem, rng = make_problem(k=2, learn_beta0=True)
         x = rng.standard_normal(problem.A.grid.dims)
+        lin = problem.linearize(x)
         for _ in range(10):
             u = rng.standard_normal(x.shape)
             d = rng.standard_normal(problem.theta.theta_size())
-            lhs = np.vdot(problem.jac_apply(x, d), u)
-            rhs = np.vdot(d, problem.jac_adjoint_apply(x, u))
+            lhs = np.vdot(lin.jac_apply(d), u)
+            rhs = np.vdot(d, lin.jac_adjoint_apply(u))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
     def test_scalar_beta_direction(self):
@@ -248,7 +251,136 @@ class TestJacApply:
         x = np.array([1.5])
         d = np.zeros(2)
         d[0] = 1.0  # beta1 coordinate
-        np.testing.assert_allclose(problem.jac_apply(x, d), 1.0 * x)
+        np.testing.assert_allclose(problem.linearize(x).jac_apply(d), 1.0 * x)
+
+
+def _roll(x, s):
+    return np.roll(x, s, axis=tuple(range(x.ndim)))
+
+
+def _neg(s):
+    return tuple(-k for k in s)
+
+
+# The per-call derivative formulas that recompute z_k = c_k * x and
+# phi'/phi'' on every product; a linearization must give the same bits.
+def reference_hess_vec(problem, x, v):
+    h = problem.A.adjoint(problem.A.apply(v))
+    pot = problem.theta.potential
+    for w, c in zip(problem.theta.weights(), problem.theta.filters):
+        curv = pot.ddphi(circ_conv(x, c))
+        h += w * circ_conv_adjoint(curv * circ_conv(v, c), c)
+    return h
+
+
+def reference_jac_adjoint_apply(problem, x, u):
+    hp = problem.theta
+    pot = hp.potential
+    out = np.zeros(hp.theta_size())
+    pos = 1 if hp.learn_beta0 else 0
+    tap_pos = pos + hp.n_filters
+    beta_total = 0.0
+    for k, (w, c) in enumerate(zip(hp.weights(), hp.filters)):
+        z = circ_conv(x, c)
+        slope = pot.dphi(z)
+        curv_cu = pot.ddphi(z) * circ_conv(u, c)
+        beta_entry = w * float(np.vdot(circ_conv_adjoint(slope, c), u))
+        out[pos + k] = beta_entry
+        beta_total += beta_entry
+        for s in np.ndindex(c.shape):
+            out[tap_pos] = w * (float(np.vdot(slope, _roll(u, s)))
+                                + float(np.vdot(_roll(x, s), curv_cu)))
+            tap_pos += 1
+    if hp.learn_beta0:
+        out[0] = beta_total
+    return out
+
+
+def reference_jac_apply(problem, x, dtheta):
+    hp = problem.theta
+    pot = hp.potential
+    pos = 1 if hp.learn_beta0 else 0
+    db0 = dtheta[0] if hp.learn_beta0 else 0.0
+    tap_pos = pos + hp.n_filters
+    out = np.zeros_like(x)
+    for k, (w, c) in enumerate(zip(hp.weights(), hp.filters)):
+        z = circ_conv(x, c)
+        slope = pot.dphi(z)
+        dbk = dtheta[pos + k] + db0
+        if dbk != 0.0:
+            out += dbk * w * circ_conv_adjoint(slope, c)
+        dc = dtheta[tap_pos : tap_pos + c.size].reshape(c.shape)
+        tap_pos += c.size
+        if np.any(dc != 0.0):
+            out += w * (circ_conv_adjoint(slope, dc)
+                        + circ_conv_adjoint(pot.ddphi(z) * circ_conv(x, dc), c))
+    return out
+
+
+def reference_jac_columns(problem, x):
+    hp = problem.theta
+    pot = hp.potential
+    cols = np.zeros((hp.theta_size(),) + x.shape)
+    pos = 1 if hp.learn_beta0 else 0
+    tap_pos = pos + hp.n_filters
+    for k, (w, c) in enumerate(zip(hp.weights(), hp.filters)):
+        z = circ_conv(x, c)
+        slope = pot.dphi(z)
+        curv = pot.ddphi(z)
+        beta_col = w * circ_conv_adjoint(slope, c)
+        cols[pos + k] = beta_col
+        if hp.learn_beta0:
+            cols[0] += beta_col
+        for s in np.ndindex(c.shape):
+            cols[tap_pos] = w * (_roll(slope, _neg(s))
+                                 + circ_conv_adjoint(curv * _roll(x, s), c))
+            tap_pos += 1
+    return cols
+
+
+def _forward_model(kind, grid, rng):
+    if kind == "identity":
+        return Identity(grid)
+    if kind == "mask":
+        values = (rng.random(grid.dims) < 0.7).astype(float)
+        values.reshape(-1)[0] = 1.0
+        return Mask(grid, values)
+    taps = (3,) if grid.rank == 1 else (3, 2)
+    return Circulant(grid, rng.random(taps))
+
+
+class TestLinearization:
+    @pytest.mark.parametrize("learn_beta0", [False, True])
+    @pytest.mark.parametrize("dims,taps", [((16,), [(2,), (3,)]),
+                                           ((6, 5), [(2, 2), (1, 3)])])
+    @pytest.mark.parametrize("model", ["identity", "mask", "circulant"])
+    def test_products_equal_per_call_formulas_bitwise(self, model, dims, taps,
+                                                      learn_beta0):
+        rng = np.random.default_rng(14)
+        grid = Grid(dims)
+        hp = HyperParams(
+            beta0=-0.4,
+            betas=rng.standard_normal(len(taps)) * 0.3,
+            filters=[rng.standard_normal(t) for t in taps],
+            potential=CornerRounded1Norm(0.1),
+            learn_beta0=learn_beta0,
+        )
+        problem = LowerProblem(_forward_model(model, grid, rng),
+                               rng.standard_normal(dims), hp)
+        x, v = rng.standard_normal((2,) + dims)
+        d = rng.standard_normal(hp.theta_size())
+        lin = problem.linearize(x)
+        x[...] = 0.0  # the linearization keeps its own copy of x
+        x = lin.x
+        for _ in range(2):  # products do not disturb the cached state
+            np.testing.assert_array_equal(lin.hess_vec(v),
+                                          reference_hess_vec(problem, x, v))
+            np.testing.assert_array_equal(
+                lin.jac_adjoint_apply(v), reference_jac_adjoint_apply(problem, x, v))
+            np.testing.assert_array_equal(lin.jac_apply(d),
+                                          reference_jac_apply(problem, x, d))
+            np.testing.assert_array_equal(lin.jac_columns(),
+                                          reference_jac_columns(problem, x))
 
 
 class TestLipschitz:

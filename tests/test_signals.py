@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilevelreg import signals
 from bilevelreg.errors import DimensionError
 from bilevelreg.signals import (
     Grid,
@@ -13,7 +17,10 @@ from bilevelreg.signals import (
     circshift,
     filter_spectrum,
     filter_spectrum_max,
+    shifted,
 )
+
+SRC = Path(signals.__file__).resolve().parent
 
 
 def conv_reference(x, c):
@@ -23,6 +30,15 @@ def conv_reference(x, c):
         for s in np.ndindex(c.shape):
             idx = tuple((ii - ss) % n for ii, ss, n in zip(i, s, x.shape))
             out[i] += c[s] * x[idx]
+    return out
+
+
+def roll_conv(x, c, sign):
+    """The per-tap roll loop: out = 0; out += c_s * roll(x, sign * s)."""
+    axes = tuple(range(x.ndim))
+    out = np.zeros_like(x)
+    for s in np.ndindex(c.shape):
+        out += c[s] * np.roll(x, tuple(sign * k for k in s), axis=axes)
     return out
 
 
@@ -215,3 +231,98 @@ def test_conv_matches_reference_property(taps, shift):
         conv_reference(np.roll(x, shift), c),
         rtol=1e-12, atol=1e-12,
     )
+
+
+# Values include signed zeros, so the sign of a zero sum is checked too.
+_values = st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-10, 10)
+
+
+@st.composite
+def grid_and_filter(draw):
+    rank = draw(st.integers(1, 2))
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(rank))
+    # filter extents up to the grid's own, so 1x1, rectangular and full-grid
+    # filters all occur
+    taps = tuple(draw(st.integers(1, d)) for d in dims)
+    x = draw(st.lists(_values, min_size=int(np.prod(dims)),
+                      max_size=int(np.prod(dims))))
+    c = draw(st.lists(_values, min_size=int(np.prod(taps)),
+                      max_size=int(np.prod(taps))))
+    return np.reshape(x, dims), np.reshape(c, taps)
+
+
+def assert_bit_equal(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_and_filter())
+def test_conv_is_bit_identical_to_the_roll_loop(case):
+    x, c = case
+    assert_bit_equal(circ_conv(x, c), roll_conv(x, c, 1))
+    assert_bit_equal(circ_conv_adjoint(x, c), roll_conv(x, c, -1))
+
+
+@pytest.mark.parametrize("dims,taps", [
+    ((7,), (1,)), ((7,), (7,)), ((32,), (2,)), ((1, 1), (1, 1)),
+    ((5, 6), (2, 3)), ((5, 6), (5, 6)), ((32, 32), (3, 3)),
+])
+def test_conv_is_bit_identical_on_fixed_shapes(dims, taps):
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal(dims)
+    c = rng.standard_normal(taps)
+    assert_bit_equal(circ_conv(x, c), roll_conv(x, c, 1))
+    assert_bit_equal(circ_conv_adjoint(x, c), roll_conv(x, c, -1))
+
+
+def test_shift_index_is_read_only():
+    x = np.arange(12.0).reshape(3, 4)
+    circ_conv(x, np.ones((2, 3)))
+    for sign in (1, -1):
+        index = signals._shift_index((2, 3), (3, 4), sign)
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0, 0] = 1
+
+
+class TestShifted:
+    @pytest.mark.parametrize("dims,taps", [((6,), (3,)), ((4, 5), (2, 3))])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_entries_are_circshifts(self, dims, taps, sign):
+        x = np.random.default_rng(13).standard_normal(dims)
+        rows = shifted(x, taps, sign)
+        assert rows.shape == (int(np.prod(taps)),) + dims
+        for row, s in zip(rows, np.ndindex(taps)):
+            np.testing.assert_array_equal(row, circshift(x, [sign * k for k in s]))
+
+    def test_rejects_bad_sign_and_shape(self):
+        with pytest.raises(ValueError):
+            shifted(np.zeros(4), (2,), 2)
+        with pytest.raises(DimensionError):
+            shifted(np.zeros(4), (5,), 1)
+        with pytest.raises(DimensionError):
+            shifted(np.zeros(4), (1, 1), 1)
+
+
+def _roll_uses(tree):
+    """Lines of ``np.roll``/``numpy.roll`` uses and ``from numpy import roll``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "roll"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            yield node.lineno
+        if (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                and any(alias.name == "roll" for alias in node.names)):
+            yield node.lineno
+
+
+def test_shift_convention_is_coded_only_in_signals():
+    found = {
+        path.name: list(_roll_uses(ast.parse(path.read_text())))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert found["signals.py"], "the check no longer sees signals.py's np.roll"
+    elsewhere = {name: lines for name, lines in found.items()
+                 if lines and name != "signals.py"}
+    assert not elsewhere, f"np.roll outside signals.py: {elsewhere}"

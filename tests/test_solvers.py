@@ -80,7 +80,7 @@ class TestGD:
         for i in range(n):
             e = np.zeros(n)
             e[i] = 1.0
-            h[:, i] = problem.hess_vec(np.zeros(n), e)
+            h[:, i] = problem.linearize(np.zeros(n)).hess_vec(e)
         x_star = np.linalg.solve(h, problem.y)
         x0 = rng.standard_normal(n)
         lip = problem.lipschitz_grad()

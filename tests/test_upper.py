@@ -566,7 +566,10 @@ class TestUpperFailures:
         lambda hp, train: adam_or_gd_upper(
             hp, None, train, MSELoss(), engine="reverse", optimizer="gd",
             max_upper=2, unroll_steps=2_000, unroll_step=10.0),
-    ], ids=["ba", "adam-minimizer", "gd-reverse"])
+        lambda hp, train: adam_or_gd_upper(
+            hp, None, train, MSELoss(), engine="forward", optimizer="gd",
+            max_upper=2, unroll_steps=2_000, unroll_step=10.0),
+    ], ids=["ba", "adam-minimizer", "gd-reverse", "gd-forward"])
     def test_divergence_names_iteration_and_sample(self, run):
         hp, train, _, _ = scalar_toy()
         with np.errstate(over="ignore", invalid="ignore"):
@@ -574,3 +577,47 @@ class TestUpperFailures:
                                match="upper iteration 1, sample 0: ") as info:
                 run(hp, train)
         assert info.value.iteration is not None
+
+
+class TestTraceExtras:
+    def test_ba_records_warnings_and_cg_residual(self):
+        # two GD steps and two CG iterations leave every sample's lower
+        # gradient large and its CG residual far above the 1e-10 tolerance
+        hp = _two_filter_theta()
+        train = filter_train_set(n_samples=2, n=16)
+        _, trace = ba(hp, None, 0.05, 0.05, 2, train, MSELoss(), max_upper=2,
+                      cg_max_iters=2, theta_rel_tol=0.0)
+        residuals, warned = [], 0
+        for j in range(train.n_samples):
+            problem = LowerProblem(train.A, train.y[j], hp)
+            res = gd_minimize(problem, train.A.adjoint(train.y[j]),
+                              GDConfig(step=0.05, max_iters=2))
+            loss = bind_loss(MSELoss(), train.y[j], train.A, train.x_true[j])
+            hg = hypergrad_minimizer(problem, loss, res.x, cg_tol=1e-10,
+                                     cg_max_iters=2)
+            residuals.append(hg.cg_residual)
+            warned += hg.warning is not None
+        assert warned == 2
+        first = trace.records[0].extra
+        assert first["warnings"] == 2.0
+        assert first["cg_residual"] == max(residuals) > 1e-10
+        assert all(r.extra["warnings"] == 2.0 and r.extra["cg_residual"] > 1e-10
+                   for r in trace.records)
+
+    def test_unrolled_engine_records_no_warning_and_no_residual(self):
+        hp = _two_filter_theta()
+        _, trace = UPPER_DRIVERS["gd-reverse"](
+            hp, filter_train_set(n_samples=2, n=16), MSELoss(), None)
+        for r in trace.records:
+            assert r.extra["warnings"] == 0.0
+            assert "cg_residual" not in r.extra
+
+    def test_ttsa_records_cg_residual(self):
+        hp = _two_filter_theta()
+        train = filter_train_set(n_samples=2, n=16)
+        args = (hp, np.zeros(16), PowerLaw(0.1, 0.75), PowerLaw(0.05, 0.5),
+                train, MSELoss(), 2, 3, 2)
+        _, loose = ttsa(*args, cg_max_iters=1)
+        _, tight = ttsa(*args, cg_tol=1e-10)
+        assert all(r.extra["cg_residual"] > 1e-10 for r in loose.records)
+        assert all(r.extra["cg_residual"] <= 1e-10 for r in tight.records)
