@@ -35,8 +35,6 @@ from .losses import bind_loss, metrics
 from .lower import LowerProblem, pack_theta, unpack_theta
 from .solvers import GDConfig, gd_minimize
 from .upper import (
-    Constant,
-    DecreaseAdaptive,
     PowerLaw,
     adam_or_gd_upper,
     ba,
@@ -46,31 +44,12 @@ from .upper import (
 )
 
 
-def _step_schedule(spec):
-    if isinstance(spec, (int, float)):
-        return Constant(float(spec))
-    kind = spec.get("kind")
-    if kind == "constant":
-        return Constant(float(spec["alpha"]))
-    if kind == "decrease-adaptive":
-        return DecreaseAdaptive(
-            float(spec["alpha0"]),
-            float(spec.get("shrink", 0.5)),
-            float(spec.get("grow", 1.05)),
-        )
-    if kind == "power-law":
-        return PowerLaw(float(spec["a"]), float(spec["exponent"]))
-    raise ConfigError(f"unknown step schedule kind {kind!r}")
-
-
 def _run_train(cfg: ExperimentConfig):
     train = build_train_set(cfg.dataset, cfg.grid, cfg.forward)
     theta0 = build_theta(cfg, train)
     engine = cfg.engine
     opt = cfg.optimizer
     kind = opt["kind"]
-    if kind in ("hoag", "ba", "ttsa") and engine["kind"] != "minimizer":
-        raise ConfigError(f"optimizer {kind!r} requires engine.kind 'minimizer'")
     if kind in ("adam", "gd"):
         theta, trace = adam_or_gd_upper(
             theta0, None, train, cfg.loss,
@@ -88,7 +67,7 @@ def _run_train(cfg: ExperimentConfig):
         theta, trace = hoag(
             theta0, None, train, cfg.loss,
             eps_schedule=opt["eps0"],
-            step=_step_schedule(opt["step"]),
+            step=opt["step"],
             max_upper=opt["max_upper"],
             solver_cfg=cfg.solver,
             theta_rel_tol=opt["theta_rel_tol"],
@@ -102,7 +81,7 @@ def _run_train(cfg: ExperimentConfig):
             cg_tol=engine["cg_tol"],
             theta_rel_tol=opt["theta_rel_tol"],
         )
-    elif kind == "ttsa":
+    else:  # ttsa
         theta, trace = ttsa(
             theta0,
             train.A.adjoint(train.y[0]),
@@ -114,8 +93,6 @@ def _run_train(cfg: ExperimentConfig):
             max_iter=opt["max_upper"],
             cg_tol=engine["cg_tol"],
         )
-    else:  # unreachable after config validation
-        raise ConfigError(f"unknown config value 'optimizer.kind' = {kind!r}")
     save_params(cfg.output["params"], theta)
     trace.write_csv(cfg.output["trace"])
     print(

@@ -34,7 +34,7 @@ from .lower import THETA_LAYOUT, HyperParams
 from .potentials import CornerRounded1Norm, Potential, Quadratic
 from .signals import Grid
 from .solvers import GDConfig
-from .upper import TrainSet
+from .upper import Constant, DecreaseAdaptive, PowerLaw, StepSchedule, TrainSet
 
 SIGNAL_MAGIC = "BLVL-SIG v1"
 PARAMS_SCHEMA_VERSION = 1
@@ -416,6 +416,28 @@ def build_engine(spec: dict) -> dict:
     return out
 
 
+def _step_schedule(spec) -> StepSchedule:
+    """HOAG's step: a number (constant) or an object with a ``kind``."""
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+        return Constant(float(spec))
+    sec = _Section("optimizer.step", spec)
+    kind = sec.take("kind")
+    if kind == "constant":
+        step = Constant(float(sec.take("alpha")))
+    elif kind == "decrease-adaptive":
+        step = DecreaseAdaptive(
+            float(sec.take("alpha0")),
+            float(sec.take("shrink", 0.5)),
+            float(sec.take("grow", 1.05)),
+        )
+    elif kind == "power-law":
+        step = PowerLaw(float(sec.take("a")), float(sec.take("exponent")))
+    else:
+        raise ConfigError(f"unknown config value 'optimizer.step.kind' = {kind!r}")
+    sec.finish()
+    return step
+
+
 def build_optimizer(spec: dict) -> dict:
     sec = _Section("optimizer", spec)
     kind = sec.take("kind")
@@ -428,7 +450,7 @@ def build_optimizer(spec: dict) -> dict:
         out["theta_rel_tol"] = float(sec.take("theta_rel_tol", 0.01))
     elif kind == "hoag":
         out["eps0"] = float(sec.take("eps0", 0.1))
-        out["step"] = sec.take("step", 0.1)
+        out["step"] = _step_schedule(sec.take("step", 0.1))
         out["theta_rel_tol"] = float(sec.take("theta_rel_tol", 0.01))
     elif kind == "ba":
         out["ss_upper"] = float(sec.take("ss_upper"))
@@ -539,6 +561,10 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("config key 'seed' must be an integer")
     if not isinstance(theta_init, dict):
         raise ConfigError("config section 'theta_init' must be an object")
+    if optimizer["kind"] in ("hoag", "ba", "ttsa") and engine["kind"] != "minimizer":
+        raise ConfigError(
+            f"optimizer {optimizer['kind']!r} requires engine.kind 'minimizer'"
+        )
     return ExperimentConfig(
         seed=seed,
         grid=grid,

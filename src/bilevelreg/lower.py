@@ -8,7 +8,7 @@ The cost is
 with log tuning weights b0, b1..bK and circular filters c_k.  The learnable
 parameter vector packs [b0 (optional), b1..bK, c_1 taps, ..., c_K taps] in
 row-major tap order; the layout is frozen and tagged so parameter files stay
-forward-compatible.
+forward-compatible.  ``_join`` and ``_split`` are the only code that knows it.
 
 Derivative conventions (validated against finite differences; see README):
 
@@ -75,38 +75,47 @@ class HyperParams:
         return taps + self.n_filters + (1 if self.learn_beta0 else 0)
 
 
-def pack_theta(hp: HyperParams) -> np.ndarray:
-    parts = []
-    if hp.learn_beta0:
-        parts.append([hp.beta0])
-    parts.append(hp.betas)
+def _join(hp: HyperParams, b0, betas, taps) -> np.ndarray:
+    """Concatenate theta-shaped parts in layout order along axis 0.
+
+    ``b0`` is a one-entry part, dropped unless ``hp`` learns b0; ``betas``
+    has one entry per filter and ``taps`` one run per filter.  Parts may
+    carry trailing grid axes.
+    """
+    head = [b0] if hp.learn_beta0 else []
+    return np.concatenate([*head, betas, *taps])
+
+
+def _split(hp: HyperParams, theta: np.ndarray):
+    """Inverse of ``_join``: the b0 entry (None unless learnable), the betas
+    and one run of taps per filter, as views along axis 0 of ``theta``."""
+    if len(theta) != hp.theta_size():
+        raise ValueError(
+            f"theta length {len(theta)} does not match layout size {hp.theta_size()}"
+        )
+    b0 = theta[0] if hp.learn_beta0 else None
+    pos = (1 if hp.learn_beta0 else 0) + hp.n_filters
+    betas = theta[pos - hp.n_filters : pos]
+    taps = []
     for c in hp.filters:
-        parts.append(c.ravel())
-    if not parts:
-        return np.zeros(0)
-    return np.concatenate([np.asarray(p, dtype=np.float64) for p in parts])
+        taps.append(theta[pos : pos + c.size])
+        pos += c.size
+    return b0, betas, taps
+
+
+def pack_theta(hp: HyperParams) -> np.ndarray:
+    return _join(hp, [hp.beta0], hp.betas, [c.ravel() for c in hp.filters])
 
 
 def unpack_theta(hp: HyperParams, theta: np.ndarray) -> HyperParams:
     """Rebuild HyperParams from a flat vector using ``hp`` as the template."""
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    if theta.size != hp.theta_size():
-        raise ValueError(
-            f"theta length {theta.size} does not match layout size {hp.theta_size()}"
-        )
-    pos = 0
-    beta0 = hp.beta0
-    if hp.learn_beta0:
-        beta0 = float(theta[0])
-        pos = 1
-    k = hp.n_filters
-    betas = theta[pos : pos + k].copy()
-    pos += k
-    filters = []
-    for c in hp.filters:
-        filters.append(theta[pos : pos + c.size].reshape(c.shape).copy())
-        pos += c.size
-    return replace(hp, beta0=beta0, betas=betas, filters=filters)
+    b0, betas, taps = _split(hp, np.asarray(theta, dtype=np.float64).reshape(-1))
+    return replace(
+        hp,
+        beta0=hp.beta0 if b0 is None else float(b0),
+        betas=betas.copy(),
+        filters=[run.reshape(c.shape).copy() for run, c in zip(taps, hp.filters)],
+    )
 
 
 def theta_mask(
@@ -120,15 +129,12 @@ def theta_mask(
     Used by the upper-level drivers to freeze coordinates (e.g. train tuning
     weights with fixed filters, or filters with fixed weights).
     """
-    parts = []
-    if hp.learn_beta0:
-        parts.append(np.full(1, 1.0 if beta0 else 0.0))
-    parts.append(np.full(hp.n_filters, 1.0 if betas else 0.0))
-    for c in hp.filters:
-        parts.append(np.full(c.size, 1.0 if taps else 0.0))
-    if not parts:
-        return np.zeros(0)
-    return np.concatenate(parts)
+    return _join(
+        hp,
+        [1.0 if beta0 else 0.0],
+        np.full(hp.n_filters, 1.0 if betas else 0.0),
+        [np.full(c.size, 1.0 if taps else 0.0) for c in hp.filters],
+    )
 
 
 @dataclass
@@ -241,47 +247,33 @@ class Linearization:
 
     def jac_adjoint_apply(self, u: np.ndarray) -> np.ndarray:
         """(d(grad_x Phi)/d theta)' u as a flat theta-shaped vector."""
-        hp = self.problem.theta
-        out = np.zeros(hp.theta_size())
-        pos = 1 if hp.learn_beta0 else 0
-        tap_pos = pos + hp.n_filters
-        beta_total = 0.0
-        for k, t in enumerate(self._terms):
+        betas, taps = [], []
+        for t in self._terms:
             curv_cu = t.curv * circ_conv(u, t.taps)
-            beta_entry = t.weight * float(
-                np.vdot(circ_conv_adjoint(t.slope, t.taps), u)
+            betas.append(
+                t.weight * float(np.vdot(circ_conv_adjoint(t.slope, t.taps), u))
             )
-            out[pos + k] = beta_entry
-            beta_total += beta_entry
             # <circshift(slope,-s), u> = <slope, circshift(u,s)>;
             # <c~*(curv.*circshift(x,s)), u> = <circshift(x,s), curv.*(c*u)>
-            for u_s, x_s in zip(shifted(u, t.taps.shape, 1), t.x_shifts):
-                out[tap_pos] = t.weight * (
-                    float(np.vdot(t.slope, u_s)) + float(np.vdot(x_s, curv_cu))
-                )
-                tap_pos += 1
-        if hp.learn_beta0:
-            out[0] = beta_total
-        return out
+            taps.append([
+                t.weight * (float(np.vdot(t.slope, u_s)) + float(np.vdot(x_s, curv_cu)))
+                for u_s, x_s in zip(shifted(u, t.taps.shape, 1), t.x_shifts)
+            ])
+        # w_k = e^{b0 + b_k}, so the b0 entry sums the beta entries in order
+        return _join(self.problem.theta, [sum(betas, 0.0)], betas, taps)
 
     def jac_apply(self, dtheta: np.ndarray) -> np.ndarray:
         """d(grad_x Phi)/d theta applied to a flat direction dtheta."""
-        hp = self.problem.theta
-        dtheta = np.asarray(dtheta, dtype=np.float64).reshape(-1)
-        if dtheta.size != hp.theta_size():
-            raise ValueError(
-                f"dtheta length {dtheta.size} does not match layout size {hp.theta_size()}"
-            )
-        pos = 1 if hp.learn_beta0 else 0
-        db0 = dtheta[0] if hp.learn_beta0 else 0.0
-        tap_pos = pos + hp.n_filters
+        db0, dbetas, dtaps = _split(
+            self.problem.theta, np.asarray(dtheta, dtype=np.float64).reshape(-1)
+        )
+        db0 = 0.0 if db0 is None else db0
         out = np.zeros_like(self.x)
-        for k, t in enumerate(self._terms):
-            dbk = dtheta[pos + k] + db0
+        for t, db, dc in zip(self._terms, dbetas, dtaps):
+            dbk = db + db0  # w_k = e^{b0 + b_k}
             if dbk != 0.0:
                 out += dbk * t.weight * circ_conv_adjoint(t.slope, t.taps)
-            dc = dtheta[tap_pos : tap_pos + t.taps.size].reshape(t.taps.shape)
-            tap_pos += t.taps.size
+            dc = dc.reshape(t.taps.shape)
             if np.any(dc != 0.0):
                 # sum_s dc_s circshift(slope,-s) = dc~ * slope, and the
                 # curvature terms collapse into one convolution with dc.
@@ -295,16 +287,13 @@ class Linearization:
         """All columns of d(grad_x Phi)/d theta, shaped (P, *grid)."""
         hp = self.problem.theta
         cols = np.zeros((hp.theta_size(),) + self.x.shape)
-        pos = 1 if hp.learn_beta0 else 0
-        tap_pos = pos + hp.n_filters
-        for k, t in enumerate(self._terms):
-            beta_col = t.weight * circ_conv_adjoint(t.slope, t.taps)
-            cols[pos + k] = beta_col
-            if hp.learn_beta0:
-                cols[0] += beta_col
-            for slope_s, x_s in zip(shifted(t.slope, t.taps.shape, -1), t.x_shifts):
-                cols[tap_pos] = t.weight * (
-                    slope_s + circ_conv_adjoint(t.curv * x_s, t.taps)
-                )
-                tap_pos += 1
+        b0_col, beta_cols, tap_cols = _split(hp, cols)
+        for t, beta_col, run in zip(self._terms, beta_cols, tap_cols):
+            beta_col[:] = t.weight * circ_conv_adjoint(t.slope, t.taps)
+            for col, slope_s, x_s in zip(
+                run, shifted(t.slope, t.taps.shape, -1), t.x_shifts
+            ):
+                col[:] = t.weight * (slope_s + circ_conv_adjoint(t.curv * x_s, t.taps))
+        if b0_col is not None:
+            b0_col[:] = sum(beta_cols, 0.0)
         return cols

@@ -322,12 +322,13 @@ def _double_loop(
 
 def _implicit_engine(
     accuracy: Callable[[int, LowerProblem], tuple[GDConfig, float]],
-    cg_max_iters: int | None,
+    cg_max_iters: int | None = None,
 ) -> _SampleGrad:
     """Implicit hypergradients under an inner-accuracy policy.
 
     ``accuracy(i, problem)`` gives the lower GD settings and the CG tolerance
-    of upper iteration i.
+    of upper iteration i.  CG stops after ``cg_max_iters`` iterations, by
+    default 10 times the signal size.
     """
 
     def sample_grad(i, problem, loss, start):
@@ -350,7 +351,6 @@ def hoag(
     step: StepSchedule = Constant(0.1),
     max_upper: int = 100,
     solver_cfg: GDConfig | None = None,
-    cg_max_iters: int | None = None,
     theta_rel_tol: float = 0.01,
     learn_mask: np.ndarray | None = None,
 ) -> tuple[HyperParams, OptTrace]:
@@ -378,7 +378,7 @@ def hoag(
 
     return _double_loop(
         theta0, x0, train, loss_spec, max_upper, theta_rel_tol, learn_mask,
-        solver_cfg.warm_start, _implicit_engine(accuracy, cg_max_iters), update,
+        solver_cfg.warm_start, _implicit_engine(accuracy), update,
     )
 
 
@@ -680,10 +680,6 @@ def adam_or_gd_upper(
     unroll_steps: int | None = None,
     unroll_step: float | None = None,
     cg_tol: float = 1e-10,
-    cg_max_iters: int | None = None,
-    adam_beta1: float = 0.9,
-    adam_beta2: float = 0.999,
-    adam_eps: float = 1e-8,
     theta_rel_tol: float = 0.01,
     learn_mask: np.ndarray | None = None,
 ) -> tuple[HyperParams, OptTrace]:
@@ -691,7 +687,7 @@ def adam_or_gd_upper(
 
     The unrolled engines need an explicit (theta-independent) lower step and
     iteration count; the minimizer engine reuses ``solver_cfg`` including its
-    warm-start flag.
+    warm-start flag.  Adam uses beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
     """
     if engine not in ("minimizer", "reverse", "forward"):
         raise ConfigError(f"unknown engine {engine!r}")
@@ -706,9 +702,7 @@ def adam_or_gd_upper(
         max_iters=5000, grad_tol=1e-8, warm_start=True
     )
     if engine == "minimizer":
-        sample_grad = _implicit_engine(
-            lambda i, problem: (solver_cfg, cg_tol), cg_max_iters
-        )
+        sample_grad = _implicit_engine(lambda i, problem: (solver_cfg, cg_tol))
     else:
         def sample_grad(i, problem, loss, start):
             fn = (
@@ -725,11 +719,12 @@ def adam_or_gd_upper(
         nonlocal m, v
         if optimizer == "gd":
             return theta_vec - step * g, {}
-        m = adam_beta1 * m + (1.0 - adam_beta1) * g
-        v = adam_beta2 * v + (1.0 - adam_beta2) * g * g
-        m_hat = m / (1.0 - adam_beta1**i)
-        v_hat = v / (1.0 - adam_beta2**i)
-        return theta_vec - step * m_hat / (np.sqrt(v_hat) + adam_eps), {}
+        beta1, beta2 = 0.9, 0.999
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**i)
+        v_hat = v / (1.0 - beta2**i)
+        return theta_vec - step * m_hat / (np.sqrt(v_hat) + 1e-8), {}
 
     # the unrolled steps are differentiated from a theta-independent start,
     # so only the implicit engine may warm start

@@ -4,6 +4,7 @@ import shutil
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from bilevelreg.cli import main
 from bilevelreg.data import load_params, load_signal, save_signal
@@ -164,6 +165,22 @@ class TestErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "sure-mc" in err
         assert not (tmp_path / "params.json").exists()
+
+    @pytest.mark.parametrize("step", [
+        {"kind": "constant"},
+        "fast",
+        {"kind": "constant", "alpha": 0.1, "typo": 3},
+    ])
+    def test_bad_hoag_step_is_one_line_error(self, tmp_path, monkeypatch, capsys,
+                                             step):
+        doc = json.loads((CONFIGS / "toy_train.json").read_text())
+        doc["optimizer"] = {"kind": "hoag", "step": step, "max_upper": 2}
+        cfg = tmp_path / "hoag.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_in(tmp_path, monkeypatch, ["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "optimizer.step" in err
 
     def test_bad_signal_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.sig"

@@ -270,6 +270,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="dataset.extra"):
             load_config(path)
 
+    @pytest.mark.parametrize("kind", ["hoag", "ba", "ttsa"])
+    def test_minimizer_only_optimizers_reject_unrolled_engine(self, tmp_path, kind):
+        optimizer = {"kind": kind, "max_upper": 3}
+        if kind == "ba":
+            optimizer["ss_upper"] = 0.1
+        path = self.write_config(
+            tmp_path, optimizer=optimizer,
+            engine={"kind": "reverse", "unroll_steps": 5, "unroll_step": 0.1},
+        )
+        with pytest.raises(ConfigError, match="requires engine.kind 'minimizer'"):
+            load_config(path)
+
     def test_seed_mandatory(self, tmp_path):
         doc = json.loads(self.write_config(tmp_path).read_text())
         del doc["seed"]

@@ -1,11 +1,16 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from bilevelreg import lower
 from bilevelreg.forward import Circulant, Identity, Mask
 from bilevelreg.lower import (
     HyperParams,
     LowerProblem,
     pack_theta,
+    theta_mask,
     unpack_theta,
 )
 from bilevelreg.potentials import CornerRounded1Norm, Quadratic
@@ -69,6 +74,24 @@ class TestThetaLayout:
         vec = pack_theta(hp)
         assert vec.size == 2 + 5
         np.testing.assert_array_equal(unpack_theta(hp, vec).filters[1], np.ones(3))
+
+    @pytest.mark.parametrize("learn_beta0", [False, True])
+    def test_no_filters(self, learn_beta0):
+        hp = HyperParams(0.5, [], [], Quadratic(), learn_beta0=learn_beta0)
+        shape = (1,) if learn_beta0 else (0,)
+        vec = pack_theta(hp)
+        assert vec.shape == shape and vec.dtype == np.float64
+        np.testing.assert_array_equal(vec, [0.5] if learn_beta0 else [])
+        back = unpack_theta(hp, vec + 1.0)
+        assert back.beta0 == (1.5 if learn_beta0 else 0.5)
+        assert back.betas.shape == (0,) and back.filters == []
+        with pytest.raises(ValueError, match="layout size"):
+            unpack_theta(hp, np.zeros(2))
+        for mask in (theta_mask(hp), theta_mask(hp, beta0=False)):
+            assert mask.shape == shape and mask.dtype == np.float64
+        np.testing.assert_array_equal(theta_mask(hp, beta0=False), np.zeros(shape))
+        np.testing.assert_array_equal(theta_mask(hp, betas=False, taps=False),
+                                      np.ones(shape))
 
 
 class TestCost:
@@ -351,8 +374,15 @@ def _forward_model(kind, grid, rng):
 
 class TestLinearization:
     @pytest.mark.parametrize("learn_beta0", [False, True])
+    # nine filters pin the left-to-right order of the b0 entry and column
+    # (numpy's pairwise sum regroups from eight terms up); no filters pin
+    # the empty shapes (0,), (1,) and (P, *grid)
     @pytest.mark.parametrize("dims,taps", [((16,), [(2,), (3,)]),
-                                           ((6, 5), [(2, 2), (1, 3)])])
+                                           ((6, 5), [(2, 2), (1, 3)]),
+                                           ((16,), [(2,)] * 9),
+                                           ((6, 5), [(1, 2)] * 9),
+                                           ((16,), []),
+                                           ((6, 5), [])])
     @pytest.mark.parametrize("model", ["identity", "mask", "circulant"])
     def test_products_equal_per_call_formulas_bitwise(self, model, dims, taps,
                                                       learn_beta0):
@@ -426,3 +456,38 @@ class TestRegularityReport:
         problem, _ = make_problem(k=3)
         report = problem.regularity_report(2.0)
         assert report["L_grad_x"] == problem.lipschitz_grad()
+
+
+SRC = Path(lower.__file__).resolve().parent
+LAYOUT_HOMES = {
+    ("lower.py", "HyperParams.theta_size"),
+    ("lower.py", "_join"),
+    ("lower.py", "_split"),
+    ("data.py", "save_params"),
+}
+
+
+def _learn_beta0_reads(node, scope=""):
+    """(enclosing qualified name, line) of every ``.learn_beta0`` read."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _learn_beta0_reads(
+                child, f"{scope}.{child.name}" if scope else child.name
+            )
+            continue
+        if (isinstance(child, ast.Attribute) and child.attr == "learn_beta0"
+                and isinstance(child.ctx, ast.Load)):
+            yield scope, child.lineno
+        yield from _learn_beta0_reads(child, scope)
+
+
+def test_theta_layout_is_coded_only_in_join_and_split():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for scope, line in _learn_beta0_reads(ast.parse(path.read_text())):
+            found.setdefault((path.name, scope), []).append(line)
+    missing = LAYOUT_HOMES - set(found)
+    assert not missing, f"the check no longer sees these reads: {missing}"
+    elsewhere = {key: lines for key, lines in found.items()
+                 if key not in LAYOUT_HOMES}
+    assert not elsewhere, f".learn_beta0 read outside the layout: {elsewhere}"
