@@ -352,7 +352,6 @@ def build_solver(spec: dict, grid: Grid) -> GDConfig:
 
 @dataclass
 class DatasetSpec:
-    generator: str
     count: int
     n_jumps: int
     amplitude: tuple[float, float]
@@ -378,7 +377,6 @@ def build_dataset_spec(spec: dict) -> DatasetSpec:
     if count < 1 or realizations < 1:
         raise ConfigError("dataset.count and realizations_per_image must be >= 1")
     return DatasetSpec(
-        generator=generator,
         count=count,
         n_jumps=n_jumps,
         amplitude=(float(amplitude[0]), float(amplitude[1])),
@@ -546,7 +544,8 @@ def load_config(path) -> ExperimentConfig:
     forward = build_forward(grid, sec.take("forward", {"kind": "identity"}))
     potential = build_potential(sec.take("potential", {"kind": "cr1n"}))
     theta_init = sec.take("theta_init")
-    engine = build_engine(sec.take("engine", {"kind": "minimizer"}))
+    engine_spec = sec.take("engine", {"kind": "minimizer"})
+    engine = build_engine(engine_spec)
     optimizer = build_optimizer(
         sec.take("optimizer", {"kind": "adam", "step": 0.05, "max_upper": 100})
     )
@@ -564,6 +563,11 @@ def load_config(path) -> ExperimentConfig:
     if optimizer["kind"] in ("hoag", "ba", "ttsa") and engine["kind"] != "minimizer":
         raise ConfigError(
             f"optimizer {optimizer['kind']!r} requires engine.kind 'minimizer'"
+        )
+    if optimizer["kind"] == "hoag" and "cg_tol" in engine_spec:
+        raise ConfigError(
+            "config key 'engine.cg_tol' is not used by optimizer 'hoag', "
+            "which solves CG to its own eps_i; remove it"
         )
     return ExperimentConfig(
         seed=seed,
@@ -608,7 +612,6 @@ def build_theta(cfg: ExperimentConfig, train: TrainSet | None) -> HyperParams:
     beta0 = sec.take("beta0", "auto")
     sec.finish()
     return default_theta_init(
-        cfg.grid,
         n_filters,
         tap_extents,
         cfg.potential,

@@ -32,9 +32,7 @@ class UpperLoss:
 @dataclass
 class HypergradResult:
     grad: np.ndarray
-    method: str
     lower_iters: int
-    lower_final_grad_norm: float
     cg_residual: float | None = None
     warning: str | None = None
     x_final: np.ndarray | None = None
@@ -58,29 +56,30 @@ def hypergrad_minimizer(
 
     Solves H(x) q = grad_x loss by CG and returns -J(x)' q, where H is the
     lower-level Hessian and J the mixed x-theta Jacobian, both evaluated at
-    ``x_approx``.  Accuracy degrades with the stationarity gap at x_approx;
-    a large lower-level gradient norm is surfaced via ``warning``.
+    ``x_approx``.  Accuracy degrades with the stationarity gap at x_approx
+    and with a CG solve stopped short of ``cg_tol``; ``warning`` names either.
     """
     grad_loss = _require_grad(loss)(x_approx)
-    if cg_max_iters is None:
-        cg_max_iters = 10 * x_approx.size
     lin = problem.linearize(x_approx)
     cg = cg_solve(lin.hess_vec, grad_loss, cg_tol, cg_max_iters)
     grad = -lin.jac_adjoint_apply(cg.x)
     gnorm = float(np.linalg.norm(problem.grad_x(x_approx)))
-    warning = None
+    warnings = []
     if gnorm > 1e-4 * (1.0 + float(np.linalg.norm(grad_loss))):
-        warning = (
+        warnings.append(
             f"lower-level gradient norm {gnorm:.3e} is large; "
             "hypergradient may be inaccurate"
         )
+    if not cg.residual_norm <= cg_tol:  # a NaN residual fails too
+        warnings.append(
+            f"CG stopped after {cg.iters_run} iterations at residual "
+            f"{cg.residual_norm:.3e} above its tolerance {cg_tol:.3e}"
+        )
     return HypergradResult(
         grad=grad,
-        method="minimizer",
         lower_iters=lower_iters,
-        lower_final_grad_norm=gnorm,
         cg_residual=cg.residual_norm,
-        warning=warning,
+        warning="; ".join(warnings) or None,
         x_final=x_approx,
     )
 
@@ -110,9 +109,7 @@ def hypergrad_unrolled_reverse(
         delta = delta - step * lin.hess_vec(delta)
     return HypergradResult(
         grad=grad,
-        method="reverse",
         lower_iters=run.iters_run,
-        lower_final_grad_norm=run.final_grad_norm,
         x_final=run.x,
     )
 
@@ -157,9 +154,7 @@ def hypergrad_unrolled_forward(
     grad = np.array([float(np.vdot(z[p], g)) for p in range(z.shape[0])])
     return HypergradResult(
         grad=grad,
-        method="forward",
         lower_iters=n_steps,
-        lower_final_grad_norm=float(np.linalg.norm(problem.grad_x(x))),
         x_final=x,
     )
 

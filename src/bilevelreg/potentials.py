@@ -53,10 +53,6 @@ class CornerRounded1Norm:
         """sup |phi'''| (the Lipschitz constant of phi'')."""
         return _HYPERBOLA_D3_SUP / self.epsilon**2
 
-    def bounds(self) -> tuple[float, float]:
-        """(sup |phi'|, sup phi''); raises UnboundedError when a sup is infinite."""
-        return self.gradient_bound(), self.curvature_bound()
-
     def __repr__(self):
         return f"CornerRounded1Norm(epsilon={self.epsilon})"
 
@@ -84,9 +80,6 @@ class Quadratic:
 
     def curvature_lipschitz(self) -> float:
         return 0.0
-
-    def bounds(self) -> tuple[float, float]:
-        return self.gradient_bound(), self.curvature_bound()
 
     def __repr__(self):
         return "Quadratic()"

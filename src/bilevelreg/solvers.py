@@ -47,39 +47,29 @@ class GDResult:
     trajectory: list[np.ndarray] | None = None
 
 
-def resolve_step(problem: LowerProblem, cfg: GDConfig) -> float:
-    if cfg.step == "one-over-L":
-        return 1.0 / problem.lipschitz_grad()
-    return float(cfg.step)
-
-
 def gd_minimize(problem: LowerProblem, x0: np.ndarray, cfg: GDConfig) -> GDResult:
     """Plain gradient descent, stopping at grad_tol or max_iters."""
-    step = resolve_step(problem, cfg)
+    if cfg.step == "one-over-L":
+        step = 1.0 / problem.lipschitz_grad()
+    else:
+        step = float(cfg.step)
     x = np.array(x0, dtype=np.float64, copy=True)
     trajectory = [x.copy()] if cfg.record_trajectory else None
-    grad = problem.grad_x(x)
-    gnorm = float(np.linalg.norm(grad))
     iters = 0
-    while iters < cfg.max_iters:
+    while True:
+        grad = problem.grad_x(x)
+        gnorm = float(np.linalg.norm(grad))
         if not np.isfinite(gnorm):
             raise DivergenceError(
                 f"non-finite cost/gradient at lower-level iteration {iters}",
                 iteration=iters,
             )
-        if cfg.grad_tol > 0 and gnorm <= cfg.grad_tol:
+        if iters >= cfg.max_iters or (cfg.grad_tol > 0 and gnorm <= cfg.grad_tol):
             break
         x -= step * grad
         iters += 1
         if trajectory is not None:
             trajectory.append(x.copy())
-        grad = problem.grad_x(x)
-        gnorm = float(np.linalg.norm(grad))
-    if not np.isfinite(gnorm):
-        raise DivergenceError(
-            f"non-finite cost/gradient at lower-level iteration {iters}",
-            iteration=iters,
-        )
     return GDResult(x=x, iters_run=iters, final_grad_norm=gnorm, trajectory=trajectory)
 
 
@@ -94,14 +84,17 @@ def cg_solve(
     hess_action: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
     tol: float,
-    max_iters: int,
+    max_iters: int | None = None,
 ) -> CGResult:
     """Conjugate gradients for SPD systems, from a zero initializer.
 
     Stops when ||H q - b|| <= tol; otherwise returns the max_iters iterate
-    with which residual it reached.  Raises SpdViolationError on detecting a
-    direction of non-positive curvature.
+    (by default 10 times the size of b) with which residual it reached.
+    Raises SpdViolationError on detecting a direction of non-positive
+    curvature.
     """
+    if max_iters is None:
+        max_iters = 10 * b.size
     x = np.zeros_like(b)
     r = b.copy()
     rnorm = float(np.linalg.norm(r))

@@ -159,21 +159,19 @@ def evaluate_upper(
     train: TrainSet,
     loss_spec: LossSpec,
     solver_cfg: GDConfig,
-    x0: np.ndarray | None = None,
 ) -> tuple[float, list[float]]:
     """Mean upper loss over the training set at fully solved lower problems."""
 
-    def denoiser(yy):  # used by the value-only SURE loss, ignored by the others
+    def denoiser(yy):  # solves every sample; SURE also calls it on probes
         prob = LowerProblem(train.A, yy, theta)
         return gd_minimize(prob, train.A.adjoint(yy), solver_cfg).x
 
     per_sample = []
     for j in range(train.n_samples):
-        problem = LowerProblem(train.A, train.y[j], theta)
         with _located(f"sample {j}"):
-            res = gd_minimize(problem, _cold_start(train, x0, j), solver_cfg)
+            x = denoiser(train.y[j])
         loss = bind_loss(loss_spec, train.y[j], train.A, train.x_true[j], denoiser)
-        per_sample.append(loss.value(res.x))
+        per_sample.append(loss.value(x))
     return float(np.mean(per_sample)), per_sample
 
 
@@ -225,21 +223,6 @@ def _theta_converged(theta_old: np.ndarray, theta_new: np.ndarray, rel_tol: floa
     if denom == 0.0:
         return False
     return float(np.linalg.norm(theta_new - theta_old)) / denom <= rel_tol
-
-
-def _per_iteration(schedule, from_number: Callable) -> Callable[[int], float]:
-    """Per-iteration value of a schedule given by the caller.
-
-    A callable of the 1-based iteration is used as is, a number goes through
-    ``from_number``, and a sequence is indexed by iteration, holding its last
-    entry.
-    """
-    if callable(schedule):
-        return schedule
-    if isinstance(schedule, (int, float)):
-        return from_number(schedule)
-    seq = list(schedule)
-    return lambda i: seq[min(i, len(seq)) - 1]
 
 
 _SampleGrad = Callable[[int, LowerProblem, UpperLoss, np.ndarray], HypergradResult]
@@ -328,7 +311,7 @@ def _implicit_engine(
 
     ``accuracy(i, problem)`` gives the lower GD settings and the CG tolerance
     of upper iteration i.  CG stops after ``cg_max_iters`` iterations, by
-    default 10 times the signal size.
+    default ``cg_solve``'s cap.
     """
 
     def sample_grad(i, problem, loss, start):
@@ -347,7 +330,7 @@ def hoag(
     x0: np.ndarray | None,
     train: TrainSet,
     loss_spec: LossSpec,
-    eps_schedule=0.1,
+    eps_schedule: float | Callable[[int], float] = 0.1,
     step: StepSchedule = Constant(0.1),
     max_upper: int = 100,
     solver_cfg: GDConfig | None = None,
@@ -359,9 +342,12 @@ def hoag(
     Iteration i solves each lower problem to a stationarity level implied by
     eps_i (||grad Phi|| <= eps_i * mu when the problem is strongly convex,
     else ||grad Phi|| <= eps_i), solves the Hessian system to residual eps_i,
-    and takes a scheduled gradient step on theta.
+    and takes a scheduled gradient step on theta.  A number eps0 for
+    ``eps_schedule`` means eps_i = eps0 / i^2; a callable gives eps_i itself.
     """
-    eps_at = _per_iteration(eps_schedule, lambda eps0: lambda i: float(eps0) / i**2)
+    eps_at = eps_schedule if callable(eps_schedule) else (
+        lambda i: float(eps_schedule) / i**2
+    )
     solver_cfg = solver_cfg or GDConfig(max_iters=5000, warm_start=True)
     mu = train.A.spectral_bounds()[1]
 
@@ -387,7 +373,7 @@ def ba(
     x0: np.ndarray | None,
     ss_upper: float,
     ss_lower: float | str,
-    inner_schedule,
+    inner_schedule: int | Callable[[int], int],
     train: TrainSet,
     loss_spec: LossSpec,
     max_upper: int = 100,
@@ -402,8 +388,10 @@ def ba(
 
     ``ss_lower`` may be "paper-default", meaning 2/(L + mu) recomputed from
     the current hyperparameters each outer iteration (requires mu > 0).
+    ``inner_schedule`` is the inner GD budget: a fixed count or a callable of
+    the 1-based outer iteration.
     """
-    inner_at = _per_iteration(inner_schedule, lambda t: lambda i: t)
+    inner_at = inner_schedule if callable(inner_schedule) else (lambda i: inner_schedule)
     mu = train.A.spectral_bounds()[1]
     if ss_lower == "paper-default" and not mu > 0:
         raise ConfigError(
@@ -480,10 +468,7 @@ def ttsa(
         def hess_action(v):
             return np.mean([lin.hess_vec(v) for lin in lins], axis=0)
 
-        cg = cg_solve(
-            hess_action, b, cg_tol,
-            cg_max_iters if cg_max_iters is not None else 10 * x.size,
-        )
+        cg = cg_solve(hess_action, b, cg_tol, cg_max_iters)
         g = -np.mean([lin.jac_adjoint_apply(cg.x) for lin in lins], axis=0)
         if learn_mask is not None:
             g = g * learn_mask
@@ -521,7 +506,6 @@ class StableState:
     mixed_est: np.ndarray | None = None
     prev_theta: HyperParams | None = None
     prev_x: np.ndarray | None = None
-    iteration: int = 0
 
 
 def truncate_eigenvalues(h: np.ndarray, floor: float) -> np.ndarray:
@@ -615,7 +599,6 @@ def stable_step(
         mixed_est=m_bar,
         prev_theta=state.theta,
         prev_x=state.x,
-        iteration=state.iteration + 1,
     )
 
 
@@ -759,7 +742,6 @@ def grid_search(
 
 
 def default_theta_init(
-    grid,
     n_filters: int,
     tap_extents: tuple[int, ...],
     potential,

@@ -182,6 +182,21 @@ class TestErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "optimizer.step" in err
 
+    def test_hoag_rejects_engine_cg_tol(self, tmp_path, monkeypatch, capsys):
+        # HOAG solves CG to its own eps_i, so a cg_tol would be ignored
+        doc = json.loads((CONFIGS / "toy_train.json").read_text())
+        doc["optimizer"] = {"kind": "hoag", "max_upper": 2}
+        cfg = tmp_path / "hoag.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_in(tmp_path, monkeypatch, ["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "engine.cg_tol" in err
+        assert not (tmp_path / "params.json").exists()
+        doc["engine"] = {"kind": "minimizer"}
+        cfg.write_text(json.dumps(doc))
+        assert run_in(tmp_path, monkeypatch, ["train", "--config", str(cfg)]) == 0
+
     def test_bad_signal_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.sig"
         bad.write_bytes(b"not a signal")

@@ -109,6 +109,20 @@ class TestMinimizerEngine:
         res = hypergrad_minimizer(problem, loss, x_far, cg_tol=1e-10)
         assert res.warning is not None
 
+    def test_warns_when_cg_stops_above_tolerance(self):
+        problem, loss, _, _ = make_instance()
+        solved = gd_minimize(
+            problem, problem.A.adjoint(problem.y),
+            GDConfig(step="one-over-L", max_iters=400_000, grad_tol=1e-12),
+        )
+        full = hypergrad_minimizer(problem, loss, solved.x, cg_tol=1e-12)
+        assert full.warning is None
+        capped = hypergrad_minimizer(problem, loss, solved.x, cg_tol=1e-12,
+                                     cg_max_iters=1)
+        assert capped.cg_residual > 1e-12
+        assert "CG stopped after 1 iterations" in capped.warning
+        assert f"{capped.cg_residual:.3e}" in capped.warning
+
 
 class TestUnrolledEngines:
     def test_zero_steps_gives_zero_gradient(self):

@@ -33,13 +33,15 @@ class TestDerivativeTriples:
 
 class TestBounds:
     def test_hyperbola_bounds(self):
-        assert CornerRounded1Norm(0.1).bounds() == (1.0, pytest.approx(10.0))
-        assert CornerRounded1Norm(0.5).bounds() == (1.0, pytest.approx(2.0))
+        assert CornerRounded1Norm(0.1).gradient_bound() == 1.0
+        assert CornerRounded1Norm(0.1).curvature_bound() == pytest.approx(10.0)
+        assert CornerRounded1Norm(0.5).gradient_bound() == 1.0
+        assert CornerRounded1Norm(0.5).curvature_bound() == pytest.approx(2.0)
 
     def test_quadratic_unbounded_slope(self):
         assert Quadratic().curvature_bound() == 1.0
         with pytest.raises(UnboundedError):
-            Quadratic().bounds()
+            Quadratic().gradient_bound()
 
     def test_third_derivative_sup(self):
         # analytic sup of |phi'''| is (3/2)(4/5)^{5/2} / eps^2

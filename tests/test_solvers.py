@@ -99,6 +99,27 @@ class TestGD:
                         GDConfig(step=1e12, max_iters=10_000))
         assert err.value.iteration is not None
 
+    def test_checks_each_of_iters_plus_one_gradients(self):
+        class CountingProblem:
+            """grad_x = x / 2, made infinite on call number ``bad_call``."""
+
+            def __init__(self, bad_call=None):
+                self.calls, self.bad_call = 0, bad_call
+
+            def grad_x(self, x):
+                self.calls += 1
+                return x * (np.inf if self.calls == self.bad_call else 0.5)
+
+        fine = CountingProblem()
+        res = gd_minimize(fine, np.ones(3), GDConfig(step=1.0, max_iters=5))
+        assert (res.iters_run, fine.calls) == (5, 6)
+        # the fourth gradient is taken at iteration 3, also when it is the last
+        for max_iters, bad_call, iteration in [(3, 4, 3), (10, 4, 3), (0, 1, 0)]:
+            with pytest.raises(DivergenceError) as err:
+                gd_minimize(CountingProblem(bad_call), np.ones(3),
+                            GDConfig(step=1.0, max_iters=max_iters))
+            assert err.value.iteration == iteration
+
 
 class TestCG:
     def test_identity_single_iteration(self):
@@ -132,6 +153,18 @@ class TestCG:
         b = rng.standard_normal(n)
         res = cg_solve(lambda v: mat @ v, b, tol=1e-10, max_iters=n)
         assert res.residual_norm <= 1e-10
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_default_cap_is_ten_times_size(self, n):
+        diag = np.logspace(0, 6, n)
+        calls = []
+
+        def hess(v):
+            calls.append(v)
+            return diag * v
+
+        res = cg_solve(hess, np.ones(n), tol=0.0)
+        assert res.iters_run == len(calls) == 10 * n
 
     def test_zero_rhs(self):
         res = cg_solve(lambda v: v, np.zeros(4), tol=1e-12, max_iters=10)

@@ -5,7 +5,7 @@ from bilevelreg.data import add_noise, gen_piecewise_constant
 from bilevelreg.errors import ConfigError, DivergenceError, StepTooLargeError
 from bilevelreg.forward import Identity
 from bilevelreg.hypergrad import grad_compare, hypergrad_minimizer
-from bilevelreg.losses import MSELoss, SureMCLoss, bind_loss
+from bilevelreg.losses import MSELoss, SureMCLoss, bind_loss, sure_mc
 from bilevelreg.lower import (
     HyperParams,
     LowerProblem,
@@ -79,6 +79,22 @@ class TestEvaluateUpper:
         cfg = GDConfig(step="one-over-L", max_iters=5_000, grad_tol=1e-8)
         value, per = evaluate_upper(hp, train, MSELoss(), cfg)
         assert value == float(np.mean(per))
+
+    def test_sure_matches_a_test_side_denoiser(self):
+        train = filter_train_set()
+        hp = HyperParams(-1.0, [0.0], [np.array([1.0, -1.0])],
+                         CornerRounded1Norm(0.1))
+        cfg = GDConfig(step="one-over-L", max_iters=5_000, grad_tol=1e-8)
+        spec = SureMCLoss(sigma=0.05, n_probes=2, seed=4)
+
+        def denoiser(yy):
+            problem = LowerProblem(train.A, yy, hp)
+            return gd_minimize(problem, train.A.adjoint(yy), cfg).x
+
+        _, per = evaluate_upper(hp, train, spec, cfg)
+        expected = [sure_mc(denoiser, y, spec.sigma, spec.probe_eps,
+                            spec.n_probes, spec.seed) for y in train.y]
+        np.testing.assert_array_equal(per, expected)
 
 
 class TestHoag:
