@@ -14,15 +14,20 @@ class UnboundedError(BilevelError):
 
 
 class DivergenceError(BilevelError):
-    """Lower-level iteration produced a non-finite cost."""
+    """Lower-level iteration produced a non-finite cost.
 
-    def __init__(self, message, iteration=None):
+    ``row`` is the stacked sample that diverged, or None for an unstacked
+    solve.
+    """
+
+    def __init__(self, message, iteration=None, row=None):
         super().__init__(message)
         self.iteration = iteration
+        self.row = row
 
 
 class SpdViolationError(BilevelError):
-    """CG detected a direction of non-positive curvature."""
+    """CG detected a direction of non-positive (or NaN) curvature."""
 
 
 class StepTooLargeError(BilevelError):

@@ -1,7 +1,9 @@
 """Measurement operators: identity, binary mask, and circulant blur.
 
 Measurements share the image grid (missing mask samples are zeros), so every
-operator is square and ``adjoint`` is a true transpose.
+operator is square and ``adjoint`` is a true transpose.  ``apply`` and
+``adjoint`` also take a stack of signals shaped ``(S, *grid)`` and act on
+each row as on one signal, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,10 +30,8 @@ class ForwardModel:
         raise NotImplementedError
 
     def _check(self, x: np.ndarray) -> None:
-        if x.shape != self.grid.dims:
-            raise DimensionError(
-                f"signal shape {x.shape} does not match grid {self.grid.dims}"
-            )
+        """Accept one signal on the grid or a stack along one leading axis."""
+        self.grid.is_stack(x)
 
 
 class Identity(ForwardModel):
@@ -86,12 +86,10 @@ class Circulant(ForwardModel):
             )
 
     def apply(self, x):
-        self._check(x)
-        return circ_conv(x, self.taps)
+        return circ_conv(x, self.grid.lift(x, self.taps))
 
     def adjoint(self, u):
-        self._check(u)
-        return circ_conv_adjoint(u, self.taps)
+        return circ_conv_adjoint(u, self.grid.lift(u, self.taps))
 
     def spectral_bounds(self):
         mags = filter_spectrum(self.taps, self.grid)

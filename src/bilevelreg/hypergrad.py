@@ -51,13 +51,17 @@ def hypergrad_minimizer(
     cg_tol: float,
     cg_max_iters: int | None = None,
     lower_iters: int = 0,
+    grad_tol: float = 0.0,
 ) -> HypergradResult:
     """Implicit-differentiation hypergradient at an (approximate) minimizer.
 
     Solves H(x) q = grad_x loss by CG and returns -J(x)' q, where H is the
     lower-level Hessian and J the mixed x-theta Jacobian, both evaluated at
     ``x_approx``.  Accuracy degrades with the stationarity gap at x_approx
-    and with a CG solve stopped short of ``cg_tol``; ``warning`` names either.
+    and with a CG solve stopped short of ``cg_tol``; ``warning`` names
+    either.  The gap is judged against the larger of ``grad_tol``, the
+    stationarity the caller's lower solve asked for, and
+    1e-4 (1 + ||grad_x loss||).
     """
     grad_loss = _require_grad(loss)(x_approx)
     lin = problem.linearize(x_approx)
@@ -65,7 +69,7 @@ def hypergrad_minimizer(
     grad = -lin.jac_adjoint_apply(cg.x)
     gnorm = float(np.linalg.norm(problem.grad_x(x_approx)))
     warnings = []
-    if gnorm > 1e-4 * (1.0 + float(np.linalg.norm(grad_loss))):
+    if gnorm > max(grad_tol, 1e-4 * (1.0 + float(np.linalg.norm(grad_loss)))):
         warnings.append(
             f"lower-level gradient norm {gnorm:.3e} is large; "
             "hypergradient may be inaccurate"

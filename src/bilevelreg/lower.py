@@ -139,17 +139,20 @@ def theta_mask(
 
 @dataclass
 class LowerProblem:
-    """One reconstruction instance: operator, data, and hyperparameters."""
+    """One reconstruction instance: operator, data, and hyperparameters.
+
+    ``y`` is one signal on the grid, or a stack of S signals shaped
+    ``(S, *grid)`` that share ``A`` and ``theta``.  Of the methods that take
+    an ``x``, only ``grad_x`` accepts a stack: it returns every row's
+    gradient, bit for bit as the unstacked problem of that row would.
+    """
 
     A: ForwardModel
     y: np.ndarray
     theta: HyperParams
 
     def __post_init__(self):
-        if self.y.shape != self.A.grid.dims:
-            raise ValueError(
-                f"data shape {self.y.shape} does not match grid {self.A.grid.dims}"
-            )
+        self.A.grid.is_stack(self.y)
 
     def cost(self, x: np.ndarray) -> float:
         r = self.A.apply(x) - self.y
@@ -162,7 +165,9 @@ class LowerProblem:
     def grad_x(self, x: np.ndarray) -> np.ndarray:
         g = self.A.adjoint(self.A.apply(x) - self.y)
         pot = self.theta.potential
+        lift = self.A.grid.lift
         for w, c in zip(self.theta.weights(), self.theta.filters):
+            c = lift(x, c)
             g += w * circ_conv_adjoint(pot.dphi(circ_conv(x, c)), c)
         return g
 

@@ -46,6 +46,23 @@ class Grid:
     def n(self) -> int:
         return int(np.prod(self.dims))
 
+    def is_stack(self, x: np.ndarray) -> bool:
+        """False for one signal on the grid, True for a stack ``(S, *dims)``.
+
+        Any other shape, two leading axes included, raises DimensionError.
+        """
+        if x.shape == self.dims:
+            return False
+        if x.shape[1:] == self.dims:
+            return True
+        raise DimensionError(f"signal shape {x.shape} does not match grid {self.dims}")
+
+    def lift(self, x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+        """The taps that convolve ``x``: as given for one signal, and lifted
+        by a unit leading axis for a stack, which convolution treats as a
+        grid of rank + 1."""
+        return taps[None] if self.is_stack(x) else taps
+
 
 def as_signal(values, grid: Grid) -> np.ndarray:
     """Validate and return ``values`` as a float64 signal on ``grid``."""

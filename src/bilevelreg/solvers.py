@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,6 +42,13 @@ class GDConfig:
 
 @dataclass
 class GDResult:
+    """A lower solve's iterate, loop count and largest final gradient norm.
+
+    For a stacked problem ``x`` holds one row per sample, ``iters_run``
+    counts the loop's iterations (those of its slowest row) and
+    ``final_grad_norm`` is the largest row's final norm.
+    """
+
     x: np.ndarray
     iters_run: int
     final_grad_norm: float
@@ -48,29 +56,62 @@ class GDResult:
 
 
 def gd_minimize(problem: LowerProblem, x0: np.ndarray, cfg: GDConfig) -> GDResult:
-    """Plain gradient descent, stopping at grad_tol or max_iters."""
+    """Plain gradient descent, stopping at grad_tol or max_iters.
+
+    An ``x0`` stacked on the problem's grid, ``(S, *grid)``, is solved for
+    all its rows in one loop with one step.  Each row stops on its own
+    gradient norm, the same ``sqrt(dot)`` ``np.linalg.norm`` takes, and is
+    then frozen, so every row takes exactly the steps of its own unstacked
+    solve.  One signal on the grid runs as one row.  A row whose gradient is
+    not finite is frozen too; after the loop the lowest such row raises
+    DivergenceError with its iteration (and ``row`` when stacked).
+    """
     if cfg.step == "one-over-L":
         step = 1.0 / problem.lipschitz_grad()
     else:
         step = float(cfg.step)
     x = np.array(x0, dtype=np.float64, copy=True)
+    stacked = problem.A.grid.is_stack(x)
+    rows = len(x) if stacked else 1
+    tol = cfg.grad_tol if cfg.grad_tol > 0 else -math.inf
     trajectory = [x.copy()] if cfg.record_trajectory else None
+    live = list(range(rows))  # rows still stepping, in index order
+    final = [0.0] * rows
+    diverged = []  # (row, iteration) of each row with a non-finite gradient
     iters = 0
     while True:
         grad = problem.grad_x(x)
-        gnorm = float(np.linalg.norm(grad))
-        if not np.isfinite(gnorm):
-            raise DivergenceError(
-                f"non-finite cost/gradient at lower-level iteration {iters}",
-                iteration=iters,
-            )
-        if iters >= cfg.max_iters or (cfg.grad_tol > 0 and gnorm <= cfg.grad_tol):
-            break
-        x -= step * grad
+        g = grad.reshape(rows, -1)
+        norms = np.sqrt(np.vecdot(g, g)).tolist()
+        stop = live if iters >= cfg.max_iters else [
+            r for r in live if not tol < norms[r] < math.inf
+        ]
+        if stop:
+            for r in stop:
+                final[r] = norms[r]
+                if not math.isfinite(norms[r]):
+                    diverged.append((r, iters))
+            live = [r for r in live if r not in stop]
+            # rows above the lowest diverged one cannot change the outcome
+            if not live or (diverged and live[0] > min(diverged)[0]):
+                break
+        if len(live) == rows:
+            x -= step * grad
+        else:
+            x[live] -= step * grad[live]
         iters += 1
         if trajectory is not None:
             trajectory.append(x.copy())
-    return GDResult(x=x, iters_run=iters, final_grad_norm=gnorm, trajectory=trajectory)
+    if diverged:
+        row, iteration = min(diverged)
+        raise DivergenceError(
+            f"non-finite cost/gradient at lower-level iteration {iteration}",
+            iteration=iteration,
+            row=row if stacked else None,
+        )
+    return GDResult(
+        x=x, iters_run=iters, final_grad_norm=max(final), trajectory=trajectory
+    )
 
 
 @dataclass
@@ -90,8 +131,8 @@ def cg_solve(
 
     Stops when ||H q - b|| <= tol; otherwise returns the max_iters iterate
     (by default 10 times the size of b) with which residual it reached.
-    Raises SpdViolationError on detecting a direction of non-positive
-    curvature.
+    Raises SpdViolationError, naming the CG iteration, on a direction whose
+    curvature p'Hp is not positive, NaN included.
     """
     if max_iters is None:
         max_iters = 10 * b.size
@@ -106,7 +147,7 @@ def cg_solve(
     while iters < max_iters:
         hp = hess_action(p)
         php = float(np.vdot(p, hp))
-        if php <= 0.0:
+        if not php > 0.0:  # a NaN curvature fails too
             raise SpdViolationError(
                 f"non-positive curvature p'Hp = {php:.3e} at CG iteration {iters}"
             )

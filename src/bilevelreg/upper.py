@@ -147,11 +147,13 @@ def _require_gradient_loss(loss_spec: LossSpec) -> None:
 
 @contextmanager
 def _located(where: str):
-    """Prefix a DivergenceError raised in the block with ``where``."""
+    """Prefix a DivergenceError raised in the block with ``where``, in which
+    ``{row}`` names the diverged row of a stacked solve."""
     try:
         yield
     except DivergenceError as exc:
-        raise DivergenceError(f"{where}: {exc}", iteration=exc.iteration) from exc
+        prefix = where.format(row=exc.row)
+        raise DivergenceError(f"{prefix}: {exc}", iteration=exc.iteration) from exc
 
 
 def evaluate_upper(
@@ -160,16 +162,20 @@ def evaluate_upper(
     loss_spec: LossSpec,
     solver_cfg: GDConfig,
 ) -> tuple[float, list[float]]:
-    """Mean upper loss over the training set at fully solved lower problems."""
+    """Mean upper loss over the training set at fully solved lower problems.
 
-    def denoiser(yy):  # solves every sample; SURE also calls it on probes
+    Every sample is solved in one stacked ``gd_minimize`` call, whose rows
+    equal the per-sample solves bit for bit.
+    """
+
+    def denoiser(yy):  # the stack of all samples; SURE also calls it on probes
         prob = LowerProblem(train.A, yy, theta)
         return gd_minimize(prob, train.A.adjoint(yy), solver_cfg).x
 
+    with _located("sample {row}"):
+        xs = denoiser(np.stack(train.y))
     per_sample = []
-    for j in range(train.n_samples):
-        with _located(f"sample {j}"):
-            x = denoiser(train.y[j])
+    for j, x in enumerate(xs):
         loss = bind_loss(loss_spec, train.y[j], train.A, train.x_true[j], denoiser)
         per_sample.append(loss.value(x))
     return float(np.mean(per_sample)), per_sample
@@ -318,8 +324,8 @@ def _implicit_engine(
         cfg, cg_tol = accuracy(i, problem)
         res = gd_minimize(problem, start, cfg)
         return hypergrad_minimizer(
-            problem, loss, res.x, cg_tol=cg_tol,
-            cg_max_iters=cg_max_iters, lower_iters=res.iters_run,
+            problem, loss, res.x, cg_tol=cg_tol, cg_max_iters=cg_max_iters,
+            lower_iters=res.iters_run, grad_tol=cfg.grad_tol,
         )
 
     return sample_grad

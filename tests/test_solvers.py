@@ -103,6 +103,8 @@ class TestGD:
         class CountingProblem:
             """grad_x = x / 2, made infinite on call number ``bad_call``."""
 
+            A = Identity(Grid((3,)))
+
             def __init__(self, bad_call=None):
                 self.calls, self.bad_call = 0, bad_call
 
@@ -174,6 +176,18 @@ class TestCG:
     def test_spd_violation(self):
         with pytest.raises(SpdViolationError):
             cg_solve(lambda v: -v, np.ones(3), tol=1e-12, max_iters=10)
+
+    def test_nan_curvature_names_the_iteration(self):
+        diag = np.arange(1.0, 6.0)
+        calls = []
+
+        def hess(v):
+            calls.append(v)
+            return diag * v * (np.nan if len(calls) == 3 else 1.0)
+
+        with pytest.raises(SpdViolationError, match="nan at CG iteration 2"):
+            cg_solve(hess, np.ones(5), tol=1e-12)
+        assert len(calls) == 3
 
     def test_max_iters_reports_residual(self):
         rng = np.random.default_rng(2)

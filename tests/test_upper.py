@@ -1,9 +1,23 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from bilevelreg.data import add_noise, gen_piecewise_constant
-from bilevelreg.errors import ConfigError, DivergenceError, StepTooLargeError
-from bilevelreg.forward import Identity
+import bilevelreg.upper as upper
+from bilevelreg.data import (
+    add_noise,
+    build_theta,
+    build_train_set,
+    gen_piecewise_constant,
+    load_config,
+)
+from bilevelreg.errors import (
+    ConfigError,
+    DivergenceError,
+    SpdViolationError,
+    StepTooLargeError,
+)
+from bilevelreg.forward import Identity, Mask
 from bilevelreg.hypergrad import grad_compare, hypergrad_minimizer
 from bilevelreg.losses import MSELoss, SureMCLoss, bind_loss, sure_mc
 from bilevelreg.lower import (
@@ -17,6 +31,7 @@ from bilevelreg.signals import Grid
 from bilevelreg.solvers import GDConfig, gd_minimize
 from bilevelreg.upper import (
     Constant,
+    DecreaseAdaptive,
     PowerLaw,
     StableState,
     TrainSet,
@@ -33,6 +48,7 @@ from bilevelreg.upper import (
     ttsa,
 )
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TARGET_LAMBDA = 1.0 / 3.0  # argmin of (y/(1+lam) - x_true)^2 for y=2, x_true=1.5
 
 
@@ -132,6 +148,30 @@ class TestHoag:
                         theta_rel_tol=0.0, learn_mask=mask)
         assert len(trace) == 17
         assert [r.iteration for r in trace.records] == list(range(1, 18))
+
+    def test_no_warning_where_the_lower_solve_met_its_tolerance(self, monkeypatch):
+        """The lower-gradient check honours the eps_i HOAG asked GD for, so
+        a loose early solve that met it is not flagged."""
+        cfg = load_config(CONFIGS / "toy_train.json")
+        train = build_train_set(cfg.dataset, cfg.grid, cfg.forward)
+        met = {}  # grad_tol of a solve -> whether each solve met it
+        solve = upper.gd_minimize
+
+        def recording(problem, x0, solver_cfg):
+            res = solve(problem, x0, solver_cfg)
+            met.setdefault(solver_cfg.grad_tol, []).append(
+                res.final_grad_norm <= solver_cfg.grad_tol
+            )
+            return res
+
+        monkeypatch.setattr(upper, "gd_minimize", recording)
+        _, trace = hoag(build_theta(cfg, train), None, train, MSELoss(),
+                        eps_schedule=0.1, step=DecreaseAdaptive(0.05),
+                        max_upper=6, solver_cfg=cfg.solver, theta_rel_tol=0.0)
+        assert train.A.spectral_bounds()[1] == 1.0  # so grad_tol = eps_i
+        checked = [r for r in trace.records if all(met[r.extra["eps"]])]
+        assert len(checked) == len(trace) == 6
+        assert [r.extra["warnings"] for r in checked] == [0.0] * 6
 
     def test_warm_start_never_costs_inner_iterations(self):
         train = filter_train_set()
@@ -258,6 +298,24 @@ class TestTtsa:
         assert trace.records[-1].loss == pytest.approx(
             0.5 * (x_star - 1.5) ** 2, abs=1e-3
         )
+
+    def test_nan_curvature_fails_at_the_cg_iteration(self):
+        # 1-D inpainting, every third sample dropped: the lower iterate goes
+        # non-finite and CG meets a NaN p'Hp, which must stop the run there
+        grid = Grid((12,))
+        values = np.ones(12)
+        values[::3] = 0.0
+        A = Mask(grid, values)
+        xs = [gen_piecewise_constant(grid, 4, (0.0, 1.0), seed=100 + s)
+              for s in range(2)]
+        ys = [add_noise(x, A, 0.05, seed=150 + s) for s, x in enumerate(xs)]
+        train = TrainSet(x_true=xs, y=ys, A=A)
+        with np.errstate(all="ignore"):
+            with pytest.raises(SpdViolationError,
+                               match=r"p'Hp = nan at CG iteration \d+"):
+                ttsa(_two_filter_theta(), A.adjoint(ys[0]), PowerLaw(0.1, 0.75),
+                     PowerLaw(0.3, 0.5), train, MSELoss(), batch=2, seed=5,
+                     max_iter=20)
 
     def test_budget_matched_loss_close_to_hoag(self):
         hp, train, mask, cfg = scalar_toy()
