@@ -19,14 +19,10 @@ from .solvers import GDConfig, cg_solve, gd_minimize
 
 @dataclass
 class UpperLoss:
-    """Per-sample loss callbacks: value and gradient w.r.t. the reconstruction.
-
-    ``grad_x`` is None for value-only losses (e.g. Monte-Carlo SURE), which
-    cannot drive gradient engines.
-    """
+    """Per-sample loss callbacks: value and gradient w.r.t. the reconstruction."""
 
     value: Callable[[np.ndarray], float]
-    grad_x: Callable[[np.ndarray], np.ndarray] | None
+    grad_x: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -36,12 +32,6 @@ class HypergradResult:
     cg_residual: float | None = None
     warning: str | None = None
     x_final: np.ndarray | None = None
-
-
-def _require_grad(loss: UpperLoss) -> Callable[[np.ndarray], np.ndarray]:
-    if loss.grad_x is None:
-        raise ValueError("loss has no x-gradient; cannot compute a hypergradient")
-    return loss.grad_x
 
 
 def hypergrad_minimizer(
@@ -63,7 +53,7 @@ def hypergrad_minimizer(
     stationarity the caller's lower solve asked for, and
     1e-4 (1 + ||grad_x loss||).
     """
-    grad_loss = _require_grad(loss)(x_approx)
+    grad_loss = loss.grad_x(x_approx)
     lin = problem.linearize(x_approx)
     cg = cg_solve(lin.hess_vec, grad_loss, cg_tol, cg_max_iters)
     grad = -lin.jac_adjoint_apply(cg.x)
@@ -101,12 +91,11 @@ def hypergrad_unrolled_reverse(
     one Hessian-vector and one Jacobian-adjoint product per step, both from
     one linearization at that step's iterate.
     """
-    grad_loss = _require_grad(loss)
     cfg = GDConfig(step=step, max_iters=n_steps, grad_tol=0.0, record_trajectory=True)
     run = gd_minimize(problem, x0, cfg)
     trajectory = run.trajectory
     grad = np.zeros(problem.theta.theta_size())
-    delta = grad_loss(run.x)
+    delta = loss.grad_x(run.x)
     for t in range(n_steps, 0, -1):
         lin = problem.linearize(trajectory[t - 1])
         grad -= step * lin.jac_adjoint_apply(delta)
@@ -152,9 +141,8 @@ def hypergrad_unrolled_forward(
     step: float,
 ) -> HypergradResult:
     """Forward-mode accumulation of the unrolled gradient (memory O(N P))."""
-    grad_loss = _require_grad(loss)
     x, z = unrolled_forward_sensitivity(problem, x0, n_steps, step)
-    g = grad_loss(x)
+    g = loss.grad_x(x)
     grad = np.array([float(np.vdot(z[p], g)) for p in range(z.shape[0])])
     return HypergradResult(
         grad=grad,

@@ -11,6 +11,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import ConfigError
 from .forward import ForwardModel
 from .hypergrad import UpperLoss
 from .potentials import CornerRounded1Norm
@@ -96,13 +97,12 @@ def loss_value_grad(
     y: np.ndarray,
     A: ForwardModel,
     x_true: np.ndarray | None = None,
-    denoiser: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> tuple[float, np.ndarray | None]:
+) -> tuple[float, np.ndarray]:
     """Loss value and its gradient w.r.t. the reconstruction.
 
-    Returns (value, grad) where grad is None for value-only variants.
-    Supervised variants require ``x_true``; the Monte-Carlo SURE variant
-    requires ``denoiser`` (a y -> xhat map, called twice per probe).
+    Supervised variants require ``x_true``.  Monte-Carlo SURE is a function
+    of the denoiser, not of one reconstruction, so it is rejected here; it is
+    computed by ``sure_mc``.
     """
     if isinstance(spec, MSELoss):
         if x_true is None:
@@ -130,14 +130,7 @@ def loss_value_grad(
         value = 0.5 * float(np.sum(over**2 + under**2))
         grad = A.adjoint((over + under) * 2.0 * w * r)
         return value, grad
-    if isinstance(spec, SureMCLoss):
-        if denoiser is None:
-            raise ValueError("sure-mc loss requires a denoiser callable")
-        value = sure_mc(
-            denoiser, y, spec.sigma, spec.probe_eps, spec.n_probes, spec.seed
-        )
-        return value, None
-    raise TypeError(f"unknown loss spec {spec!r}")
+    raise TypeError(f"loss spec {spec!r} is not a function of one reconstruction")
 
 
 def bind_loss(
@@ -145,18 +138,23 @@ def bind_loss(
     y: np.ndarray,
     A: ForwardModel,
     x_true: np.ndarray | None = None,
-    denoiser: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> UpperLoss:
-    """Close a loss spec over one sample, yielding value/grad callbacks."""
+    """Close a loss spec over one sample, yielding value/grad callbacks.
+
+    The one place that decides whether a loss can drive hypergradient steps:
+    value-only losses raise ConfigError here, before any solve.
+    """
+    if isinstance(spec, SureMCLoss):
+        raise ConfigError(
+            f"loss kind {spec.kind!r} is value-only and cannot drive "
+            "hypergradient steps; use it with evaluate_upper or a grid search"
+        )
 
     def value(x):
-        return loss_value_grad(spec, x, y, A, x_true, denoiser)[0]
-
-    if isinstance(spec, SureMCLoss):
-        return UpperLoss(value=value, grad_x=None)
+        return loss_value_grad(spec, x, y, A, x_true)[0]
 
     def grad(x):
-        return loss_value_grad(spec, x, y, A, x_true, denoiser)[1]
+        return loss_value_grad(spec, x, y, A, x_true)[1]
 
     return UpperLoss(value=value, grad_x=grad)
 

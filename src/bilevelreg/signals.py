@@ -84,14 +84,14 @@ def as_filter(taps) -> np.ndarray:
     return c
 
 
-def _check_filter_fits(x: np.ndarray, c_shape: tuple[int, ...]) -> None:
-    if len(c_shape) != x.ndim:
+def _check_filter_fits(grid: tuple[int, ...], c_shape: tuple[int, ...]) -> None:
+    if len(c_shape) != len(grid):
         raise DimensionError(
-            f"filter rank {len(c_shape)} does not match signal rank {x.ndim}"
+            f"filter rank {len(c_shape)} does not match grid rank {len(grid)}"
         )
-    if any(rc > rx for rc, rx in zip(c_shape, x.shape)):
+    if any(rc > rg for rc, rg in zip(c_shape, grid)):
         raise DimensionError(
-            f"filter extents {c_shape} exceed grid extents {x.shape}"
+            f"filter extents {c_shape} exceed grid extents {grid}"
         )
 
 
@@ -116,7 +116,7 @@ def _shift_index(c_shape: tuple[int, ...], grid: tuple[int, ...], sign: int) -> 
 
 def _tap_rows(x: np.ndarray, c_shape: tuple[int, ...], sign: int) -> np.ndarray:
     """circshift(x, sign * s) for every tap s of a ``c_shape`` filter, as (taps, N)."""
-    _check_filter_fits(x, c_shape)
+    _check_filter_fits(x.shape, c_shape)
     return x.reshape(-1)[_shift_index(c_shape, x.shape, sign)]
 
 
@@ -170,14 +170,7 @@ def filter_spectrum(c: np.ndarray, grid: Grid) -> np.ndarray:
     Evaluated directly over the filter's taps, O(N * taps).
     """
     c = np.asarray(c, dtype=np.float64)
-    if c.ndim != grid.rank:
-        raise DimensionError(
-            f"filter rank {c.ndim} does not match grid rank {grid.rank}"
-        )
-    if any(rc > rg for rc, rg in zip(c.shape, grid.dims)):
-        raise DimensionError(
-            f"filter extents {c.shape} exceed grid extents {grid.dims}"
-        )
+    _check_filter_fits(grid.dims, c.shape)
     freq = np.zeros(grid.dims, dtype=np.complex128)
     axes_freqs = [np.arange(d) for d in grid.dims]
     mesh = np.meshgrid(*axes_freqs, indexing="ij")

@@ -21,7 +21,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DivergenceError, StepTooLargeError
+from .errors import (
+    ConfigError,
+    DimensionError,
+    DivergenceError,
+    SpdViolationError,
+    StepTooLargeError,
+)
 from .forward import ForwardModel
 from .hypergrad import (
     HypergradResult,
@@ -30,7 +36,7 @@ from .hypergrad import (
     hypergrad_unrolled_forward,
     hypergrad_unrolled_reverse,
 )
-from .losses import LossSpec, SureMCLoss, bind_loss
+from .losses import LossSpec, SureMCLoss, bind_loss, sure_mc
 from .lower import HyperParams, Linearization, LowerProblem, pack_theta, unpack_theta
 from .solvers import GDConfig, cg_solve, gd_minimize
 
@@ -136,24 +142,23 @@ def _cold_start(train: TrainSet, x0: np.ndarray | None, j: int) -> np.ndarray:
     return np.array(x0, copy=True) if x0 is not None else train.A.adjoint(train.y[j])
 
 
-def _require_gradient_loss(loss_spec: LossSpec) -> None:
-    """Reject value-only losses before a hypergradient driver does any work."""
-    if isinstance(loss_spec, SureMCLoss):
-        raise ConfigError(
-            f"loss kind {loss_spec.kind!r} is value-only and cannot drive "
-            "hypergradient steps; use it with evaluate_upper or a grid search"
-        )
+def _bind_losses(train: TrainSet, loss_spec: LossSpec) -> list[UpperLoss]:
+    """Every sample's bound loss; ``bind_loss`` rejects a value-only loss."""
+    return [bind_loss(loss_spec, y, train.A, x_true)
+            for x_true, y in zip(train.x_true, train.y)]
 
 
 @contextmanager
 def _located(where: str):
-    """Prefix a DivergenceError raised in the block with ``where``, in which
-    ``{row}`` names the diverged row of a stacked solve."""
+    """Prefix a DivergenceError or SpdViolationError raised in the block with
+    ``where``, in which ``{row}`` names the diverged row of a stacked solve."""
     try:
         yield
     except DivergenceError as exc:
         prefix = where.format(row=exc.row)
         raise DivergenceError(f"{prefix}: {exc}", iteration=exc.iteration) from exc
+    except SpdViolationError as exc:
+        raise SpdViolationError(f"{where}: {exc}") from exc
 
 
 def evaluate_upper(
@@ -165,19 +170,28 @@ def evaluate_upper(
     """Mean upper loss over the training set at fully solved lower problems.
 
     Every sample is solved in one stacked ``gd_minimize`` call, whose rows
-    equal the per-sample solves bit for bit.
+    equal the per-sample solves bit for bit.  Monte-Carlo SURE is a function
+    of the denoiser, not of one reconstruction: ``sure_mc`` solves each
+    sample and its probes itself, so no stacked solve is made for it.
     """
 
-    def denoiser(yy):  # the stack of all samples; SURE also calls it on probes
+    def denoiser(yy):  # one sample or a stack of them
         prob = LowerProblem(train.A, yy, theta)
         return gd_minimize(prob, train.A.adjoint(yy), solver_cfg).x
 
-    with _located("sample {row}"):
-        xs = denoiser(np.stack(train.y))
-    per_sample = []
-    for j, x in enumerate(xs):
-        loss = bind_loss(loss_spec, train.y[j], train.A, train.x_true[j], denoiser)
-        per_sample.append(loss.value(x))
+    if isinstance(loss_spec, SureMCLoss):
+        per_sample = []
+        for j, y in enumerate(train.y):
+            with _located(f"sample {j}"):
+                per_sample.append(sure_mc(
+                    denoiser, y, loss_spec.sigma, loss_spec.probe_eps,
+                    loss_spec.n_probes, loss_spec.seed,
+                ))
+    else:
+        losses = _bind_losses(train, loss_spec)
+        with _located("sample {row}"):
+            xs = denoiser(np.stack(train.y))
+        per_sample = [loss.value(x) for loss, x in zip(losses, xs)]
     return float(np.mean(per_sample)), per_sample
 
 
@@ -258,7 +272,7 @@ def _double_loop(
     (``warnings``) and, for engines that solve by CG, keeps the largest
     final CG residual over the samples (``cg_residual``).
     """
-    _require_gradient_loss(loss_spec)
+    losses = _bind_losses(train, loss_spec)
     theta = theta0
     warm: dict[int, np.ndarray] = {}
     trace = OptTrace()
@@ -269,9 +283,8 @@ def _double_loop(
         lower_iters = 0
         warnings = 0
         cg_residuals = []
-        for j in range(train.n_samples):
+        for j, loss in enumerate(losses):
             problem = LowerProblem(train.A, train.y[j], theta)
-            loss = bind_loss(loss_spec, train.y[j], train.A, train.x_true[j])
             start = warm[j] if j in warm else _cold_start(train, x0, j)
             with _located(f"upper iteration {i}, sample {j}"):
                 result = sample_grad(i, problem, loss, start)
@@ -444,7 +457,7 @@ def ttsa(
     batch-mean Hessian.  The upper/lower step-size ratio must vanish.  Each
     record's extras hold both step sizes and the final CG residual.
     """
-    _require_gradient_loss(loss_spec)
+    losses = _bind_losses(train, loss_spec)
     if batch > train.n_samples:
         raise ConfigError(
             f"batch {batch} exceeds training set size {train.n_samples}"
@@ -463,25 +476,24 @@ def ttsa(
         step_low = low_schedule.at(i)
         step_up = up_schedule.at(i)
         problems = [LowerProblem(train.A, train.y[j], theta) for j in idx]
-        losses = [
-            bind_loss(loss_spec, train.y[j], train.A, train.x_true[j]) for j in idx
-        ]
-        g_low = np.mean([p.grad_x(x) for p in problems], axis=0)
-        x = x - step_low * g_low
-        b = np.mean([loss.grad_x(x) for loss in losses], axis=0)
-        lins = [p.linearize(x) for p in problems]
+        batch_losses = [losses[j] for j in idx]
+        with _located(f"upper iteration {i}"):
+            g_low = np.mean([p.grad_x(x) for p in problems], axis=0)
+            x = x - step_low * g_low
+            b = np.mean([loss.grad_x(x) for loss in batch_losses], axis=0)
+            lins = [p.linearize(x) for p in problems]
 
-        def hess_action(v):
-            return np.mean([lin.hess_vec(v) for lin in lins], axis=0)
+            def hess_action(v):
+                return np.mean([lin.hess_vec(v) for lin in lins], axis=0)
 
-        cg = cg_solve(hess_action, b, cg_tol, cg_max_iters)
-        g = -np.mean([lin.jac_adjoint_apply(cg.x) for lin in lins], axis=0)
+            cg = cg_solve(hess_action, b, cg_tol, cg_max_iters)
+            g = -np.mean([lin.jac_adjoint_apply(cg.x) for lin in lins], axis=0)
         if learn_mask is not None:
             g = g * learn_mask
         theta_vec = pack_theta(theta)
         theta_new_vec = theta_vec - step_up * g
         theta = unpack_theta(theta, theta_new_vec)
-        batch_value = float(np.mean([loss.value(x) for loss in losses]))
+        batch_value = float(np.mean([loss.value(x) for loss in batch_losses]))
         trace.records.append(
             TraceRecord(
                 iteration=i,
@@ -561,7 +573,8 @@ def stable_step(
     need explicit matrices.  The recursion pairs the current sample at the
     previous and current iterates; tau = 1 discards the memory entirely.
     """
-    _require_gradient_loss(loss_spec)
+    x_true, y = sample
+    loss = bind_loss(loss_spec, y, A, x_true)
     n = state.x.size
     if n > STABLE_DENSE_LIMIT:
         raise DimensionError(
@@ -569,7 +582,6 @@ def stable_step(
         )
     if not mu > 0:
         raise ConfigError("STABLE eigenvalue truncation needs mu > 0")
-    x_true, y = sample
     problem = LowerProblem(A, y, state.theta)
     lin = problem.linearize(state.x)
     h_new = _dense_hessian(lin)
@@ -585,7 +597,6 @@ def stable_step(
     h_bar = truncate_eigenvalues(h_raw, mu)
     m_bar = clip_matrix_norm(m_raw, c_mix)
 
-    loss = bind_loss(loss_spec, y, A, x_true)
     gx = loss.grad_x(state.x).reshape(-1)
     g_upper = -m_bar.T @ np.linalg.solve(h_bar, gx)
     theta_vec = pack_theta(state.theta)
@@ -622,6 +633,7 @@ def stable_run(
     seed: int = 0,
 ) -> tuple[HyperParams, OptTrace]:
     """Drive stable_step over uniformly sampled training pairs."""
+    losses = _bind_losses(train, loss_spec)
     rng = np.random.Generator(np.random.PCG64(seed))
     tau_at = tau if callable(tau) else (lambda i: tau)
     state = StableState(
@@ -640,11 +652,10 @@ def stable_run(
             state, sample, train.A, loss_spec, tau_at(i), c_mix, mu
         )
         new_vec = pack_theta(state.theta)
-        loss = bind_loss(loss_spec, sample[1], train.A, sample[0])
         trace.records.append(
             TraceRecord(
                 iteration=i,
-                loss=loss.value(state.x),
+                loss=losses[j].value(state.x),
                 grad_norm=float(
                     np.linalg.norm((new_vec - prev_vec) / state.step_upper)
                 ),

@@ -1,8 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bilevelreg.losses as losses
+from bilevelreg.errors import ConfigError
 from bilevelreg.forward import Identity, Mask
 from bilevelreg.losses import (
     DiscrepancyLoss,
@@ -112,11 +117,11 @@ class TestValueGrad:
             )
             assert mse_order == hub_order
 
-    def test_sure_spec_binds_without_gradient(self):
+    def test_sure_spec_is_rejected(self):
         spec = SureMCLoss(sigma=0.1, n_probes=2, seed=0)
-        bound = bind_loss(spec, np.zeros(8), A, denoiser=lambda yy: yy)
-        assert bound.grad_x is None
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="loss kind 'sure-mc' is value-only"):
+            bind_loss(spec, np.zeros(8), A)
+        with pytest.raises(TypeError, match=r"SureMCLoss\(sigma=0\.1"):
             loss_value_grad(spec, np.zeros(8), np.zeros(8), A)
 
 
@@ -206,3 +211,44 @@ def test_metric_scale_invariance_property(scale):
     scaled = metrics(scale * xhat, scale * x_true)
     assert scaled.snr_db == pytest.approx(base.snr_db, rel=1e-9)
     assert scaled.psnr_db == pytest.approx(base.psnr_db, rel=1e-9)
+
+
+SRC = Path(losses.__file__).resolve().parent
+SURE_FILES = {"losses.py", "data.py", "__init__.py"}
+
+
+def _sure_names(node, scope=""):
+    """(enclosing qualified name, line, is_import) of every SureMCLoss name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _sure_names(
+                child, f"{scope}.{child.name}" if scope else child.name
+            )
+            continue
+        if ((isinstance(child, ast.Name) and child.id == "SureMCLoss")
+                or (isinstance(child, ast.Attribute) and child.attr == "SureMCLoss")):
+            yield scope, child.lineno, False
+        if (isinstance(child, ast.ImportFrom)
+                and any(alias.name == "SureMCLoss" for alias in child.names)):
+            yield scope, child.lineno, True
+        yield from _sure_names(child, scope)
+
+
+def test_sure_is_decided_only_in_bind_loss_and_evaluate_upper():
+    # bind_loss rejects SURE for every hypergradient driver, and only
+    # evaluate_upper, which owns the denoiser, computes it; upper.py may
+    # import the name for that one use
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for scope, line, is_import in _sure_names(ast.parse(path.read_text())):
+            found.setdefault((path.name, scope, is_import), []).append(line)
+    assert ("upper.py", "evaluate_upper", False) in found, (
+        "the check no longer sees evaluate_upper's use"
+    )
+    elsewhere = {
+        key: lines for key, lines in found.items()
+        if key[0] not in SURE_FILES
+        and key[:2] != ("upper.py", "evaluate_upper")
+        and key != ("upper.py", "", True)
+    }
+    assert not elsewhere, f"SureMCLoss named outside its homes: {elsewhere}"

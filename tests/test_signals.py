@@ -188,6 +188,15 @@ class TestSpectrum:
         assert filter_spectrum_max(np.array([1.0]), Grid((9,))) == pytest.approx(1.0)
         assert filter_spectrum_max(np.array([[1.0]]), Grid((3, 4))) == pytest.approx(1.0)
 
+    def test_filter_that_does_not_fit_is_rejected(self):
+        # the same check, and message, as the convolution's
+        with pytest.raises(DimensionError, match="exceed grid extents"):
+            filter_spectrum(np.ones(5), Grid((4,)))
+        with pytest.raises(DimensionError, match="does not match grid rank"):
+            filter_spectrum(np.ones(2), Grid((4, 4)))
+        with pytest.raises(DimensionError, match="does not match grid rank"):
+            circ_conv(np.zeros((3, 3)), np.ones(2))
+
     def test_one_norm_bound(self):
         rng = np.random.default_rng(8)
         for _ in range(25):

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,23 @@ class TestEvaluateUpper:
         expected = [sure_mc(denoiser, y, spec.sigma, spec.probe_eps,
                             spec.n_probes, spec.seed) for y in train.y]
         np.testing.assert_array_equal(per, expected)
+
+    def test_sure_solves_each_sample_and_probe_once(self, monkeypatch):
+        # S samples and P probes: S (1 + P) single-sample solves, and no
+        # stacked solve whose result SURE would not read
+        train = filter_train_set(n_samples=4)
+        hp = HyperParams(-1.0, [0.0], [np.array([1.0, -1.0])],
+                         CornerRounded1Norm(0.1))
+        cfg = GDConfig(step="one-over-L", max_iters=5_000, grad_tol=1e-8)
+        shapes = []
+
+        def counting(problem, x0, solver_cfg):
+            shapes.append(x0.shape)
+            return gd_minimize(problem, x0, solver_cfg)
+
+        monkeypatch.setattr(upper, "gd_minimize", counting)
+        evaluate_upper(hp, train, SureMCLoss(sigma=0.05, n_probes=2), cfg)
+        assert shapes == [(32,)] * 12
 
 
 class TestHoag:
@@ -312,10 +330,12 @@ class TestTtsa:
         train = TrainSet(x_true=xs, y=ys, A=A)
         with np.errstate(all="ignore"):
             with pytest.raises(SpdViolationError,
-                               match=r"p'Hp = nan at CG iteration \d+"):
+                               match=r"p'Hp = nan at CG iteration \d+") as info:
                 ttsa(_two_filter_theta(), A.adjoint(ys[0]), PowerLaw(0.1, 0.75),
                      PowerLaw(0.3, 0.5), train, MSELoss(), batch=2, seed=5,
                      max_iter=20)
+        assert re.match(r"upper iteration \d+: non-positive curvature",
+                        str(info.value))
 
     def test_budget_matched_loss_close_to_hoag(self):
         hp, train, mask, cfg = scalar_toy()
@@ -605,6 +625,21 @@ class TestLearnMask:
             np.testing.assert_array_equal(rec.theta[taps], start[taps])
         # the unmasked weights do move, so the check is not vacuous
         assert np.any(pack_theta(theta)[~taps] != start[~taps])
+
+
+class TestBindOnce:
+    @pytest.mark.parametrize("name", sorted(UPPER_DRIVERS))
+    def test_each_sample_is_bound_once_per_run(self, name, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return bind_loss(*args)
+
+        monkeypatch.setattr(upper, "bind_loss", counting)
+        train = filter_train_set(n_samples=2, n=16)
+        UPPER_DRIVERS[name](_two_filter_theta(), train, MSELoss(), None)
+        assert len(calls) == train.n_samples
 
 
 class TestUpperFailures:
