@@ -27,7 +27,14 @@ class DivergenceError(BilevelError):
 
 
 class SpdViolationError(BilevelError):
-    """CG detected a direction of non-positive (or NaN) curvature."""
+    """CG detected a direction of non-positive (or NaN) curvature.
+
+    ``row`` is the stacked sample whose system CG solved, or None.
+    """
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class StepTooLargeError(BilevelError):

@@ -2,13 +2,15 @@
 
 All supported upper losses depend on the hyperparameters only through the
 reconstruction, so the explicit theta-partial of the loss is zero and every
-engine returns the chain-rule term alone.
+engine returns the chain-rule term alone.  The unrolled engines also run a
+stacked problem, ``(S, *grid)``, with one loss per row; the minimizer engine
+takes one signal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,11 +29,27 @@ class UpperLoss:
 
 @dataclass
 class HypergradResult:
+    """A hypergradient with the lower iterate it was taken at.
+
+    For a stacked run, ``grad`` and ``x_final`` hold one row per sample and
+    ``lower_iters`` counts the loop's steps, which every row takes.
+    """
+
     grad: np.ndarray
     lower_iters: int
     cg_residual: float | None = None
     warning: str | None = None
     x_final: np.ndarray | None = None
+
+
+def _loss_grad(
+    problem: LowerProblem, loss: UpperLoss | Sequence[UpperLoss], x: np.ndarray
+) -> np.ndarray:
+    """grad_x of the upper loss: of ``loss`` for one signal, and of each
+    row's own loss for a stack."""
+    if problem.A.grid.is_stack(x):
+        return np.stack([f.grad_x(row) for f, row in zip(loss, x, strict=True)])
+    return loss.grad_x(x)
 
 
 def hypergrad_minimizer(
@@ -80,7 +98,7 @@ def hypergrad_minimizer(
 
 def hypergrad_unrolled_reverse(
     problem: LowerProblem,
-    loss: UpperLoss,
+    loss: UpperLoss | Sequence[UpperLoss],
     x0: np.ndarray,
     n_steps: int,
     step: float,
@@ -89,13 +107,16 @@ def hypergrad_unrolled_reverse(
 
     Stores the full trajectory (memory O(T N)) and sweeps it backwards with
     one Hessian-vector and one Jacobian-adjoint product per step, both from
-    one linearization at that step's iterate.
+    one linearization at that step's iterate.  A stacked ``x0`` runs every
+    row at once, ``loss`` holding one loss per row; each row's gradient
+    equals its own run's bit for bit.
     """
     cfg = GDConfig(step=step, max_iters=n_steps, grad_tol=0.0, record_trajectory=True)
     run = gd_minimize(problem, x0, cfg)
     trajectory = run.trajectory
-    grad = np.zeros(problem.theta.theta_size())
-    delta = loss.grad_x(run.x)
+    lead = run.x.shape[: run.x.ndim - problem.A.grid.rank]
+    grad = np.zeros(lead + (problem.theta.theta_size(),))
+    delta = _loss_grad(problem, loss, run.x)
     for t in range(n_steps, 0, -1):
         lin = problem.linearize(trajectory[t - 1])
         grad -= step * lin.jac_adjoint_apply(delta)
@@ -112,38 +133,55 @@ def unrolled_forward_sensitivity(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Iterate GD while accumulating dx^T/dtheta.
 
-    Returns (x_T, Z) with Z[p] the sensitivity of x_T to theta coordinate p;
-    Z starts at zero because the initializer does not depend on theta.
-    Raises DivergenceError naming the step at which x or Z stops being finite.
+    Returns (x_T, Z) with Z[p] the sensitivity of x_T to theta coordinate p,
+    shaped like x (for a stack, ``Z[:, j]`` is row j's); Z starts at zero
+    because the initializer does not depend on theta.  Raises DivergenceError
+    naming the step at which x or Z stops being finite.  In a stack every
+    row runs to the end unless row 0 fails, and the lowest failed row raises
+    with its own step and its ``row``, as its own run would have failed.
     """
     n_params = problem.theta.theta_size()
     x = np.array(x0, dtype=np.float64, copy=True)
+    stacked = problem.A.grid.is_stack(x)
+    rows = len(x) if stacked else 1
     z = np.zeros((n_params,) + x.shape)
+    failed: dict[int, int] = {}  # row -> first step at which it is not finite
     for t in range(n_steps):
         lin = problem.linearize(x)
         cols = lin.jac_columns()
         for p in range(n_params):
             z[p] -= step * (lin.hess_vec(z[p]) + cols[p])
         x -= step * problem.grad_x(x)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
-            raise DivergenceError(
-                f"non-finite iterate or sensitivity at unrolled step {t + 1}",
-                iteration=t + 1,
-            )
+        finite = np.isfinite(x) & np.isfinite(z).all(axis=0)
+        for r in np.flatnonzero(~finite.reshape(rows, -1).all(axis=1)).tolist():
+            failed.setdefault(r, t + 1)
+        if 0 in failed:
+            break
+    if failed:
+        row = min(failed)
+        raise DivergenceError(
+            f"non-finite iterate or sensitivity at unrolled step {failed[row]}",
+            iteration=failed[row],
+            row=row if stacked else None,
+        )
     return x, z
 
 
 def hypergrad_unrolled_forward(
     problem: LowerProblem,
-    loss: UpperLoss,
+    loss: UpperLoss | Sequence[UpperLoss],
     x0: np.ndarray,
     n_steps: int,
     step: float,
 ) -> HypergradResult:
-    """Forward-mode accumulation of the unrolled gradient (memory O(N P))."""
+    """Forward-mode accumulation of the unrolled gradient (memory O(N P)).
+
+    Takes a stack as ``hypergrad_unrolled_reverse`` does.
+    """
     x, z = unrolled_forward_sensitivity(problem, x0, n_steps, step)
-    g = loss.grad_x(x)
-    grad = np.array([float(np.vdot(z[p], g)) for p in range(z.shape[0])])
+    grad = problem.A.grid.dots(z, _loss_grad(problem, loss, x))
+    if problem.A.grid.is_stack(x):  # (P, S): one row per sample
+        grad = np.ascontiguousarray(grad.T)
     return HypergradResult(
         grad=grad,
         lower_iters=n_steps,

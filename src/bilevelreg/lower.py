@@ -142,9 +142,10 @@ class LowerProblem:
     """One reconstruction instance: operator, data, and hyperparameters.
 
     ``y`` is one signal on the grid, or a stack of S signals shaped
-    ``(S, *grid)`` that share ``A`` and ``theta``.  Of the methods that take
-    an ``x``, only ``grad_x`` accepts a stack: it returns every row's
-    gradient, bit for bit as the unstacked problem of that row would.
+    ``(S, *grid)`` that share ``A`` and ``theta``.  ``grad_x`` and
+    ``linearize`` accept a stack and act on every row bit for bit as the
+    unstacked problem of that row would; ``cost`` and ``regularity_report``
+    take one signal.
     """
 
     A: ForwardModel
@@ -228,19 +229,24 @@ class Linearization:
     Builds z_k = c_k * x, phi'.(z_k), phi''.(z_k) and the tap shifts of x
     once, so every product a CG solve or an unrolled step takes at this x
     reuses them.  ``x`` is copied; later changes to the caller's array do not
-    reach the linearization.
+    reach the linearization.  ``x`` may be a stack ``(S, *grid)`` of one
+    iterate per row of a stacked problem: every product then acts on each
+    row, bit for bit as that row's own linearization would.
     """
 
     def __init__(self, problem: LowerProblem, x: np.ndarray):
         self.problem = problem
         self.x = np.array(x, dtype=np.float64)
+        self._grid = problem.A.grid
+        self._stacked = self._grid.is_stack(self.x)
         pot = problem.theta.potential
         self._terms = []
         for w, c in zip(problem.theta.weights(), problem.theta.filters):
-            z = circ_conv(self.x, c)
-            self._terms.append(_FilterTerm(
-                w, c, pot.dphi(z), pot.ddphi(z), shifted(self.x, c.shape, 1)
-            ))
+            c = self._grid.lift(self.x, c)
+            _, slope, curv = pot.derivatives(circ_conv(self.x, c))
+            self._terms.append(
+                _FilterTerm(w, c, slope, curv, shifted(self.x, c.shape, 1))
+            )
 
     def hess_vec(self, v: np.ndarray) -> np.ndarray:
         """hess(x) v = A'(Av) + sum_k w_k c~_k * (phi''.(z_k) .* (c_k * v))."""
@@ -251,24 +257,30 @@ class Linearization:
         return h
 
     def jac_adjoint_apply(self, u: np.ndarray) -> np.ndarray:
-        """(d(grad_x Phi)/d theta)' u as a flat theta-shaped vector."""
+        """(d(grad_x Phi)/d theta)' u as a flat theta-shaped vector.
+
+        For a stack, ``u`` has one row per row of x and the result is
+        ``(S, P)``, one theta vector per row.
+        """
+        dots = self._grid.dots
         betas, taps = [], []
         for t in self._terms:
             curv_cu = t.curv * circ_conv(u, t.taps)
-            betas.append(
-                t.weight * float(np.vdot(circ_conv_adjoint(t.slope, t.taps), u))
-            )
+            betas.append(t.weight * dots(circ_conv_adjoint(t.slope, t.taps), u))
             # <circshift(slope,-s), u> = <slope, circshift(u,s)>;
             # <c~*(curv.*circshift(x,s)), u> = <circshift(x,s), curv.*(c*u)>
-            taps.append([
-                t.weight * (float(np.vdot(t.slope, u_s)) + float(np.vdot(x_s, curv_cu)))
-                for u_s, x_s in zip(shifted(u, t.taps.shape, 1), t.x_shifts)
-            ])
+            taps.append(t.weight * (
+                dots(shifted(u, t.taps.shape, 1), t.slope) + dots(t.x_shifts, curv_cu)
+            ))
         # w_k = e^{b0 + b_k}, so the b0 entry sums the beta entries in order
-        return _join(self.problem.theta, [sum(betas, 0.0)], betas, taps)
+        out = _join(self.problem.theta, [sum(betas, 0.0)], betas, taps)
+        return np.ascontiguousarray(out.T) if self._stacked else out
 
     def jac_apply(self, dtheta: np.ndarray) -> np.ndarray:
-        """d(grad_x Phi)/d theta applied to a flat direction dtheta."""
+        """d(grad_x Phi)/d theta applied to a flat direction dtheta.
+
+        For a stack, the one direction is applied at every row.
+        """
         db0, dbetas, dtaps = _split(
             self.problem.theta, np.asarray(dtheta, dtype=np.float64).reshape(-1)
         )
@@ -289,7 +301,11 @@ class Linearization:
         return out
 
     def jac_columns(self) -> np.ndarray:
-        """All columns of d(grad_x Phi)/d theta, shaped (P, *grid)."""
+        """All columns of d(grad_x Phi)/d theta, shaped (P, *x.shape).
+
+        For a stack that is ``(P, S, *grid)``: ``[:, j]`` is row j's column
+        set, and column p of every row is one stack, as ``hess_vec`` takes it.
+        """
         hp = self.problem.theta
         cols = np.zeros((hp.theta_size(),) + self.x.shape)
         b0_col, beta_cols, tap_cols = _split(hp, cols)

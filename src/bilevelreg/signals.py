@@ -63,6 +63,18 @@ class Grid:
         grid of rank + 1."""
         return taps[None] if self.is_stack(x) else taps
 
+    def dots(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """<a, b> over the grid axes, one per leading index (sample, tap, ...),
+        with numpy broadcasting over the leading axes.
+
+        ``np.vecdot`` of contiguous rows equals ``float(np.vdot(...))`` of
+        each pair bit for bit: both reach the same dot kernel.
+        """
+        def flat(v):
+            return v.reshape(v.shape[: v.ndim - self.rank] + (-1,))
+
+        return np.vecdot(flat(a), flat(b))
+
 
 def as_signal(values, grid: Grid) -> np.ndarray:
     """Validate and return ``values`` as a float64 signal on ``grid``."""

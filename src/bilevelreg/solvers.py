@@ -45,12 +45,14 @@ class GDResult:
     """A lower solve's iterate, loop count and largest final gradient norm.
 
     For a stacked problem ``x`` holds one row per sample, ``iters_run``
-    counts the loop's iterations (those of its slowest row) and
-    ``final_grad_norm`` is the largest row's final norm.
+    counts the loop's iterations (those of its slowest row), ``row_iters``
+    each row's own count and ``final_grad_norm`` is the largest row's final
+    norm.  One signal has one entry in ``row_iters``.
     """
 
     x: np.ndarray
     iters_run: int
+    row_iters: list[int]
     final_grad_norm: float
     trajectory: list[np.ndarray] | None = None
 
@@ -77,6 +79,7 @@ def gd_minimize(problem: LowerProblem, x0: np.ndarray, cfg: GDConfig) -> GDResul
     trajectory = [x.copy()] if cfg.record_trajectory else None
     live = list(range(rows))  # rows still stepping, in index order
     final = [0.0] * rows
+    row_iters = [0] * rows
     diverged = []  # (row, iteration) of each row with a non-finite gradient
     iters = 0
     while True:
@@ -89,6 +92,7 @@ def gd_minimize(problem: LowerProblem, x0: np.ndarray, cfg: GDConfig) -> GDResul
         if stop:
             for r in stop:
                 final[r] = norms[r]
+                row_iters[r] = iters
                 if not math.isfinite(norms[r]):
                     diverged.append((r, iters))
             live = [r for r in live if r not in stop]
@@ -110,7 +114,8 @@ def gd_minimize(problem: LowerProblem, x0: np.ndarray, cfg: GDConfig) -> GDResul
             row=row if stacked else None,
         )
     return GDResult(
-        x=x, iters_run=iters, final_grad_norm=max(final), trajectory=trajectory
+        x=x, iters_run=iters, row_iters=row_iters, final_grad_norm=max(final),
+        trajectory=trajectory,
     )
 
 

@@ -4,11 +4,11 @@ Drivers: HOAG (double loop with a summable inner-tolerance sequence), BA
 (double loop with a per-iteration inner GD budget and projected steps), TTSA
 (two-timescale single loop), STABLE (single-timescale dense recursions), a
 generic GD/Adam driver over any hypergradient engine, and a scalar grid
-search.  HOAG, BA and GD/Adam share one sample loop and differ only in their
-inner-accuracy policy and update rule.  All randomness flows through
-explicitly seeded PCG64 generators and per-sample reductions run in a fixed
-order, so identical configurations reproduce bit-identical traces (wall-time
-fields aside).
+search.  HOAG, BA and GD/Adam share one double loop, which solves all
+samples as one stack, and differ only in their inner-accuracy policy and
+update rule.  All randomness flows through explicitly seeded PCG64
+generators and per-sample reductions run in a fixed order, so identical
+configurations reproduce bit-identical traces (wall-time fields aside).
 """
 
 from __future__ import annotations
@@ -137,11 +137,6 @@ class PowerLaw:
 StepSchedule = Constant | DecreaseAdaptive | PowerLaw
 
 
-def _cold_start(train: TrainSet, x0: np.ndarray | None, j: int) -> np.ndarray:
-    """Initial lower iterate of sample j: a copy of ``x0`` if given, else A'y_j."""
-    return np.array(x0, copy=True) if x0 is not None else train.A.adjoint(train.y[j])
-
-
 def _bind_losses(train: TrainSet, loss_spec: LossSpec) -> list[UpperLoss]:
     """Every sample's bound loss; ``bind_loss`` rejects a value-only loss."""
     return [bind_loss(loss_spec, y, train.A, x_true)
@@ -151,14 +146,14 @@ def _bind_losses(train: TrainSet, loss_spec: LossSpec) -> list[UpperLoss]:
 @contextmanager
 def _located(where: str):
     """Prefix a DivergenceError or SpdViolationError raised in the block with
-    ``where``, in which ``{row}`` names the diverged row of a stacked solve."""
+    ``where``, in which ``{row}`` names the failed row of a stacked solve."""
     try:
         yield
     except DivergenceError as exc:
         prefix = where.format(row=exc.row)
         raise DivergenceError(f"{prefix}: {exc}", iteration=exc.iteration) from exc
     except SpdViolationError as exc:
-        raise SpdViolationError(f"{where}: {exc}") from exc
+        raise SpdViolationError(f"{where.format(row=exc.row)}: {exc}") from exc
 
 
 def evaluate_upper(
@@ -245,7 +240,9 @@ def _theta_converged(theta_old: np.ndarray, theta_new: np.ndarray, rel_tol: floa
     return float(np.linalg.norm(theta_new - theta_old)) / denom <= rel_tol
 
 
-_SampleGrad = Callable[[int, LowerProblem, UpperLoss, np.ndarray], HypergradResult]
+_Engine = Callable[
+    [int, LowerProblem, list[UpperLoss], np.ndarray], list[HypergradResult]
+]
 
 
 def _double_loop(
@@ -257,52 +254,45 @@ def _double_loop(
     theta_rel_tol: float,
     learn_mask: np.ndarray | None,
     warm_start: bool,
-    sample_grad: _SampleGrad,
+    engine: _Engine,
     update: Callable[[int, np.ndarray, np.ndarray, float], tuple[np.ndarray, dict]],
 ) -> tuple[HyperParams, OptTrace]:
-    """The sample loop shared by HOAG, BA and GD/Adam.
+    """The double loop shared by HOAG, BA and GD/Adam.
 
-    Upper iteration i asks ``sample_grad(i, problem, loss, start)`` for the
-    hypergradient of every sample in index order, starting from the sample's
-    previous ``x_final`` when ``warm_start`` is set and from the cold start
-    otherwise.  It averages the gradients and the losses at ``x_final``,
-    applies the learn mask, and takes the new flat theta and the record's
-    extras from ``update(i, theta_vec, g, mean_loss)``.  Each record also
-    counts the samples whose hypergradient came with a warning
-    (``warnings``) and, for engines that solve by CG, keeps the largest
-    final CG residual over the samples (``cg_residual``).
+    Upper iteration i builds one problem on the stack of all samples and
+    asks ``engine(i, problem, losses, start)`` for every sample's
+    hypergradient, one result per row in index order.  ``start`` is the
+    previous stacked ``x_final`` when ``warm_start`` is set and the cold
+    start otherwise.  The loop averages the gradients and the losses at
+    ``x_final`` in row order, applies the learn mask, and takes the new flat
+    theta and the record's extras from ``update(i, theta_vec, g, mean_loss)``.
+    Each record also counts the samples whose hypergradient came with a
+    warning (``warnings``) and, for engines that solve by CG, keeps the
+    largest final CG residual over the samples (``cg_residual``).
     """
     losses = _bind_losses(train, loss_spec)
+    Y = np.stack(train.y)
+    # the cold start: x0 in every row if given, else A'y_j in row j
+    start = np.stack([x0] * len(Y)) if x0 is not None else train.A.adjoint(Y)
     theta = theta0
-    warm: dict[int, np.ndarray] = {}
     trace = OptTrace()
     for i in range(1, max_upper + 1):
         t_start = time.perf_counter()
-        grads = []
-        values = []
-        lower_iters = 0
-        warnings = 0
-        cg_residuals = []
-        for j, loss in enumerate(losses):
-            problem = LowerProblem(train.A, train.y[j], theta)
-            start = warm[j] if j in warm else _cold_start(train, x0, j)
-            with _located(f"upper iteration {i}, sample {j}"):
-                result = sample_grad(i, problem, loss, start)
-            if warm_start:
-                warm[j] = result.x_final
-            lower_iters += result.lower_iters
-            warnings += result.warning is not None
-            if result.cg_residual is not None:
-                cg_residuals.append(result.cg_residual)
-            grads.append(result.grad)
-            values.append(loss.value(result.x_final))
-        g = np.mean(grads, axis=0)
+        problem = LowerProblem(train.A, Y, theta)
+        with _located(f"upper iteration {i}, sample {{row}}"):
+            results = engine(i, problem, losses, start)
+        if warm_start:
+            start = np.stack([r.x_final for r in results])
+        g = np.mean([r.grad for r in results], axis=0)
         if learn_mask is not None:
             g = g * learn_mask
-        value = float(np.mean(values))
+        value = float(np.mean([
+            loss.value(r.x_final) for loss, r in zip(losses, results)
+        ]))
         theta_vec = pack_theta(theta)
         theta_new_vec, extra = update(i, theta_vec, g, value)
-        extra["warnings"] = float(warnings)
+        extra["warnings"] = float(sum(r.warning is not None for r in results))
+        cg_residuals = [r.cg_residual for r in results if r.cg_residual is not None]
         if cg_residuals:
             extra["cg_residual"] = max(cg_residuals)
         theta = unpack_theta(theta, theta_new_vec)
@@ -311,7 +301,7 @@ def _double_loop(
                 iteration=i,
                 loss=value,
                 grad_norm=float(np.linalg.norm(g)),
-                lower_iters=lower_iters,
+                lower_iters=sum(r.lower_iters for r in results),
                 wall_ms=(time.perf_counter() - t_start) * 1e3,
                 theta=theta_new_vec.copy(),
                 extra=extra,
@@ -325,23 +315,33 @@ def _double_loop(
 def _implicit_engine(
     accuracy: Callable[[int, LowerProblem], tuple[GDConfig, float]],
     cg_max_iters: int | None = None,
-) -> _SampleGrad:
+) -> _Engine:
     """Implicit hypergradients under an inner-accuracy policy.
 
     ``accuracy(i, problem)`` gives the lower GD settings and the CG tolerance
-    of upper iteration i.  CG stops after ``cg_max_iters`` iterations, by
-    default ``cg_solve``'s cap.
+    of upper iteration i.  One stacked lower solve serves every sample; each
+    row then gets its own linearization and CG solve, which stops after
+    ``cg_max_iters`` iterations, by default ``cg_solve``'s cap.
     """
 
-    def sample_grad(i, problem, loss, start):
+    def engine(i, problem, losses, start):
         cfg, cg_tol = accuracy(i, problem)
         res = gd_minimize(problem, start, cfg)
-        return hypergrad_minimizer(
-            problem, loss, res.x, cg_tol=cg_tol, cg_max_iters=cg_max_iters,
-            lower_iters=res.iters_run, grad_tol=cfg.grad_tol,
-        )
+        results = []
+        for j, (y, loss, x, iters) in enumerate(
+            zip(problem.y, losses, res.x, res.row_iters)
+        ):
+            row = LowerProblem(problem.A, y, problem.theta)
+            try:
+                results.append(hypergrad_minimizer(
+                    row, loss, x, cg_tol=cg_tol, cg_max_iters=cg_max_iters,
+                    lower_iters=iters, grad_tol=cfg.grad_tol,
+                ))
+            except SpdViolationError as exc:
+                raise SpdViolationError(str(exc), row=j) from exc
+        return results
 
-    return sample_grad
+    return engine
 
 
 def hoag(
@@ -480,6 +480,12 @@ def ttsa(
         with _located(f"upper iteration {i}"):
             g_low = np.mean([p.grad_x(x) for p in problems], axis=0)
             x = x - step_low * g_low
+            if not np.all(np.isfinite(x)):
+                raise DivergenceError(
+                    f"non-finite lower iterate after lower step {i} "
+                    f"(step size {step_low:.3e})",
+                    iteration=i,
+                )
             b = np.mean([loss.grad_x(x) for loss in batch_losses], axis=0)
             lins = [p.linearize(x) for p in problems]
 
@@ -702,15 +708,17 @@ def adam_or_gd_upper(
         max_iters=5000, grad_tol=1e-8, warm_start=True
     )
     if engine == "minimizer":
-        sample_grad = _implicit_engine(lambda i, problem: (solver_cfg, cg_tol))
+        stacked_grad = _implicit_engine(lambda i, problem: (solver_cfg, cg_tol))
     else:
-        def sample_grad(i, problem, loss, start):
+        def stacked_grad(i, problem, losses, start):
             fn = (
                 hypergrad_unrolled_reverse
                 if engine == "reverse"
                 else hypergrad_unrolled_forward
             )
-            return fn(problem, loss, start, unroll_steps, unroll_step)
+            res = fn(problem, losses, start, unroll_steps, unroll_step)
+            return [HypergradResult(g, res.lower_iters, x_final=x)
+                    for g, x in zip(res.grad, res.x_final)]
 
     m = np.zeros(theta0.theta_size())
     v = np.zeros(theta0.theta_size())
@@ -731,7 +739,7 @@ def adam_or_gd_upper(
     warm_start = engine == "minimizer" and solver_cfg.warm_start
     return _double_loop(
         theta0, x0, train, loss_spec, max_upper, theta_rel_tol, learn_mask,
-        warm_start, sample_grad, update,
+        warm_start, stacked_grad, update,
     )
 
 
@@ -794,7 +802,7 @@ def default_theta_init(
     if beta0 is not None:
         hp = replace(hp, beta0=float(beta0))
     elif train is not None and n_filters > 0:
-        x_start = _cold_start(train, None, 0)
+        x_start = train.A.adjoint(train.y[0])
         g_data = train.A.adjoint(train.A.apply(x_start) - train.y[0])
         g_reg = LowerProblem(train.A, train.y[0], hp).grad_x(x_start) - g_data
         data_norm = float(np.linalg.norm(g_data))

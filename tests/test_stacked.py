@@ -6,6 +6,7 @@ gradient norm, so every byte of a sweep table depends on it.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,14 +14,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bilevelreg.upper as upper
-from bilevelreg.errors import DimensionError, DivergenceError
+from bilevelreg.errors import DimensionError, DivergenceError, SpdViolationError
 from bilevelreg.forward import Circulant, Identity, Mask
-from bilevelreg.losses import MSELoss
-from bilevelreg.lower import HyperParams, LowerProblem
+from bilevelreg.hypergrad import (
+    hypergrad_minimizer,
+    hypergrad_unrolled_forward,
+    hypergrad_unrolled_reverse,
+)
+from bilevelreg.losses import MSELoss, bind_loss
+from bilevelreg.lower import HyperParams, LowerProblem, pack_theta, unpack_theta
 from bilevelreg.potentials import CornerRounded1Norm, Quadratic
 from bilevelreg.signals import Grid, circ_conv
 from bilevelreg.solvers import GDConfig, gd_minimize
-from bilevelreg.upper import TrainSet, evaluate_upper, grid_search
+from bilevelreg.upper import (
+    Constant,
+    TrainSet,
+    adam_or_gd_upper,
+    ba,
+    evaluate_upper,
+    grid_search,
+    hoag,
+)
 
 KINDS = ["identity", "mask", "circulant"]
 DIMS = [(12,), (5, 5)]
@@ -101,6 +115,41 @@ class TestRowsMatch:
         capped = [r.iters_run for r in per_row]
         assert min(capped) < cap == max(capped)  # the cap did cut rows short
 
+    @pytest.mark.parametrize("learn_b0", [False, True])
+    def test_linearization(self, kind, dims, learn_b0):
+        """Every product of a stacked linearization, row by row."""
+        A = make_model(kind, dims)
+        hp = replace(make_theta(len(dims)), learn_beta0=learn_b0)
+        Y, X, V = (make_stack(dims, seed=k) for k in range(3))
+        dtheta = np.random.default_rng(3).standard_normal(hp.theta_size())
+        lin = LowerProblem(A, Y, hp).linearize(X)
+        hv, jv = lin.hess_vec(V), lin.jac_apply(dtheta)
+        jtv, cols = lin.jac_adjoint_apply(V), lin.jac_columns()
+        assert jtv.shape == (S, hp.theta_size())
+        assert cols.shape == (hp.theta_size(), S) + dims
+        for j in range(S):
+            own = LowerProblem(A, Y[j], hp).linearize(X[j])
+            np.testing.assert_array_equal(hv[j], own.hess_vec(V[j]))
+            np.testing.assert_array_equal(jv[j], own.jac_apply(dtheta))
+            np.testing.assert_array_equal(jtv[j], own.jac_adjoint_apply(V[j]))
+            np.testing.assert_array_equal(cols[:, j], own.jac_columns())
+
+    @pytest.mark.parametrize("fn", [hypergrad_unrolled_reverse,
+                                    hypergrad_unrolled_forward])
+    def test_unrolled_engines(self, kind, dims, fn):
+        A = make_model(kind, dims)
+        hp = replace(make_theta(len(dims)), learn_beta0=True)
+        Y, X0 = make_stack(dims), make_stack(dims, seed=1)
+        x_true = make_stack(dims, seed=2)
+        losses = [bind_loss(MSELoss(), y, A, xt) for y, xt in zip(Y, x_true)]
+        res = fn(LowerProblem(A, Y, hp), losses, X0, 6, 0.01)
+        assert res.grad.shape == (S, hp.theta_size())
+        for j in range(S):
+            own = fn(LowerProblem(A, Y[j], hp), losses[j], X0[j], 6, 0.01)
+            np.testing.assert_array_equal(res.grad[j], own.grad)
+            np.testing.assert_array_equal(res.x_final[j], own.x_final)
+            assert res.lower_iters == own.lower_iters
+
     def test_evaluate_upper_per_sample_values(self, kind, dims):
         A = make_model(kind, dims)
         hp = make_theta(len(dims))
@@ -133,6 +182,28 @@ def test_row_norms_are_linalg_norm(rows, n, seed, exponent):
     norms = np.sqrt(np.vecdot(G, G))
     for row, norm in zip(G, norms):
         assert norm == np.linalg.norm(row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(1, 4),
+    dims=st.sampled_from([(1,), (2,), (7,), (64,), (1024,), (3, 5), (16, 16)]),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-150, 150),
+)
+@example(rows=4, dims=(1024,), seed=0, exponent=0)
+@example(rows=3, dims=(16, 16), seed=1, exponent=0)
+def test_grid_dots_are_vdot(rows, dims, seed, exponent):
+    """Grid.dots over (taps, rows) against one row each is float(np.vdot)
+    of every pair bit for bit, as the unstacked Jacobian products took it."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((3, rows) + dims) * 10.0**exponent
+    b = rng.standard_normal((rows,) + dims)
+    dots = Grid(dims).dots(a, b)
+    assert dots.shape == (3, rows)
+    for k in range(3):
+        for j in range(rows):
+            assert dots[k, j] == float(np.vdot(a[k, j], b[j]))
 
 
 class TestShapeChecks:
@@ -234,3 +305,215 @@ def test_grid_search_solves_each_point_once(monkeypatch):
     assert len(runs) == len(grid)  # the per-sample loop made len(grid) * S
     assert len(grad_calls) == sum(k + 1 for k in runs)
     assert set(grad_calls) == {(S,) + dims}
+
+
+# --- the double loop: one stacked engine call per upper iteration ---------
+
+UNROLL = dict(unroll_steps=12, unroll_step=0.05)
+TIGHT = GDConfig(max_iters=5000, grad_tol=1e-7, warm_start=True)
+
+
+def driver_train():
+    """3 samples at scales a factor 3 apart on a 1-D mask, so tolerance
+    solves stop at different iterations in every row."""
+    dims = (12,)
+    A = make_model("mask", dims)
+    Y = [A.apply(y) for y in make_stack(dims)[:3]]
+    return TrainSet(list(make_stack(dims, seed=2)[:3]), Y, A)
+
+
+def implicit(accuracy, cg_max_iters=None):
+    """One sample's implicit hypergradient, solved alone; ``accuracy(i)``
+    gives the lower solve's settings and the CG tolerance."""
+    def grad(i, problem, loss, start):
+        cfg, cg_tol = accuracy(i)
+        res = gd_minimize(problem, start, cfg)
+        return hypergrad_minimizer(
+            problem, loss, res.x, cg_tol=cg_tol, cg_max_iters=cg_max_iters,
+            lower_iters=res.iters_run, grad_tol=cfg.grad_tol)
+    return grad
+
+
+def unrolled(fn):
+    def grad(i, problem, loss, start):
+        return fn(problem, loss, start, UNROLL["unroll_steps"],
+                  UNROLL["unroll_step"])
+    return grad
+
+
+def adam_update(step):
+    m, v = 0.0, 0.0
+
+    def update(i, theta_vec, g):
+        nonlocal m, v
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g * g
+        m_hat, v_hat = m / (1.0 - 0.9**i), v / (1.0 - 0.999**i)
+        return theta_vec - step * m_hat / (np.sqrt(v_hat) + 1e-8), {}
+    return update
+
+
+def reference_run(hp, train, sample_grad, update, warm_start, max_upper=3):
+    """The double loop solved one sample at a time, each from its own start;
+    returns the final flat theta, the trace rows and each iteration's
+    per-sample lower iterations."""
+    losses = [bind_loss(MSELoss(), y, train.A, xt)
+              for xt, y in zip(train.x_true, train.y)]
+    starts = [train.A.adjoint(y) for y in train.y]
+    theta, rows, lower = hp, [], []
+    for i in range(1, max_upper + 1):
+        results = []
+        for j, loss in enumerate(losses):
+            problem = LowerProblem(train.A, train.y[j], theta)
+            results.append(sample_grad(i, problem, loss, starts[j]))
+            if warm_start:
+                starts[j] = results[-1].x_final
+        g = np.mean([r.grad for r in results], axis=0)
+        value = float(np.mean([f.value(r.x_final) for f, r in zip(losses, results)]))
+        new_vec, extra = update(i, pack_theta(theta), g)
+        extra["warnings"] = float(sum(r.warning is not None for r in results))
+        residuals = [r.cg_residual for r in results if r.cg_residual is not None]
+        if residuals:
+            extra["cg_residual"] = max(residuals)
+        theta = unpack_theta(theta, new_vec)
+        lower.append([r.lower_iters for r in results])
+        rows.append((i, value, float(np.linalg.norm(g)), sum(lower[-1]),
+                     new_vec.tolist(), extra))
+    return pack_theta(theta), rows, lower
+
+
+def _hoag_case(warm):
+    cfg = replace(TIGHT, warm_start=warm)
+
+    def accuracy(i):
+        eps = 0.1 / i**2
+        return replace(cfg, grad_tol=eps), eps  # mu = 0 on a mask
+
+    return (
+        lambda hp, train: hoag(hp, None, train, MSELoss(), 0.1, Constant(0.05),
+                               3, cfg, 0.0),
+        implicit(accuracy),
+        lambda i, vec, g: (vec - 0.05 * g, {"eps": 0.1 / i**2, "step": 0.05}),
+        warm,
+    )
+
+
+def _adam_case(engine):
+    grads = {"minimizer": implicit(lambda i: (TIGHT, 1e-10)),
+             "reverse": unrolled(hypergrad_unrolled_reverse),
+             "forward": unrolled(hypergrad_unrolled_forward)}
+    return (
+        lambda hp, train: adam_or_gd_upper(
+            hp, None, train, MSELoss(), engine=engine, optimizer="adam",
+            step=0.05, max_upper=3, solver_cfg=TIGHT, theta_rel_tol=0.0,
+            **UNROLL),
+        grads[engine],
+        adam_update(0.05),
+        engine == "minimizer",
+    )
+
+
+def driver_cases():
+    """name -> (driver, one-sample gradient, update rule, warm start)."""
+    budget = GDConfig(step=0.05, max_iters=25)
+    return {
+        "hoag-warm": _hoag_case(True),
+        "hoag-cold": _hoag_case(False),
+        "ba": (
+            lambda hp, train: ba(hp, None, 1e-3, 0.05, 25, train, MSELoss(),
+                                 max_upper=3, cg_max_iters=4, theta_rel_tol=0.0),
+            implicit(lambda i: (budget, 1e-10), 4),
+            lambda i, vec, g: (vec - 1e-3 * g, {"inner_iters": 25.0}),
+            False,
+        ),
+        **{f"adam-{e}": _adam_case(e) for e in ("minimizer", "reverse", "forward")},
+    }
+
+
+class TestStackedDrivers:
+    @pytest.mark.parametrize("name", sorted(driver_cases()))
+    def test_trace_equals_the_per_sample_reference(self, name):
+        run, sample_grad, update, warm = driver_cases()[name]
+        train = driver_train()
+        hp = replace(make_theta(1), learn_beta0=True)
+        theta, trace = run(hp, train)
+        ref_theta, ref_rows, lower = reference_run(hp, train, sample_grad,
+                                                   update, warm)
+        rows = [(r.iteration, r.loss, r.grad_norm, r.lower_iters,
+                 r.theta.tolist(), r.extra) for r in trace.records]
+        assert rows == ref_rows
+        np.testing.assert_array_equal(pack_theta(theta), ref_theta)
+        if name.startswith("hoag") or name == "adam-minimizer":
+            assert all(len(set(per_row)) == 3 for per_row in lower)
+
+    @pytest.mark.parametrize("engine, entry", [
+        ("minimizer", "gd_minimize"),
+        ("reverse", "hypergrad_unrolled_reverse"),
+        ("forward", "hypergrad_unrolled_forward"),
+    ])
+    def test_one_engine_call_per_upper_iteration(self, engine, entry, monkeypatch):
+        calls = []
+        original = getattr(upper, entry)
+
+        def counting(problem, *args):
+            calls.append(problem.y.shape)
+            return original(problem, *args)
+
+        monkeypatch.setattr(upper, entry, counting)
+        train = driver_train()
+        _, trace = adam_or_gd_upper(
+            make_theta(1), None, train, MSELoss(), engine=engine, max_upper=3,
+            solver_cfg=TIGHT, theta_rel_tol=0.0, **UNROLL)
+        assert len(trace) == 3
+        assert calls == [(3, 12)] * 3  # one (S, N) stack per upper iteration
+
+    @pytest.mark.parametrize("run", [
+        lambda hp, train: ba(hp, None, 0.1, 10.0, 2_000, train, MSELoss(),
+                             max_upper=2),
+        lambda hp, train: adam_or_gd_upper(
+            hp, None, train, MSELoss(), engine="minimizer", optimizer="gd",
+            max_upper=2, solver_cfg=GDConfig(step=10.0, max_iters=2_000)),
+        lambda hp, train: adam_or_gd_upper(
+            hp, None, train, MSELoss(), engine="reverse", optimizer="gd",
+            max_upper=2, unroll_steps=2_000, unroll_step=10.0),
+        lambda hp, train: adam_or_gd_upper(
+            hp, None, train, MSELoss(), engine="forward", optimizer="gd",
+            max_upper=2, unroll_steps=2_000, unroll_step=10.0),
+    ], ids=["ba", "gd-minimizer", "gd-reverse", "gd-forward"])
+    @pytest.mark.parametrize("scales, failing", [((1.0, 1e3), 0), ((0.0, 1.0), 1)])
+    def test_lowest_diverged_sample_is_named(self, run, scales, failing):
+        """Sample 1 overflows first; the error still names the lowest
+        sample that diverges, with the iteration of its own run."""
+        hp = HyperParams(0.0, [0.0], [np.array([1.0])], Quadratic())
+        ys = [np.array([2.0 * s]) for s in scales]
+        train = TrainSet([np.array([1.5])] * 2, ys, Identity(Grid((1,))))
+        solo = TrainSet([np.array([1.5])], [ys[failing]], train.A)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as own:
+                run(hp, solo)
+            with pytest.raises(DivergenceError) as err:
+                run(hp, train)
+        assert str(err.value) == str(own.value).replace(
+            "sample 0", f"sample {failing}")
+        assert err.value.iteration == own.value.iteration
+
+    def test_cg_failure_names_its_sample(self, monkeypatch):
+        """Each row's CG runs on its own, and a failure names the row."""
+        import bilevelreg.hypergrad as hypergrad
+
+        calls = []
+        original = hypergrad.cg_solve
+
+        def failing_cg(hess_action, b, tol, max_iters=None):
+            calls.append(b)
+            if len(calls) == 5:  # upper iteration 2, sample 1
+                raise SpdViolationError("non-positive curvature p'Hp = nan "
+                                        "at CG iteration 0")
+            return original(hess_action, b, tol, max_iters)
+
+        monkeypatch.setattr(hypergrad, "cg_solve", failing_cg)
+        with pytest.raises(SpdViolationError) as info:
+            adam_or_gd_upper(make_theta(1), None, driver_train(), MSELoss(),
+                             max_upper=3, solver_cfg=TIGHT, theta_rel_tol=0.0)
+        assert str(info.value) == ("upper iteration 2, sample 1: non-positive "
+                                   "curvature p'Hp = nan at CG iteration 0")

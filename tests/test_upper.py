@@ -29,7 +29,7 @@ from bilevelreg.lower import (
 )
 from bilevelreg.potentials import CornerRounded1Norm, Quadratic
 from bilevelreg.signals import Grid
-from bilevelreg.solvers import GDConfig, gd_minimize
+from bilevelreg.solvers import GDConfig, cg_solve, gd_minimize
 from bilevelreg.upper import (
     Constant,
     DecreaseAdaptive,
@@ -317,9 +317,10 @@ class TestTtsa:
             0.5 * (x_star - 1.5) ** 2, abs=1e-3
         )
 
-    def test_nan_curvature_fails_at_the_cg_iteration(self):
-        # 1-D inpainting, every third sample dropped: the lower iterate goes
-        # non-finite and CG meets a NaN p'Hp, which must stop the run there
+    @staticmethod
+    def inpainting_run(**kwargs):
+        # 1-D inpainting, every third sample dropped: beta0 grows without
+        # bound, and with it L, until the lower step leaves the finite range
         grid = Grid((12,))
         values = np.ones(12)
         values[::3] = 0.0
@@ -328,14 +329,35 @@ class TestTtsa:
               for s in range(2)]
         ys = [add_noise(x, A, 0.05, seed=150 + s) for s, x in enumerate(xs)]
         train = TrainSet(x_true=xs, y=ys, A=A)
+        return ttsa(_two_filter_theta(), A.adjoint(ys[0]), PowerLaw(0.1, 0.75),
+                    PowerLaw(0.3, 0.5), train, MSELoss(), batch=2, seed=5,
+                    **kwargs)
+
+    def test_non_finite_lower_iterate_stops_the_run(self):
         with np.errstate(all="ignore"):
-            with pytest.raises(SpdViolationError,
-                               match=r"p'Hp = nan at CG iteration \d+") as info:
-                ttsa(_two_filter_theta(), A.adjoint(ys[0]), PowerLaw(0.1, 0.75),
-                     PowerLaw(0.3, 0.5), train, MSELoss(), batch=2, seed=5,
-                     max_iter=20)
-        assert re.match(r"upper iteration \d+: non-positive curvature",
-                        str(info.value))
+            with pytest.raises(DivergenceError) as info:
+                self.inpainting_run(max_iter=20)
+        assert re.fullmatch(
+            r"upper iteration (\d+): non-finite lower iterate after lower "
+            r"step \1 \(step size \S+\)", str(info.value))
+        assert info.value.iteration == 10
+
+    def test_cg_failure_is_located(self, monkeypatch):
+        calls = []
+
+        def failing_cg(hess_action, b, tol, max_iters=None):
+            calls.append(b)
+            if len(calls) == 3:
+                raise SpdViolationError("non-positive curvature p'Hp = nan "
+                                        "at CG iteration 0")
+            return cg_solve(hess_action, b, tol, max_iters)
+
+        monkeypatch.setattr(upper, "cg_solve", failing_cg)
+        with pytest.raises(SpdViolationError) as info:
+            self.inpainting_run(max_iter=5)
+        assert str(info.value) == (
+            "upper iteration 3: non-positive curvature p'Hp = nan at CG "
+            "iteration 0")
 
     def test_budget_matched_loss_close_to_hoag(self):
         hp, train, mask, cfg = scalar_toy()
