@@ -170,7 +170,9 @@ def sure_mc(
     """Monte-Carlo SURE: residual power - sigma^2 + (2 sigma^2 / N) div.
 
     The divergence of the denoiser is probed with Rademacher vectors b:
-    div ~ b' (xhat(y + eps b) - xhat(y)) / eps, averaged over probes.
+    div ~ b' (xhat(y + eps b) - xhat(y)) / eps, averaged over probes.  The
+    denoiser is called once, on the stack ``[y, y + eps b_1, ...]``, and
+    returns one reconstruction per row.
     """
     n = y.size
     if probe_eps is None:
@@ -178,11 +180,13 @@ def sure_mc(
         if probe_eps == 0.0:
             probe_eps = 1e-3
     rng = np.random.Generator(np.random.PCG64(seed))
-    x_base = denoiser(y)
+    probes = [
+        rng.integers(0, 2, size=y.shape).astype(np.float64) * 2.0 - 1.0
+        for _ in range(n_probes)
+    ]
+    x_base, *x_probes = denoiser(np.stack([y] + [y + probe_eps * b for b in probes]))
     div_total = 0.0
-    for _ in range(n_probes):
-        b = rng.integers(0, 2, size=y.shape).astype(np.float64) * 2.0 - 1.0
-        x_probe = denoiser(y + probe_eps * b)
+    for b, x_probe in zip(probes, x_probes):
         div_total += float(np.vdot(b, x_probe - x_base)) / probe_eps
     div = div_total / n_probes
     r = y - x_base

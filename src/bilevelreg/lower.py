@@ -145,17 +145,49 @@ class LowerProblem:
     ``(S, *grid)`` that share ``A`` and ``theta``.  ``grad_x`` and
     ``linearize`` accept a stack and act on every row bit for bit as the
     unstacked problem of that row would; ``cost`` and ``regularity_report``
-    take one signal.
+    take one signal.  ``row_beta0`` gives each row of a stacked ``y`` its own
+    b0 in place of ``theta.beta0``; only ``grad_x`` and ``lipschitz_grad``
+    serve such a problem, and the other methods raise.
     """
 
     A: ForwardModel
     y: np.ndarray
     theta: HyperParams
+    row_beta0: np.ndarray | None = None
 
     def __post_init__(self):
-        self.A.grid.is_stack(self.y)
+        stacked = self.A.grid.is_stack(self.y)
+        b0 = self.theta.beta0
+        if self.row_beta0 is not None:
+            b0 = self.row_beta0 = np.asarray(self.row_beta0, dtype=np.float64)
+            if not stacked or b0.shape != (len(self.y),):
+                raise ValueError(
+                    f"row_beta0 of shape {b0.shape} needs one entry per row of "
+                    f"a stacked y, got y of shape {self.y.shape}"
+                )
+            if not np.all(np.isfinite(b0)):
+                raise ValueError("tuning parameters must be finite")
+        # w_k = e^{b0 + b_k} per filter: a scalar, or a column scaling each row
+        self._weights = [
+            self.A.grid.per_row(w)
+            for w in np.exp(np.add.outer(self.theta.betas, b0))
+        ]
+
+    def _rows(self, keep) -> "LowerProblem":
+        """The problem of the stack's rows ``keep``, in that order."""
+        stacked = self.A.grid.is_stack(self.y)
+        return LowerProblem(
+            self.A, self.y[keep] if stacked else self.y, self.theta,
+            None if self.row_beta0 is None else self.row_beta0[keep],
+        )
+
+    def _shared_beta0(self, what: str) -> None:
+        if self.row_beta0 is not None:
+            raise ValueError(f"{what} needs one b0 for every row; this problem "
+                             "gives each row its own")
 
     def cost(self, x: np.ndarray) -> float:
+        self._shared_beta0("cost")
         r = self.A.apply(x) - self.y
         total = 0.5 * float(np.vdot(r, r))
         pot = self.theta.potential
@@ -167,7 +199,7 @@ class LowerProblem:
         g = self.A.adjoint(self.A.apply(x) - self.y)
         pot = self.theta.potential
         lift = self.A.grid.lift
-        for w, c in zip(self.theta.weights(), self.theta.filters):
+        for w, c in zip(self._weights, self.theta.filters):
             c = lift(x, c)
             g += w * circ_conv_adjoint(pot.dphi(circ_conv(x, c)), c)
         return g
@@ -176,17 +208,21 @@ class LowerProblem:
         """Derivatives of ``grad_x Phi`` in x and theta at a fixed ``x``."""
         return Linearization(self, x)
 
-    def lipschitz_grad(self) -> float:
-        """L = sigma1^2(A) + e^{b0} L_phi' sum_k e^{bk} sigma1^2(C_k)."""
+    def lipschitz_grad(self) -> float | np.ndarray:
+        """L = sigma1^2(A) + e^{b0} L_phi' sum_k e^{bk} sigma1^2(C_k).
+
+        One float, or one L per row, shaped ``(S,)``, for ``row_beta0``.
+        """
         sigma1_sq, _ = self.A.spectral_bounds()
         l_dphi = self.theta.potential.curvature_bound()
         total = sigma1_sq
-        for w, c in zip(self.theta.weights(), self.theta.filters):
+        for w, c in zip(self._weights, self.theta.filters):
             total += w * l_dphi * filter_spectrum_max(c, self.A.grid) ** 2
-        return float(total)
+        return np.reshape(total, -1) if np.ndim(total) else float(total)
 
     def regularity_report(self, x_norm_bound: float) -> dict:
         """Named regularity constants for the current hyperparameters."""
+        self._shared_beta0("regularity_report")
         pot = self.theta.potential
         sigma1_sq, sigman_sq = self.A.spectral_bounds()
         l_dphi = pot.curvature_bound()
@@ -235,6 +271,7 @@ class Linearization:
     """
 
     def __init__(self, problem: LowerProblem, x: np.ndarray):
+        problem._shared_beta0("a linearization")
         self.problem = problem
         self.x = np.array(x, dtype=np.float64)
         self._grid = problem.A.grid

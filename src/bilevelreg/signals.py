@@ -63,6 +63,11 @@ class Grid:
         grid of rank + 1."""
         return taps[None] if self.is_stack(x) else taps
 
+    def per_row(self, v):
+        """Per-row values ``(S,)`` shaped ``(S, 1, ...)`` to scale the rows
+        of a stack; a scalar as is."""
+        return np.reshape(v, np.shape(v) + (1,) * self.rank) if np.ndim(v) else v
+
     def dots(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """<a, b> over the grid axes, one per leading index (sample, tap, ...),
         with numpy broadcasting over the leading axes.

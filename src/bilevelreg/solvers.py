@@ -61,51 +61,61 @@ def gd_minimize(problem: LowerProblem, x0: np.ndarray, cfg: GDConfig) -> GDResul
     """Plain gradient descent, stopping at grad_tol or max_iters.
 
     An ``x0`` stacked on the problem's grid, ``(S, *grid)``, is solved for
-    all its rows in one loop with one step.  Each row stops on its own
-    gradient norm, the same ``sqrt(dot)`` ``np.linalg.norm`` takes, and is
-    then frozen, so every row takes exactly the steps of its own unstacked
-    solve.  One signal on the grid runs as one row.  A row whose gradient is
-    not finite is frozen too; after the loop the lowest such row raises
-    DivergenceError with its iteration (and ``row`` when stacked).
+    all its rows in one loop; with "one-over-L" each row steps by its own
+    ``1 / L`` when the problem gives each row its own b0.  Each row stops on
+    its own gradient norm, the same ``sqrt(dot)`` ``np.linalg.norm`` takes,
+    and the loop goes on with the live rows only, so every row takes exactly
+    the steps of its own unstacked solve.  One signal on the grid runs as one
+    row.  A row whose gradient is not finite stops too; after the loop the
+    lowest such row raises DivergenceError with its iteration (and ``row``
+    when stacked).
     """
     if cfg.step == "one-over-L":
-        step = 1.0 / problem.lipschitz_grad()
+        step = problem.A.grid.per_row(1.0 / problem.lipschitz_grad())
     else:
         step = float(cfg.step)
-    x = np.array(x0, dtype=np.float64, copy=True)
-    stacked = problem.A.grid.is_stack(x)
-    rows = len(x) if stacked else 1
+    out = np.array(x0, dtype=np.float64, copy=True)
+    stacked = problem.A.grid.is_stack(out)
+    rows = len(out) if stacked else 1
     tol = cfg.grad_tol if cfg.grad_tol > 0 else -math.inf
-    trajectory = [x.copy()] if cfg.record_trajectory else None
-    live = list(range(rows))  # rows still stepping, in index order
+    trajectory = [out.copy()] if cfg.record_trajectory else None
+    # the live rows, and the index in ``out`` of each; ``x`` is ``out``
+    # itself until the first row stops
+    x, idx = out, np.arange(rows)
     final = [0.0] * rows
     row_iters = [0] * rows
     diverged = []  # (row, iteration) of each row with a non-finite gradient
     iters = 0
     while True:
         grad = problem.grad_x(x)
-        g = grad.reshape(rows, -1)
+        g = grad.reshape(len(idx), -1)
         norms = np.sqrt(np.vecdot(g, g)).tolist()
-        stop = live if iters >= cfg.max_iters else [
-            r for r in live if not tol < norms[r] < math.inf
+        stop = list(range(len(idx))) if iters >= cfg.max_iters else [
+            p for p, n in enumerate(norms) if not tol < n < math.inf
         ]
         if stop:
-            for r in stop:
-                final[r] = norms[r]
+            for p in stop:
+                r = int(idx[p])
+                final[r] = norms[p]
                 row_iters[r] = iters
-                if not math.isfinite(norms[r]):
+                if not math.isfinite(norms[p]):
                     diverged.append((r, iters))
-            live = [r for r in live if r not in stop]
+            if x is not out:
+                out[idx[stop]] = x[stop]
+            keep = [p for p in range(len(idx)) if p not in stop]
             # rows above the lowest diverged one cannot change the outcome
-            if not live or (diverged and live[0] > min(diverged)[0]):
+            if not keep or (diverged and idx[keep[0]] > min(diverged)[0]):
                 break
-        if len(live) == rows:
-            x -= step * grad
-        else:
-            x[live] -= step * grad[live]
+            x, grad, idx = x[keep], grad[keep], idx[keep]
+            if np.ndim(step):
+                step = step[keep]
+            problem = problem._rows(keep)
+        x -= step * grad
         iters += 1
         if trajectory is not None:
-            trajectory.append(x.copy())
+            if x is not out:
+                out[idx] = x
+            trajectory.append(out.copy())
     if diverged:
         row, iteration = min(diverged)
         raise DivergenceError(
@@ -114,7 +124,7 @@ def gd_minimize(problem: LowerProblem, x0: np.ndarray, cfg: GDConfig) -> GDResul
             row=row if stacked else None,
         )
     return GDResult(
-        x=x, iters_run=iters, row_iters=row_iters, final_grad_norm=max(final),
+        x=out, iters_run=iters, row_iters=row_iters, final_grad_norm=max(final),
         trajectory=trajectory,
     )
 

@@ -144,16 +144,21 @@ def _bind_losses(train: TrainSet, loss_spec: LossSpec) -> list[UpperLoss]:
 
 
 @contextmanager
-def _located(where: str):
+def _located(where: str | Callable[[int], str]):
     """Prefix a DivergenceError or SpdViolationError raised in the block with
-    ``where``, in which ``{row}`` names the failed row of a stacked solve."""
+    ``where``: a string, in which ``{row}`` names the failed row of a stacked
+    solve, or a function of that row."""
+    def prefix(row):
+        return where(row) if callable(where) else where.format(row=row)
+
     try:
         yield
     except DivergenceError as exc:
-        prefix = where.format(row=exc.row)
-        raise DivergenceError(f"{prefix}: {exc}", iteration=exc.iteration) from exc
+        raise DivergenceError(
+            f"{prefix(exc.row)}: {exc}", iteration=exc.iteration
+        ) from exc
     except SpdViolationError as exc:
-        raise SpdViolationError(f"{where.format(row=exc.row)}: {exc}") from exc
+        raise SpdViolationError(f"{prefix(exc.row)}: {exc}") from exc
 
 
 def evaluate_upper(
@@ -161,33 +166,45 @@ def evaluate_upper(
     train: TrainSet,
     loss_spec: LossSpec,
     solver_cfg: GDConfig,
-) -> tuple[float, list[float]]:
+    beta0_grid: Sequence[float] | None = None,
+):
     """Mean upper loss over the training set at fully solved lower problems.
 
-    Every sample is solved in one stacked ``gd_minimize`` call, whose rows
-    equal the per-sample solves bit for bit.  Monte-Carlo SURE is a function
-    of the denoiser, not of one reconstruction: ``sure_mc`` solves each
-    sample and its probes itself, so no stacked solve is made for it.
+    Returns ``(mean, per_sample)`` at ``theta``, or with ``beta0_grid`` one
+    such pair per grid value, at ``theta`` with that overall log-weight b0.
+    Every (grid value, sample) pair is one row of a single stacked
+    ``gd_minimize`` call with its own b0, whose rows equal the per-pair
+    solves bit for bit.  Monte-Carlo SURE is a function of the denoiser, not
+    of one reconstruction: ``sure_mc`` solves each sample with its probes as
+    one stack, one solve per (grid value, sample).
     """
+    b0s = [theta.beta0] if beta0_grid is None else [float(b) for b in beta0_grid]
+    n = train.n_samples
+    row_b0 = np.repeat(b0s, n)
+    names = [f"sample {j}" if beta0_grid is None else f"beta0 {b0}, sample {j}"
+             for b0 in b0s for j in range(n)]
 
-    def denoiser(yy):  # one sample or a stack of them
-        prob = LowerProblem(train.A, yy, theta)
+    def denoiser(yy, row_beta0):  # a stack of samples, each with its own b0
+        prob = LowerProblem(train.A, yy, theta, row_beta0)
         return gd_minimize(prob, train.A.adjoint(yy), solver_cfg).x
 
     if isinstance(loss_spec, SureMCLoss):
-        per_sample = []
-        for j, y in enumerate(train.y):
-            with _located(f"sample {j}"):
-                per_sample.append(sure_mc(
-                    denoiser, y, loss_spec.sigma, loss_spec.probe_eps,
-                    loss_spec.n_probes, loss_spec.seed,
+        per_row = []
+        for b0, y, name in zip(row_b0, train.y * len(b0s), names):
+            with _located(name):
+                per_row.append(sure_mc(
+                    lambda yy: denoiser(yy, np.full(len(yy), b0)), y,
+                    loss_spec.sigma, loss_spec.probe_eps, loss_spec.n_probes,
+                    loss_spec.seed,
                 ))
     else:
         losses = _bind_losses(train, loss_spec)
-        with _located("sample {row}"):
-            xs = denoiser(np.stack(train.y))
-        per_sample = [loss.value(x) for loss, x in zip(losses, xs)]
-    return float(np.mean(per_sample)), per_sample
+        with _located(lambda row: names[row]):
+            xs = denoiser(np.stack(train.y * len(b0s)), row_b0)
+        per_row = [loss.value(x) for loss, x in zip(losses * len(b0s), xs)]
+    pairs = [(float(np.mean(per_row[k : k + n])), per_row[k : k + n])
+             for k in range(0, len(per_row), n)]
+    return pairs[0] if beta0_grid is None else pairs
 
 
 class _StepController:
@@ -752,16 +769,14 @@ def grid_search(
 ) -> tuple[float, list[tuple[float, float]]]:
     """Evaluate the upper loss on a grid of overall log-weights beta0.
 
-    Filters and per-filter weights stay fixed; returns the argmin (first on
-    ties) and the full (beta0, loss) table in input order.
+    Filters and per-filter weights stay fixed, and one ``evaluate_upper``
+    call solves every grid value.  Returns the argmin (first on ties) and the
+    full (beta0, loss) table in input order.
     """
     if len(beta0_grid) == 0:
         raise ConfigError("beta0 grid must be nonempty")
-    table = []
-    for b0 in beta0_grid:
-        candidate = replace(theta, beta0=float(b0))
-        value, _ = evaluate_upper(candidate, train, loss_spec, solver_cfg)
-        table.append((float(b0), value))
+    pairs = evaluate_upper(theta, train, loss_spec, solver_cfg, beta0_grid)
+    table = [(float(b0), value) for b0, (value, _) in zip(beta0_grid, pairs)]
     best = min(range(len(table)), key=lambda k: table[k][1])
     return table[best][0], table
 

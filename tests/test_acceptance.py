@@ -311,7 +311,7 @@ def test_criterion_8_sure_fidelity():
     n = 16
     w = rng.standard_normal((n, n))
     y = rng.standard_normal(n)
-    est = sure_mc(lambda yy: w @ yy, y, 1.0, n_probes=2000, seed=0)
+    est = sure_mc(lambda yy: yy @ w.T, y, 1.0, n_probes=2000, seed=0)
     r = y - w @ y
     div_est = (est - float(r @ r) / n + 1.0) * n / 2.0
     trace_rel = abs(div_est - np.trace(w)) / abs(np.trace(w))

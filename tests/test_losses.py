@@ -148,11 +148,35 @@ class TestSureMC:
         w = rng.standard_normal((n, n))
         y = rng.standard_normal(n)
         sigma = 1.0
-        est = sure_mc(lambda yy: w @ yy, y, sigma, n_probes=2000, seed=0)
+        est = sure_mc(lambda yy: yy @ w.T, y, sigma, n_probes=2000, seed=0)
         # back out the divergence estimate from the returned value
         r = y - w @ y
         div_est = (est - float(r @ r) / n + sigma**2) * n / (2 * sigma**2)
         assert div_est == pytest.approx(np.trace(w), rel=0.05)
+
+    def test_one_stacked_call_equals_a_call_per_probe(self):
+        # the probes drawn in order, the denoiser called once on the stack
+        # [y, y + eps b_1, ...], and the formula of one call per probe
+        rng = np.random.default_rng(11)
+        y = rng.standard_normal(24)
+        calls = []
+
+        def denoiser(yy):
+            calls.append(yy.shape)
+            return np.tanh(yy) * 0.7
+
+        est = sure_mc(denoiser, y, 0.3, n_probes=3, seed=5)
+        assert calls == [(4, 24)]
+        probes = np.random.Generator(np.random.PCG64(5))
+        eps = 1e-3 * float(np.linalg.norm(y)) / np.sqrt(y.size)
+        x_base = np.tanh(y) * 0.7
+        div = 0.0
+        for _ in range(3):
+            b = probes.integers(0, 2, size=y.shape).astype(np.float64) * 2.0 - 1.0
+            div += float(np.vdot(b, np.tanh(y + eps * b) * 0.7 - x_base)) / eps
+        r = y - x_base
+        assert est == float(np.vdot(r, r)) / y.size - 0.3**2 + (
+            2.0 * 0.3**2 / y.size) * (div / 3)
 
     def test_probe_statistics(self):
         # Rademacher probes have unit variance by construction; check the

@@ -21,7 +21,7 @@ from bilevelreg.hypergrad import (
     hypergrad_unrolled_forward,
     hypergrad_unrolled_reverse,
 )
-from bilevelreg.losses import MSELoss, bind_loss
+from bilevelreg.losses import MSELoss, SureMCLoss, bind_loss, sure_mc
 from bilevelreg.lower import HyperParams, LowerProblem, pack_theta, unpack_theta
 from bilevelreg.potentials import CornerRounded1Norm, Quadratic
 from bilevelreg.signals import Grid, circ_conv
@@ -114,6 +114,45 @@ class TestRowsMatch:
             assert res.final_grad_norm == max(r.final_grad_norm for r in per_row)
         capped = [r.iters_run for r in per_row]
         assert min(capped) < cap == max(capped)  # the cap did cut rows short
+
+    @pytest.mark.parametrize("per_row_b0", [False, True])
+    def test_gd_minimize_drops_stopped_rows(self, kind, dims, per_row_b0):
+        """Stopped rows leave the loop; each row still gets its own solve's
+        x, iteration count and trajectory, full-shaped, with a stopped row
+        held at its last iterate."""
+        A = make_model(kind, dims)
+        hp = make_theta(len(dims))
+        Y = make_stack(dims)
+        b0 = np.array([-1.0, -2.5, 0.3, -1.7]) if per_row_b0 else None
+        own_hp = [hp] * S if b0 is None else [replace(hp, beta0=b) for b in b0]
+        cfg = GDConfig(max_iters=2000, grad_tol=1e-5, record_trajectory=True)
+        res = gd_minimize(LowerProblem(A, Y, hp, b0), A.adjoint(Y), cfg)
+        own = [gd_minimize(LowerProblem(A, y, h), A.adjoint(y), cfg)
+               for y, h in zip(Y, own_hp)]
+        iters = [r.iters_run for r in own]
+        assert min(iters) < max(iters)  # some rows stop while others step
+        assert res.row_iters == iters and res.iters_run == max(iters)
+        assert res.final_grad_norm == max(r.final_grad_norm for r in own)
+        for j, row in enumerate(own):
+            np.testing.assert_array_equal(res.x[j], row.x)
+        held = [[row.trajectory[min(t, row.iters_run)] for row in own]
+                for t in range(res.iters_run + 1)]
+        np.testing.assert_array_equal(np.array(res.trajectory), np.array(held))
+
+    def test_per_row_beta0(self, kind, dims):
+        """A row with its own b0 gets the gradient and the Lipschitz
+        constant of the problem that has that b0 as its scalar."""
+        A = make_model(kind, dims)
+        hp = make_theta(len(dims))
+        Y, X = make_stack(dims), make_stack(dims, seed=1)
+        b0 = np.random.default_rng(4).uniform(-4.0, 3.0, S)
+        problem = LowerProblem(A, Y, hp, b0)
+        grads, lips = problem.grad_x(X), problem.lipschitz_grad()
+        assert lips.shape == (S,)
+        for j in range(S):
+            own = LowerProblem(A, Y[j], replace(hp, beta0=b0[j]))
+            np.testing.assert_array_equal(grads[j], own.grad_x(X[j]))
+            assert lips[j] == own.lipschitz_grad()
 
     @pytest.mark.parametrize("learn_b0", [False, True])
     def test_linearization(self, kind, dims, learn_b0):
@@ -229,6 +268,33 @@ class TestShapeChecks:
             A.apply(Y)
 
 
+class TestPerRowBeta0Checks:
+    def test_only_grad_and_lipschitz_serve_it(self):
+        dims = (12,)
+        Y = make_stack(dims)
+        problem = LowerProblem(make_model("mask", dims), Y, make_theta(1),
+                               np.zeros(S))
+        with pytest.raises(ValueError, match="one b0 for every row"):
+            problem.linearize(Y)
+        with pytest.raises(ValueError, match="one b0 for every row"):
+            problem.cost(Y[0])
+        with pytest.raises(ValueError, match="one b0 for every row"):
+            problem.regularity_report(1.0)
+
+    @pytest.mark.parametrize("lead, n_b0", [((S,), S - 1), ((), 1)])
+    def test_one_b0_per_row_of_a_stack(self, lead, n_b0):
+        dims = (12,)
+        with pytest.raises(ValueError, match="one entry per row"):
+            LowerProblem(make_model("mask", dims), np.zeros(lead + dims),
+                         make_theta(1), np.zeros(n_b0))
+
+    def test_b0_must_be_finite(self):
+        dims = (12,)
+        with pytest.raises(ValueError, match="finite"):
+            LowerProblem(make_model("mask", dims), np.zeros((2,) + dims),
+                         make_theta(1), np.array([0.0, np.nan]))
+
+
 class TestStackedDivergence:
     @staticmethod
     def diverging_train():
@@ -263,6 +329,42 @@ class TestStackedDivergence:
         # stacking adds no warning the per-sample solves do not raise
         assert {str(w.message) for w in caught} <= seen
 
+    def test_per_row_beta0_lowest_row_raises_with_its_own_iteration(self):
+        """One signal in every row: the row with the largest b0 overflows
+        first and leaves the loop, the lowest diverged row still raises."""
+        dims = (8,)
+        v = np.random.default_rng(3).standard_normal(dims)
+        A = Identity(Grid(dims))
+        hp = make_theta(1, Quadratic())
+        b0 = np.array([1.0, 3.0, -8.0])
+        cfg = GDConfig(step=1.5, max_iters=10_000, grad_tol=1e-12)
+        own = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b in b0:
+                try:
+                    gd_minimize(LowerProblem(A, v, replace(hp, beta0=b)), v, cfg)
+                    own.append(None)
+                except DivergenceError as exc:
+                    own.append(exc.iteration)
+            assert own[1] < own[0] and own[2] is None
+            Y = np.stack([v] * 3)
+            with pytest.raises(DivergenceError) as err:
+                gd_minimize(LowerProblem(A, Y, hp, b0), Y, cfg)
+        assert (err.value.row, err.value.iteration) == (0, own[0])
+
+    def test_grid_search_names_the_grid_value_and_sample(self):
+        train, hp = self.diverging_train()
+        cfg = GDConfig(step=3.0, max_iters=10_000, grad_tol=1e-12)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as own:
+                gd_minimize(LowerProblem(train.A, train.y[0], hp), train.y[0], cfg)
+            with pytest.raises(DivergenceError) as err:
+                grid_search([hp.beta0, -30.0], hp, train, MSELoss(), cfg)
+        k = own.value.iteration
+        assert str(err.value) == (f"beta0 {hp.beta0}, sample 0: non-finite "
+                                  f"cost/gradient at lower-level iteration {k}")
+        assert err.value.iteration == k
+
     def test_evaluate_upper_names_the_sample(self):
         train, hp = self.diverging_train()
         cfg = GDConfig(step=3.0, max_iters=10_000, grad_tol=1e-12)
@@ -279,8 +381,9 @@ class TestStackedDivergence:
 
 
 def test_grid_search_solves_each_point_once(monkeypatch):
-    """One stacked solve per grid point, and one grad_x call per iteration
-    of it plus the last check."""
+    """Every (grid value, sample) pair is one row of one stacked solve, with
+    one grad_x call per iteration plus the last check, on a stack that
+    shrinks as rows stop."""
     dims = (12,)
     A = make_model("mask", dims)
     Y = make_stack(dims)
@@ -290,11 +393,11 @@ def test_grid_search_solves_each_point_once(monkeypatch):
 
     def counting_solve(problem, x0, cfg):
         res = solve(problem, x0, cfg)
-        runs.append(res.iters_run)
+        runs.append((x0.shape, res.iters_run))
         return res
 
     def counting_grad(self, x):
-        grad_calls.append(x.shape)
+        grad_calls.append(len(x))
         return grad_x(self, x)
 
     monkeypatch.setattr(upper, "gd_minimize", counting_solve)
@@ -302,9 +405,46 @@ def test_grid_search_solves_each_point_once(monkeypatch):
     grid = [-3.0, -1.0, 0.0, 1.0, 2.0]
     grid_search(grid, make_theta(1), train, MSELoss(),
                 GDConfig(max_iters=1500, grad_tol=1e-5))
-    assert len(runs) == len(grid)  # the per-sample loop made len(grid) * S
-    assert len(grad_calls) == sum(k + 1 for k in runs)
-    assert set(grad_calls) == {(S,) + dims}
+    [(shape, iters)] = runs  # one solve; the per-point loop made len(grid)
+    assert shape == (len(grid) * S,) + dims
+    assert len(grad_calls) == iters + 1
+    assert grad_calls[0] == len(grid) * S
+    assert all(a >= b for a, b in zip(grad_calls, grad_calls[1:]))
+    assert grad_calls[-1] < grad_calls[0]  # stopped rows left the stack
+
+
+@pytest.mark.parametrize("spec", [MSELoss(), SureMCLoss(sigma=0.1, n_probes=2, seed=3)])
+def test_grid_search_equals_per_point_reference(spec):
+    """The table of the one stacked solve, bit for bit against solving
+    every grid value and sample alone (and against evaluate_upper at each
+    grid value)."""
+    dims = (12,)
+    A = make_model("mask", dims)
+    Y = make_stack(dims)[1:3]
+    x_true = list(make_stack(dims, seed=2)[1:3])
+    train = TrainSet(x_true, list(Y), A)
+    hp = make_theta(1)
+    cfg = GDConfig(max_iters=1500, grad_tol=1e-5)
+    grid = [-3.0, -1.0, 0.0, 1.0]
+    best, table = grid_search(grid, hp, train, spec, cfg)
+    reference = []
+    for b0 in grid:
+        point = replace(hp, beta0=b0)
+
+        def alone(yy, point=point):  # one row at a time
+            return np.stack([gd_minimize(LowerProblem(A, y, point), A.adjoint(y), cfg).x
+                             for y in yy])
+
+        if isinstance(spec, SureMCLoss):
+            values = [sure_mc(alone, y, spec.sigma, spec.probe_eps, spec.n_probes,
+                              spec.seed) for y in Y]
+        else:
+            values = [bind_loss(spec, y, A, xt).value(x)
+                      for y, xt, x in zip(Y, x_true, alone(Y))]
+        reference.append((b0, float(np.mean(values))))
+        assert evaluate_upper(point, train, spec, cfg) == (reference[-1][1], values)
+    assert table == reference
+    assert best == min(reference, key=lambda row: row[1])[0]
 
 
 # --- the double loop: one stacked engine call per upper iteration ---------

@@ -114,8 +114,8 @@ class TestEvaluateUpper:
         np.testing.assert_array_equal(per, expected)
 
     def test_sure_solves_each_sample_and_probe_once(self, monkeypatch):
-        # S samples and P probes: S (1 + P) single-sample solves, and no
-        # stacked solve whose result SURE would not read
+        # S samples and P probes: one solve per sample, on the stack of the
+        # sample and its P probes, and no solve whose result SURE would not read
         train = filter_train_set(n_samples=4)
         hp = HyperParams(-1.0, [0.0], [np.array([1.0, -1.0])],
                          CornerRounded1Norm(0.1))
@@ -128,7 +128,7 @@ class TestEvaluateUpper:
 
         monkeypatch.setattr(upper, "gd_minimize", counting)
         evaluate_upper(hp, train, SureMCLoss(sigma=0.05, n_probes=2), cfg)
-        assert shapes == [(32,)] * 12
+        assert shapes == [(3, 32)] * 4
 
 
 class TestHoag:
