@@ -3,6 +3,8 @@
 Every run is driven by a JSON experiment config (see README for the schema);
 outputs are signal files, parameter files, and CSV tables.  Exit codes:
 0 success, 1 runtime failure (one-line ``error: ...`` on stderr), 2 usage.
+``train`` adds one ``warning: ...`` line on stderr when any upper iteration
+raised a hypergradient warning.
 """
 
 from __future__ import annotations
@@ -99,6 +101,10 @@ def _run_train(cfg: ExperimentConfig):
         f"wrote {cfg.output['params']} and {cfg.output['trace']} "
         f"({len(trace)} iterations)"
     )
+    warned = sum(r.extra.get("warnings", 0.0) > 0 for r in trace.records)
+    if warned:
+        print(f"warning: {warned} of {len(trace)} iterations raised a hypergradient "
+              "warning (the trace's warnings column counts them)", file=sys.stderr)
     return 0
 
 

@@ -251,6 +251,20 @@ class _Section:
             raise ConfigError(f"missing config key '{where}'")
         return default
 
+    def positive(self, key, default=_REQUIRED, integer=False):
+        """A number that must be > 0 and finite (an integer >= 1 with
+        ``integer``); anything else is a ConfigError naming the key."""
+        value = self.take(key, default)
+        number = value if isinstance(value, (int, float)) else float("nan")
+        ok = (not isinstance(value, bool) and np.isfinite(number) and number > 0
+              and (not integer or number == int(number)))
+        if not ok:
+            wanted = "an integer >= 1" if integer else "a finite number > 0"
+            raise ConfigError(
+                f"config key '{self.name}.{key}' must be {wanted}, got {value!r}"
+            )
+        return int(number) if integer else float(number)
+
     def finish(self):
         if self.data:
             key = sorted(self.data)[0]
@@ -404,10 +418,10 @@ def build_engine(spec: dict) -> dict:
     kind = sec.take("kind", "minimizer")
     out = {"kind": kind}
     if kind == "minimizer":
-        out["cg_tol"] = float(sec.take("cg_tol", 1e-10))
+        out["cg_tol"] = sec.positive("cg_tol", 1e-10)
     elif kind in ("reverse", "forward"):
-        out["unroll_steps"] = int(sec.take("unroll_steps"))
-        out["unroll_step"] = float(sec.take("unroll_step"))
+        out["unroll_steps"] = sec.positive("unroll_steps", integer=True)
+        out["unroll_step"] = sec.positive("unroll_step")
     else:
         raise ConfigError(f"unknown config value 'engine.kind' = {kind!r}")
     sec.finish()

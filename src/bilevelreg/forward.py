@@ -11,7 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .signals import Grid, as_filter, circ_conv, circ_conv_adjoint, filter_spectrum
+from .signals import (
+    Grid,
+    as_filter,
+    circ_conv,
+    circ_conv_adjoint,
+    filter_spectrum,
+    pair_index,
+)
 
 
 class ForwardModel:
@@ -27,6 +34,16 @@ class ForwardModel:
 
     def spectral_bounds(self) -> tuple[float, float]:
         """Return (sigma1^2, sigmaN^2) of A."""
+        raise NotImplementedError
+
+    def gram_stencil(self) -> np.ndarray:
+        """A'A as a stencil G over centred offsets d in -h..h:
+        (A'A v)_i = sum_d G[d, i] v_{i+d}.
+
+        Shaped ``(*box, *grid)`` with box extents 2 h + 1 (see
+        ``signals.centred_rows``); the grid axes have extent 1 where G does
+        not depend on position.
+        """
         raise NotImplementedError
 
     def _check(self, x: np.ndarray) -> None:
@@ -48,6 +65,9 @@ class Identity(ForwardModel):
 
     def spectral_bounds(self):
         return (1.0, 1.0)
+
+    def gram_stencil(self):
+        return np.ones((1,) * (2 * self.grid.rank))
 
 
 class Mask(ForwardModel):
@@ -73,6 +93,10 @@ class Mask(ForwardModel):
         smin = 0.0 if np.any(self.values == 0.0) else 1.0
         return (1.0, smin)
 
+    def gram_stencil(self):
+        # a 0/1 mask squares to itself: the mask at offset 0
+        return self.values.reshape((1,) * self.grid.rank + self.grid.dims)
+
 
 class Circulant(ForwardModel):
     """Circular convolution with a fixed kernel (e.g. blur)."""
@@ -94,3 +118,10 @@ class Circulant(ForwardModel):
     def spectral_bounds(self):
         mags = filter_spectrum(self.taps, self.grid)
         return (float(np.max(mags) ** 2), float(np.min(mags) ** 2))
+
+    def gram_stencil(self):
+        # the autocorrelation of the taps, the same at every position
+        shape = self.taps.shape
+        flat = self.taps.reshape(-1)
+        gram = np.append(flat, 0.0)[pair_index(shape, tuple(n - 1 for n in shape))] @ flat
+        return gram.reshape(tuple(2 * n - 1 for n in shape) + (1,) * self.grid.rank)

@@ -52,6 +52,16 @@ def _loss_grad(
     return loss.grad_x(x)
 
 
+def _step_warning(problem: LowerProblem, step: float) -> str | None:
+    """A warning when the unrolled step exceeds 2/L, past which gradient
+    descent on the lower cost need not converge."""
+    lip = problem.lipschitz_grad()
+    if step * lip > 2.0:
+        return (f"unrolled step {step:.3e} exceeds 2/L = {2.0 / lip:.3e}; "
+                "the unrolled iteration may diverge")
+    return None
+
+
 def hypergrad_minimizer(
     problem: LowerProblem,
     loss: UpperLoss,
@@ -109,7 +119,8 @@ def hypergrad_unrolled_reverse(
     one Hessian-vector and one Jacobian-adjoint product per step, both from
     one linearization at that step's iterate.  A stacked ``x0`` runs every
     row at once, ``loss`` holding one loss per row; each row's gradient
-    equals its own run's bit for bit.
+    equals its own run's bit for bit.  ``warning`` is set when ``step``
+    exceeds 2/L.
     """
     cfg = GDConfig(step=step, max_iters=n_steps, grad_tol=0.0, record_trajectory=True)
     run = gd_minimize(problem, x0, cfg)
@@ -124,6 +135,7 @@ def hypergrad_unrolled_reverse(
     return HypergradResult(
         grad=grad,
         lower_iters=run.iters_run,
+        warning=_step_warning(problem, step),
         x_final=run.x,
     )
 
@@ -176,7 +188,8 @@ def hypergrad_unrolled_forward(
 ) -> HypergradResult:
     """Forward-mode accumulation of the unrolled gradient (memory O(N P)).
 
-    Takes a stack as ``hypergrad_unrolled_reverse`` does.
+    Takes a stack, and warns of a step above 2/L, as
+    ``hypergrad_unrolled_reverse`` does.
     """
     x, z = unrolled_forward_sensitivity(problem, x0, n_steps, step)
     grad = problem.A.grid.dots(z, _loss_grad(problem, loss, x))
@@ -185,6 +198,7 @@ def hypergrad_unrolled_forward(
     return HypergradResult(
         grad=grad,
         lower_iters=n_steps,
+        warning=_step_warning(problem, step),
         x_final=x,
     )
 

@@ -32,9 +32,11 @@ from .forward import ForwardModel
 from .potentials import Potential
 from .signals import (
     as_filter,
+    centred_rows,
     circ_conv,
     circ_conv_adjoint,
     filter_spectrum_max,
+    pair_index,
     shifted,
 )
 
@@ -172,6 +174,7 @@ class LowerProblem:
             self.A.grid.per_row(w)
             for w in np.exp(np.add.outer(self.theta.betas, b0))
         ]
+        self._plan = None  # see _stencil_plan
 
     def _rows(self, keep) -> "LowerProblem":
         """The problem of the stack's rows ``keep``, in that order."""
@@ -207,6 +210,31 @@ class LowerProblem:
     def linearize(self, x: np.ndarray) -> "Linearization":
         """Derivatives of ``grad_x Phi`` in x and theta at a fixed ``x``."""
         return Linearization(self, x)
+
+    def _stencil_plan(self):
+        """What the Hessian stencils of all linearizations of this problem
+        share: the half-widths h of the offset box -h..h, A'A on that box
+        shaped (offsets, 1, N or 1), and the tap-pair weights
+        w_k c_{k,s} c_{k,s-d} shaped (offsets, taps) with the filters side
+        by side along s (None without filters)."""
+        if self._plan is None:
+            rank = self.A.grid.rank
+            gram = self.A.gram_stencil()
+            filters = self.theta.filters
+            extents = [gram.shape[:rank]] + [[2 * n - 1 for n in c.shape] for c in filters]
+            half = tuple(max(e) // 2 for e in zip(*extents))
+            base = np.zeros(tuple(2 * h + 1 for h in half) + gram.shape[rank:])
+            base[tuple(slice(h - g // 2, h + g // 2 + 1) for h, g in zip(half, gram.shape))] = gram
+            pairs = [
+                (w * c.reshape(-1)) * np.append(c, 0.0)[pair_index(c.shape, half)]
+                for w, c in zip(self.theta.weights(), filters)
+            ]
+            self._plan = (
+                half,
+                base.reshape(-1, 1, int(np.prod(gram.shape[rank:]))),
+                np.concatenate(pairs, axis=1) if pairs else None,
+            )
+        return self._plan
 
     def lipschitz_grad(self) -> float | np.ndarray:
         """L = sigma1^2(A) + e^{b0} L_phi' sum_k e^{bk} sigma1^2(C_k).
@@ -268,6 +296,18 @@ class Linearization:
     reach the linearization.  ``x`` may be a stack ``(S, *grid)`` of one
     iterate per row of a stacked problem: every product then acts on each
     row, bit for bit as that row's own linearization would.
+
+    The first ``hess_vec`` is the matrix-free formula.  The second assembles
+    the Hessian as a position-dependent stencil over centred offsets d,
+
+        (hess(x) v)_i = sum_d M[d, i] v_{i+d},
+        M[d, i] = G_A[d, i] + sum_k w_k sum_{s - t = d} c_{k,s} c_{k,t} phi''.(z_k)_{i+s},
+
+    with G_A the stencil of A'A, and it and every later product apply M: one
+    gather of v at all offsets, one multiply and one reduce in offset order.
+    Stencil products equal the matrix-free formula up to rounding (the sums
+    are grouped by offset, not by filter), and repeated ones give the same
+    bytes.  M takes offsets x size x 8 bytes.
     """
 
     def __init__(self, problem: LowerProblem, x: np.ndarray):
@@ -284,14 +324,45 @@ class Linearization:
             self._terms.append(
                 _FilterTerm(w, c, slope, curv, shifted(self.x, c.shape, 1))
             )
+        self._products = 0  # hess_vec calls taken at this x
+        self._stencil = None  # (half-widths, M), from the second product
 
     def hess_vec(self, v: np.ndarray) -> np.ndarray:
-        """hess(x) v = A'(Av) + sum_k w_k c~_k * (phi''.(z_k) .* (c_k * v))."""
-        A = self.problem.A
-        h = A.adjoint(A.apply(v))
-        for t in self._terms:
-            h += t.weight * circ_conv_adjoint(t.curv * circ_conv(v, t.taps), t.taps)
-        return h
+        """hess(x) v = A'(Av) + sum_k w_k c~_k * (phi''.(z_k) .* (c_k * v)).
+
+        Matrix-free on the first call at this x, by the assembled stencil
+        from the second on (see the class docstring).
+        """
+        self._products += 1
+        if self._products == 1:
+            A = self.problem.A
+            h = A.adjoint(A.apply(v))
+            for t in self._terms:
+                h += t.weight * circ_conv_adjoint(t.curv * circ_conv(v, t.taps), t.taps)
+            return h
+        if self._stencil is None:
+            self._stencil = self._assemble()
+        half, m = self._stencil
+        terms = centred_rows(v, half)
+        terms *= m
+        return np.add.reduce(terms, axis=0).reshape(v.shape)
+
+    def _assemble(self):
+        """The half-widths of the offset box and M shaped (offsets, x.size)."""
+        half, base, pairs = self.problem._stencil_plan()
+        rows = len(self.x) if self._stacked else 1
+        if pairs is None:
+            m = np.broadcast_to(base, (len(base), rows, self.x.size // rows))
+            return half, m.reshape(len(base), -1)
+        # curv[s] = phi''.(z_k)_{i+s}, the filters side by side along s
+        curv = np.concatenate([
+            shifted(t.curv, t.taps.shape, -1).reshape(t.taps.size, rows, -1)
+            for t in self._terms
+        ])
+        # one matrix product per row, so a stack's rows equal their own
+        m = np.matmul(pairs, curv.transpose(1, 0, 2))
+        m += base.reshape(len(base), -1)
+        return half, m.transpose(1, 0, 2).reshape(len(base), -1)
 
     def jac_adjoint_apply(self, u: np.ndarray) -> np.ndarray:
         """(d(grad_x Phi)/d theta)' u as a flat theta-shaped vector.

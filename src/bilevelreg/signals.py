@@ -171,6 +171,56 @@ def shifted(x: np.ndarray, c_shape: tuple[int, ...], sign: int) -> np.ndarray:
     return rows.reshape((len(rows),) + x.shape)
 
 
+@functools.lru_cache(maxsize=32)
+def _centred_index(half: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
+    """Flat gather index of every centred offset, shaped (offsets, size) and
+    read-only.
+
+    Row k (offsets d in -half..half, row-major) holds the flat indices of
+    ``circshift(x, -d)``, i.e. of x_{i+d}, for an array of ``shape`` whose
+    trailing ``len(half)`` axes form the grid; leading axes do not shift.
+    """
+    flat = np.arange(int(np.prod(shape))).reshape(shape)
+    axes = tuple(range(len(shape) - len(half), len(shape)))
+    index = np.stack([
+        np.roll(flat, tuple(h - k for k, h in zip(d, half)), axis=axes).reshape(-1)
+        for d in np.ndindex(tuple(2 * h + 1 for h in half))
+    ])
+    index.flags.writeable = False
+    return index
+
+
+def centred_rows(x: np.ndarray, half: tuple[int, ...]) -> np.ndarray:
+    """x_{i+d} for every offset d of the box -half..half, as (offsets, x.size).
+
+    Offsets are in row-major order over the trailing ``len(half)`` axes of
+    ``x`` (the grid); a stack's leading axis does not shift.  So a stencil M
+    shaped (offsets, x.size) applies as (M v)_i = sum_d M[d, i] v_{i+d}.
+    """
+    return x.reshape(-1)[_centred_index(tuple(half), x.shape)]
+
+
+@functools.lru_cache(maxsize=32)
+def pair_index(c_shape: tuple[int, ...], half: tuple[int, ...]) -> np.ndarray:
+    """Which tap pairs each centred offset collects, shaped (offsets, taps).
+
+    Entry [d, s] (offsets as in ``centred_rows``, taps s row-major) is the
+    flat index of the tap t = s - d of a ``c_shape`` filter, or the tap
+    count where there is none.  With ``c0 = np.append(c, 0.0)``,
+    ``sum_s u_s c0[index[d, s]]`` sums c_t u_s over the pairs s - t = d:
+    for u = c, the stencil of C'C.  Read-only.
+    """
+    taps = np.arange(int(np.prod(c_shape))).reshape(c_shape)
+    index = np.full((int(np.prod([2 * h + 1 for h in half])), taps.size), taps.size)
+    for row, d in enumerate(np.ndindex(tuple(2 * h + 1 for h in half))):
+        for s in np.ndindex(c_shape):
+            t = tuple(a - (b - h) for a, b, h in zip(s, d, half))
+            if all(0 <= a < n for a, n in zip(t, c_shape)):
+                index[row, taps[s]] = taps[t]
+    index.flags.writeable = False
+    return index
+
+
 def circshift(x: np.ndarray, offset) -> np.ndarray:
     """Circular shift with ``circshift(x, s)_i = x_{i-s}``."""
     offset = np.atleast_1d(np.asarray(offset, dtype=int))

@@ -734,7 +734,7 @@ def adam_or_gd_upper(
                 else hypergrad_unrolled_forward
             )
             res = fn(problem, losses, start, unroll_steps, unroll_step)
-            return [HypergradResult(g, res.lower_iters, x_final=x)
+            return [HypergradResult(g, res.lower_iters, warning=res.warning, x_final=x)
                     for g, x in zip(res.grad, res.x_final)]
 
     m = np.zeros(theta0.theta_size())

@@ -41,6 +41,29 @@ class TestTrain:
         assert rows[0][:4] == ["iteration", "loss", "grad_norm", "lower_iters"]
         assert len(rows) == 11
 
+    @pytest.mark.parametrize("unroll_step,warned", [(0.05, None), (2.0, 3)])
+    def test_warning_summary_line(self, tmp_path, monkeypatch, capsys,
+                                  unroll_step, warned):
+        # L of the toy problem is about 17 at its theta_init (2/L ~ 0.11), so
+        # a step of 2.0 is above 2/L at every iteration and 0.05 at none
+        doc = json.loads((CONFIGS / "toy_train.json").read_text())
+        doc["engine"] = {"kind": "reverse", "unroll_steps": 3, "unroll_step": unroll_step}
+        doc["optimizer"]["max_upper"] = 3
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_in(tmp_path, monkeypatch, ["train", "--config", str(cfg)]) == 0
+        err = capsys.readouterr().err
+        with open(tmp_path / "trace.csv", newline="") as fh:
+            counts = [float(row["warnings"]) for row in csv.DictReader(fh)]
+        if warned is None:
+            assert err == "" and counts == [0.0] * 3
+        else:
+            assert counts == [2.0] * 3  # both samples, every iteration
+            assert err.splitlines() == [
+                f"warning: {warned} of 3 iterations raised a hypergradient "
+                "warning (the trace's warnings column counts them)"
+            ]
+
     def test_byte_determinism_excluding_wall_time(self, tmp_path, monkeypatch):
         outputs = []
         for name in ("a", "b"):

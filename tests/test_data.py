@@ -282,6 +282,36 @@ class TestConfig:
         with pytest.raises(ConfigError, match="requires engine.kind 'minimizer'"):
             load_config(path)
 
+    @pytest.mark.parametrize("value", [0, -3, 2.5, "5", True])
+    def test_unroll_steps_must_be_a_positive_integer(self, tmp_path, value):
+        path = self.write_config(
+            tmp_path, engine={"kind": "reverse", "unroll_steps": value, "unroll_step": 0.1},
+        )
+        with pytest.raises(ConfigError, match="'engine.unroll_steps' must be an integer >= 1"):
+            load_config(path)
+
+    @pytest.mark.parametrize("value", [0.0, -0.1, float("nan"), float("inf"), "0.1"])
+    def test_unroll_step_must_be_finite_and_positive(self, tmp_path, value):
+        path = self.write_config(
+            tmp_path, engine={"kind": "forward", "unroll_steps": 5, "unroll_step": value},
+        )
+        with pytest.raises(ConfigError, match="'engine.unroll_step' must be a finite number > 0"):
+            load_config(path)
+
+    @pytest.mark.parametrize("value", [-1, 0, float("nan"), float("inf"), None])
+    def test_cg_tol_must_be_finite_and_positive(self, tmp_path, value):
+        path = self.write_config(tmp_path, engine={"kind": "minimizer", "cg_tol": value})
+        with pytest.raises(ConfigError, match="'engine.cg_tol' must be a finite number > 0"):
+            load_config(path)
+
+    def test_engine_numbers_keep_their_values(self, tmp_path):
+        path = self.write_config(
+            tmp_path, engine={"kind": "reverse", "unroll_steps": 7.0, "unroll_step": 1},
+        )
+        engine = load_config(path).engine
+        assert engine == {"kind": "reverse", "unroll_steps": 7, "unroll_step": 1.0}
+        assert type(engine["unroll_steps"]) is int and type(engine["unroll_step"]) is float
+
     def test_seed_mandatory(self, tmp_path):
         doc = json.loads(self.write_config(tmp_path).read_text())
         del doc["seed"]

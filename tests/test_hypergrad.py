@@ -145,6 +145,16 @@ class TestUnrolledEngines:
             scale = max(float(np.linalg.norm(fwd.grad)), 1e-30)
             assert np.linalg.norm(rev.grad - fwd.grad) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("fn", [hypergrad_unrolled_reverse,
+                                    hypergrad_unrolled_forward])
+    def test_warns_on_a_step_above_two_over_l(self, fn):
+        problem, loss, _, _ = make_instance()
+        x0 = problem.A.adjoint(problem.y)
+        lip = problem.lipschitz_grad()
+        assert fn(problem, loss, x0, 3, 1.0 / lip).warning is None
+        warning = fn(problem, loss, x0, 3, 3.0 / lip).warning
+        assert warning is not None and "exceeds 2/L" in warning
+
     def test_forward_sensitivity_matches_fd(self):
         problem, _, _, rng = make_instance(dims=(8,), k=1, taps=(2,))
         x0 = problem.A.adjoint(problem.y)

@@ -361,15 +361,61 @@ def reference_jac_columns(problem, x):
     return cols
 
 
-def _forward_model(kind, grid, rng):
+def _forward_model(kind, grid, rng, taps=None):
     if kind == "identity":
         return Identity(grid)
     if kind == "mask":
         values = (rng.random(grid.dims) < 0.7).astype(float)
         values.reshape(-1)[0] = 1.0
         return Mask(grid, values)
-    taps = (3,) if grid.rank == 1 else (3, 2)
+    if taps is None:
+        taps = (3,) if grid.rank == 1 else (3, 2)
     return Circulant(grid, rng.random(taps))
+
+
+# A stencil product (the second and later products at one x) sums the same
+# terms as the matrix-free formula, grouped by offset instead of by filter.
+STENCIL_RTOL = 1e-13
+
+
+def assert_stencil_close(got, ref):
+    """Within STENCIL_RTOL x max|ref| of the matrix-free product, entrywise."""
+    scale = float(np.max(np.abs(ref)))
+    assert float(np.max(np.abs(got - ref))) <= STENCIL_RTOL * scale
+
+
+def stencil_case(model, rank, filters, stacked, seed=3):
+    """A linearization at a random x, and the matrix-free product as a
+    function of v (the first product of a fresh linearization at that x).
+
+    ``filters``: "equal" shapes, "mixed" shapes, "narrow" filters under a
+    wider blur (A's taps wider than the filters), or "none".
+    """
+    rng = np.random.default_rng(seed)
+    dims = (16,) if rank == 1 else (6, 5)
+    shapes = {
+        "equal": [(2,), (2,)] if rank == 1 else [(2, 2), (2, 2)],
+        "mixed": [(2,), (3,)] if rank == 1 else [(2, 2), (1, 3)],
+        "narrow": [(2,)] if rank == 1 else [(1, 2)],
+        "none": [],
+    }[filters]
+    a_taps = None if filters != "narrow" else ((5,) if rank == 1 else (3, 4))
+    grid = Grid(dims)
+    hp = HyperParams(
+        beta0=-0.4,
+        betas=rng.standard_normal(len(shapes)) * 0.3,
+        filters=[rng.standard_normal(t) for t in shapes],
+        potential=CornerRounded1Norm(0.1),
+    )
+    shape = ((3,) if stacked else ()) + dims
+    problem = LowerProblem(_forward_model(model, grid, rng, a_taps),
+                           rng.standard_normal(shape), hp)
+    x = rng.standard_normal(shape)
+
+    def matrix_free(v):
+        return problem.linearize(x).hess_vec(v)
+
+    return problem.linearize(x), matrix_free, rng
 
 
 class TestLinearization:
@@ -402,15 +448,65 @@ class TestLinearization:
         lin = problem.linearize(x)
         x[...] = 0.0  # the linearization keeps its own copy of x
         x = lin.x
-        for _ in range(2):  # products do not disturb the cached state
-            np.testing.assert_array_equal(lin.hess_vec(v),
-                                          reference_hess_vec(problem, x, v))
+        for k in range(2):  # products do not disturb the cached state
+            # the first product is the matrix-free formula, bit for bit; the
+            # second applies the assembled stencil, whose sums are grouped by
+            # offset, so it matches to rounding (test_stencil_* pin its bytes)
+            ref = reference_hess_vec(problem, x, v)
+            if k == 0:
+                np.testing.assert_array_equal(lin.hess_vec(v), ref)
+            else:
+                assert_stencil_close(lin.hess_vec(v), ref)
             np.testing.assert_array_equal(
                 lin.jac_adjoint_apply(v), reference_jac_adjoint_apply(problem, x, v))
             np.testing.assert_array_equal(lin.jac_apply(d),
                                           reference_jac_apply(problem, x, d))
             np.testing.assert_array_equal(lin.jac_columns(),
                                           reference_jac_columns(problem, x))
+
+
+STENCIL_CASES = [
+    (model, rank, filters)
+    for model in ("identity", "mask", "circulant")
+    for rank in (1, 2)
+    for filters in ("equal", "mixed", "narrow", "none")
+]
+
+
+class TestStencil:
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("model,rank,filters", STENCIL_CASES)
+    def test_matches_matrix_free(self, model, rank, filters, stacked):
+        lin, matrix_free, rng = stencil_case(model, rank, filters, stacked)
+        for _ in range(4):  # the first product is matrix-free, then stencils
+            v = rng.standard_normal(lin.x.shape)
+            assert_stencil_close(lin.hess_vec(v), matrix_free(v))
+
+    @pytest.mark.parametrize("model,rank,filters", STENCIL_CASES)
+    def test_repeated_and_stacked_products_bitwise(self, model, rank, filters):
+        lin, _, rng = stencil_case(model, rank, filters, stacked=True)
+        v = rng.standard_normal(lin.x.shape)
+        lin.hess_vec(v)  # matrix-free; the stencil serves the rest
+        stack = lin.hess_vec(v)
+        np.testing.assert_array_equal(lin.hess_vec(v), stack)
+        problem = lin.problem
+        for j in range(len(v)):
+            own = LowerProblem(problem.A, problem.y[j], problem.theta).linearize(lin.x[j])
+            own.hess_vec(v[j])
+            np.testing.assert_array_equal(own.hess_vec(v[j]), stack[j])
+
+    def test_dense_hessian_is_symmetric_and_matches_matrix_free(self):
+        # STABLE's dense Hessian takes N products at one x: stencils after
+        # the first
+        from bilevelreg.upper import _dense_hessian
+
+        lin, matrix_free, _ = stencil_case("circulant", 2, "mixed", stacked=False)
+        h = _dense_hessian(lin)
+        eye = np.eye(lin.x.size)
+        cols = np.stack([matrix_free(e.reshape(lin.x.shape)).reshape(-1) for e in eye],
+                        axis=1)
+        assert_stencil_close(h, cols)
+        assert_stencil_close(h, h.T)
 
 
 class TestLipschitz:

@@ -26,6 +26,7 @@ from bilevelreg.lower import (
     LowerProblem,
     pack_theta,
     theta_mask,
+    unpack_theta,
 )
 from bilevelreg.potentials import CornerRounded1Norm, Quadratic
 from bilevelreg.signals import Grid
@@ -736,12 +737,31 @@ class TestTraceExtras:
                    for r in trace.records)
 
     def test_unrolled_engine_records_no_warning_and_no_residual(self):
+        # the only warning an unrolled engine raises is a step above 2/L,
+        # once per sample; these drivers' step 0.3 is above it (L ~ 10.9)
         hp = _two_filter_theta()
-        _, trace = UPPER_DRIVERS["gd-reverse"](
-            hp, filter_train_set(n_samples=2, n=16), MSELoss(), None)
+        train = filter_train_set(n_samples=2, n=16)
+        _, trace = UPPER_DRIVERS["gd-reverse"](hp, train, MSELoss(), None)
+        theta = hp
         for r in trace.records:
-            assert r.extra["warnings"] == 0.0
+            lip = LowerProblem(train.A, train.y[0], theta).lipschitz_grad()
+            assert r.extra["warnings"] == (2.0 if 0.3 * lip > 2.0 else 0.0)
             assert "cg_residual" not in r.extra
+            theta = unpack_theta(theta, r.theta)
+        assert trace.records[0].extra["warnings"] == 2.0
+
+    @pytest.mark.parametrize("engine", ["reverse", "forward"])
+    def test_unrolled_step_above_two_over_l_is_counted(self, engine):
+        hp = _two_filter_theta()
+        train = filter_train_set(n_samples=2, n=16)
+        lip = LowerProblem(train.A, train.y[0], hp).lipschitz_grad()
+        warned = {}
+        for factor in (1.0, 3.0):
+            _, trace = adam_or_gd_upper(
+                hp, None, train, MSELoss(), engine=engine, optimizer="gd",
+                max_upper=1, unroll_steps=3, unroll_step=factor / lip)
+            warned[factor] = trace.records[0].extra["warnings"]
+        assert warned == {1.0: 0.0, 3.0: 2.0}  # one per sample
 
     def test_ttsa_records_cg_residual(self):
         hp = _two_filter_theta()
