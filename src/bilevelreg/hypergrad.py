@@ -115,21 +115,25 @@ def hypergrad_unrolled_reverse(
 ) -> HypergradResult:
     """Backpropagation through ``n_steps`` gradient-descent updates.
 
-    Stores the full trajectory (memory O(T N)) and sweeps it backwards with
-    one Hessian-vector and one Jacobian-adjoint product per step, both from
-    one linearization at that step's iterate.  A stacked ``x0`` runs every
-    row at once, ``loss`` holding one loss per row; each row's gradient
-    equals its own run's bit for bit.  ``warning`` is set when ``step``
-    exceeds 2/L.
+    Stores the full trajectory (memory O(T N)) and linearizes its first T
+    iterates at once, as one ``(T S, *grid)`` stack (about T S N (taps + 4)
+    floats).  The backward sweep takes one Hessian-vector and one
+    Jacobian-adjoint product per step from that linearization's view of the
+    step's iterate.  A stacked ``x0`` runs every row at once, ``loss``
+    holding one loss per row; each row's gradient equals its own run's bit
+    for bit.  ``warning`` is set when ``step`` exceeds 2/L.
     """
     cfg = GDConfig(step=step, max_iters=n_steps, grad_tol=0.0, record_trajectory=True)
     run = gd_minimize(problem, x0, cfg)
-    trajectory = run.trajectory
-    lead = run.x.shape[: run.x.ndim - problem.A.grid.rank]
+    grid = problem.A.grid
+    lead = run.x.shape[: run.x.ndim - grid.rank]
     grad = np.zeros(lead + (problem.theta.theta_size(),))
     delta = _loss_grad(problem, loss, run.x)
+    if n_steps:
+        path = problem.linearize(np.reshape(run.trajectory[:n_steps], (-1,) + grid.dims))
     for t in range(n_steps, 0, -1):
-        lin = problem.linearize(trajectory[t - 1])
+        # iterate t - 1 is row t - 1 of the path, or rows (t-1)S .. tS-1 of it
+        lin = path._rows(slice((t - 1) * lead[0], t * lead[0]) if lead else t - 1)
         grad -= step * lin.jac_adjoint_apply(delta)
         delta = delta - step * lin.hess_vec(delta)
     return HypergradResult(

@@ -285,6 +285,23 @@ class _FilterTerm:
     slope: np.ndarray  # phi'.(c_k * x)
     curv: np.ndarray  # phi''.(c_k * x)
     x_shifts: np.ndarray  # circshift(x, s) for every tap s of c_k
+    adj_slope: np.ndarray | None = None  # c~_k * phi'.(c_k * x), see slope_term
+
+    def slope_term(self) -> np.ndarray:
+        """c~_k * phi'.(z_k), the part of the mixed Jacobian free of u and of
+        the direction, built on first use and kept."""
+        if self.adj_slope is None:
+            self.adj_slope = circ_conv_adjoint(self.slope, self.taps)
+        return self.adj_slope
+
+    def rows(self, keep, stacked: bool) -> "_FilterTerm":
+        """This term of a stacked x at rows ``keep``, as views of its arrays;
+        ``stacked`` False drops the taps' stack axis for one signal.  Builds
+        c~_k * phi' once for every row of the stack first."""
+        return _FilterTerm(
+            self.weight, self.taps if stacked else self.taps[0], self.slope[keep],
+            self.curv[keep], self.x_shifts[:, keep], self.slope_term()[keep],
+        )
 
 
 class Linearization:
@@ -308,24 +325,43 @@ class Linearization:
     Stencil products equal the matrix-free formula up to rounding (the sums
     are grouped by offset, not by filter), and repeated ones give the same
     bytes.  M takes offsets x size x 8 bytes.
+
+    The Jacobian products share c~_k * phi'.(z_k), built at the first of
+    them.  A linearization at a stack of iterates serves each iterate through
+    a row view (``_rows``), which slices its arrays: the unrolled reverse
+    engine linearizes its whole trajectory at once this way.
     """
 
-    def __init__(self, problem: LowerProblem, x: np.ndarray):
+    def __init__(self, problem: LowerProblem, x: np.ndarray, _terms=None):
         problem._shared_beta0("a linearization")
         self.problem = problem
-        self.x = np.array(x, dtype=np.float64)
         self._grid = problem.A.grid
+        # a row view (``_rows``) passes views of its parent's x and terms
+        self.x = np.array(x, dtype=np.float64) if _terms is None else x
         self._stacked = self._grid.is_stack(self.x)
-        pot = problem.theta.potential
-        self._terms = []
-        for w, c in zip(problem.theta.weights(), problem.theta.filters):
-            c = self._grid.lift(self.x, c)
-            _, slope, curv = pot.derivatives(circ_conv(self.x, c))
-            self._terms.append(
-                _FilterTerm(w, c, slope, curv, shifted(self.x, c.shape, 1))
-            )
+        self._terms = self._filter_terms() if _terms is None else _terms
         self._products = 0  # hess_vec calls taken at this x
         self._stencil = None  # (half-widths, M), from the second product
+
+    def _filter_terms(self) -> list[_FilterTerm]:
+        pot = self.problem.theta.potential
+        terms = []
+        for w, c in zip(self.problem.theta.weights(), self.problem.theta.filters):
+            c = self._grid.lift(self.x, c)
+            _, slope, curv = pot.derivatives(circ_conv(self.x, c))
+            terms.append(_FilterTerm(w, c, slope, curv, shifted(self.x, c.shape, 1)))
+        return terms
+
+    def _rows(self, keep) -> "Linearization":
+        """The linearization at rows ``keep`` of this stacked x: one signal
+        for an index, a stack for a slice.  It views this one's arrays and
+        recomputes nothing, so its products equal those of a linearization
+        built at ``x[keep]`` bit for bit."""
+        x = self.x[keep]
+        stacked = self._grid.is_stack(x)
+        return Linearization(
+            self.problem, x, [t.rows(keep, stacked) for t in self._terms]
+        )
 
     def hess_vec(self, v: np.ndarray) -> np.ndarray:
         """hess(x) v = A'(Av) + sum_k w_k c~_k * (phi''.(z_k) .* (c_k * v)).
@@ -374,7 +410,7 @@ class Linearization:
         betas, taps = [], []
         for t in self._terms:
             curv_cu = t.curv * circ_conv(u, t.taps)
-            betas.append(t.weight * dots(circ_conv_adjoint(t.slope, t.taps), u))
+            betas.append(t.weight * dots(t.slope_term(), u))
             # <circshift(slope,-s), u> = <slope, circshift(u,s)>;
             # <c~*(curv.*circshift(x,s)), u> = <circshift(x,s), curv.*(c*u)>
             taps.append(t.weight * (
@@ -397,7 +433,7 @@ class Linearization:
         for t, db, dc in zip(self._terms, dbetas, dtaps):
             dbk = db + db0  # w_k = e^{b0 + b_k}
             if dbk != 0.0:
-                out += dbk * t.weight * circ_conv_adjoint(t.slope, t.taps)
+                out += dbk * t.weight * t.slope_term()
             dc = dc.reshape(t.taps.shape)
             if np.any(dc != 0.0):
                 # sum_s dc_s circshift(slope,-s) = dc~ * slope, and the
@@ -418,7 +454,7 @@ class Linearization:
         cols = np.zeros((hp.theta_size(),) + self.x.shape)
         b0_col, beta_cols, tap_cols = _split(hp, cols)
         for t, beta_col, run in zip(self._terms, beta_cols, tap_cols):
-            beta_col[:] = t.weight * circ_conv_adjoint(t.slope, t.taps)
+            beta_col[:] = t.weight * t.slope_term()
             for col, slope_s, x_s in zip(
                 run, shifted(t.slope, t.taps.shape, -1), t.x_shifts
             ):

@@ -119,8 +119,12 @@ def _shift_index(c_shape: tuple[int, ...], grid: tuple[int, ...], sign: int) -> 
     Row s (taps in row-major order) holds the flat indices of
     ``circshift(x, sign * s)``, so ``x.reshape(-1)[index]`` stacks all the
     shifts a filter of shape ``c_shape`` reads.  Only shapes are keys, so the
-    few grids and filter shapes of a run share a handful of entries.
+    few grids and filter shapes of a run share a handful of entries.  A
+    filter that does not fit the grid raises DimensionError; ``lru_cache``
+    keeps no exception, so each good shape pair is checked once and every
+    call with a bad one raises.
     """
+    _check_filter_fits(grid, c_shape)
     flat = np.arange(int(np.prod(grid))).reshape(grid)
     axes = tuple(range(len(grid)))
     index = np.stack([
@@ -133,7 +137,6 @@ def _shift_index(c_shape: tuple[int, ...], grid: tuple[int, ...], sign: int) -> 
 
 def _tap_rows(x: np.ndarray, c_shape: tuple[int, ...], sign: int) -> np.ndarray:
     """circshift(x, sign * s) for every tap s of a ``c_shape`` filter, as (taps, N)."""
-    _check_filter_fits(x.shape, c_shape)
     return x.reshape(-1)[_shift_index(c_shape, x.shape, sign)]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bilevelreg.forward import Identity
+from bilevelreg.forward import Circulant, Identity, Mask
 from bilevelreg.hypergrad import (
     grad_compare,
     hypergrad_minimizer,
@@ -195,6 +195,72 @@ class TestUnrolledEngines:
         exact = hypergrad_minimizer(problem, loss, ref.x, cg_tol=1e-13)
         rel = np.linalg.norm(unrolled.grad - exact.grad) / np.linalg.norm(exact.grad)
         assert rel <= 1e-6
+
+
+def reference_unrolled_reverse(problem, loss, x0, n_steps, step):
+    """The reverse sweep with one linearization per step, built at that
+    step's iterate; the engine's one linearization of the whole trajectory
+    must give the same bits.  Returns (grad, x_T)."""
+    cfg = GDConfig(step=step, max_iters=n_steps, grad_tol=0.0, record_trajectory=True)
+    run = gd_minimize(problem, x0, cfg)
+    stacked = problem.A.grid.is_stack(run.x)
+    lead = run.x.shape[:1] if stacked else ()
+    grad = np.zeros(lead + (problem.theta.theta_size(),))
+    if stacked:
+        delta = np.stack([f.grad_x(row) for f, row in zip(loss, run.x)])
+    else:
+        delta = loss.grad_x(run.x)
+    for t in range(n_steps, 0, -1):
+        lin = problem.linearize(run.trajectory[t - 1])
+        grad -= step * lin.jac_adjoint_apply(delta)
+        delta = delta - step * lin.hess_vec(delta)
+    return grad, run.x
+
+
+def _pin_model(kind, grid, rng):
+    if kind == "identity":
+        return Identity(grid)
+    if kind == "mask":
+        return Mask(grid, (rng.random(grid.dims) < 0.7).astype(float))
+    return Circulant(grid, rng.random((3,) if grid.rank == 1 else (2, 3)))
+
+
+class TestReverseSweepPin:
+    """The stacked-trajectory sweep against ``reference_unrolled_reverse``,
+    bit for bit, over forward models, ranks, learnable b0, stacking and T."""
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 7])
+    @pytest.mark.parametrize("rows", [None, 2])
+    @pytest.mark.parametrize("learn_beta0", [False, True])
+    @pytest.mark.parametrize("dims", [(12,), (5, 4)])
+    @pytest.mark.parametrize("kind", ["identity", "mask", "circulant"])
+    def test_equals_a_linearization_per_step(self, kind, dims, learn_beta0,
+                                             rows, n_steps):
+        rng = np.random.default_rng(7)
+        grid = Grid(dims)
+        shapes = [(2,), (3,)] if grid.rank == 1 else [(2, 2), (1, 3)]
+        hp = HyperParams(-1.0, rng.standard_normal(2) * 0.3,
+                         [rng.standard_normal(t) for t in shapes],
+                         CornerRounded1Norm(0.1), learn_beta0=learn_beta0)
+        A = _pin_model(kind, grid, rng)
+        shape = ((rows,) if rows else ()) + dims
+        x_true = rng.standard_normal(shape)
+        y = A.apply(x_true) + 0.1 * rng.standard_normal(shape)
+        problem = LowerProblem(A, y, hp)
+        if rows:
+            loss = [bind_loss(MSELoss(), yj, A, xj) for yj, xj in zip(y, x_true)]
+        else:
+            loss = bind_loss(MSELoss(), y, A, x_true)
+        x0 = A.adjoint(y)
+        step = 1.0 / problem.lipschitz_grad()
+        res = hypergrad_unrolled_reverse(problem, loss, x0, n_steps, step)
+        grad, x_final = reference_unrolled_reverse(problem, loss, x0, n_steps, step)
+        assert res.grad.shape == grad.shape
+        np.testing.assert_array_equal(res.grad, grad)
+        np.testing.assert_array_equal(res.x_final, x_final)
+        assert res.lower_iters == n_steps
+        if n_steps:
+            assert np.any(grad != 0.0)
 
 
 class TestAngleSweep:

@@ -509,6 +509,46 @@ class TestStencil:
         assert_stencil_close(h, h.T)
 
 
+class TestRowView:
+    """``Linearization._rows``: the linearization at some rows of a stacked
+    x, sliced from the stack's arrays (the reverse engine's per-step view)."""
+
+    @pytest.mark.parametrize("model,rank,filters", STENCIL_CASES)
+    def test_products_equal_own_linearization_bitwise(self, model, rank, filters):
+        lin, _, rng = stencil_case(model, rank, filters, stacked=True)
+        problem = lin.problem
+        d = rng.standard_normal(problem.theta.theta_size())
+        for keep in (1, slice(1, 3)):
+            view = lin._rows(keep)
+            own = LowerProblem(problem.A, problem.y[keep], problem.theta).linearize(
+                lin.x[keep])
+            np.testing.assert_array_equal(view.x, own.x)
+            for _ in range(3):  # matrix-free, then stencil products
+                v = rng.standard_normal(own.x.shape)
+                np.testing.assert_array_equal(view.hess_vec(v), own.hess_vec(v))
+                np.testing.assert_array_equal(view.jac_adjoint_apply(v),
+                                              own.jac_adjoint_apply(v))
+            np.testing.assert_array_equal(view.jac_apply(d), own.jac_apply(d))
+            np.testing.assert_array_equal(view.jac_columns(), own.jac_columns())
+
+    def test_views_share_the_stack_slope_term(self, monkeypatch):
+        """c~_k * phi' is one convolution per filter for the whole stack, and
+        each view's Jacobian product convolves only its own u."""
+        lin, _, rng = stencil_case("identity", 1, "mixed", stacked=True)
+        calls = {"circ_conv": 0, "circ_conv_adjoint": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(lower, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(lower, name, counted)
+        views = [lin._rows(j) for j in range(len(lin.x))]
+        assert calls == {"circ_conv": 0, "circ_conv_adjoint": 2}
+        for view in views:
+            for _ in range(2):
+                view.jac_adjoint_apply(rng.standard_normal(view.x.shape))
+        assert calls == {"circ_conv": 2 * 2 * len(views), "circ_conv_adjoint": 2}
+
+
 class TestLipschitz:
     def test_closed_form_difference_filter(self):
         grid = Grid((4,))

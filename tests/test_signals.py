@@ -295,6 +295,24 @@ def test_shift_index_is_read_only():
             index[0, 0] = 1
 
 
+@pytest.mark.parametrize("dims, taps, message", [
+    ((3,), (4,), "filter extents (4,) exceed grid extents (3,)"),
+    ((3, 3), (2,), "filter rank 1 does not match grid rank 2"),
+    ((2, 4), (1, 3, 1), "filter rank 3 does not match grid rank 2"),
+])
+def test_bad_filter_raises_the_same_message_on_every_call(dims, taps, message):
+    """The fit is checked inside the cached shift index, and a cache keeps
+    no exception: every call with a bad shape pair raises, not the first only."""
+    x = np.zeros(dims)
+    for _ in range(2):
+        for call in (lambda: circ_conv(x, np.ones(taps)),
+                     lambda: circ_conv_adjoint(x, np.ones(taps)),
+                     lambda: shifted(x, taps, 1)):
+            with pytest.raises(DimensionError) as err:
+                call()
+            assert str(err.value) == message
+
+
 class TestShifted:
     @pytest.mark.parametrize("dims,taps", [((6,), (3,)), ((4, 5), (2, 3))])
     @pytest.mark.parametrize("sign", [1, -1])
