@@ -18,8 +18,10 @@ class GDConfig:
 
     ``step`` is either an explicit positive number or "one-over-L" to use the
     reciprocal of the analytic Lipschitz constant.  ``grad_tol`` of 0 disables
-    the gradient-norm stop.  ``warm_start`` is consumed by the upper-level
-    drivers (reuse of the previous sample solution as the initializer).
+    the gradient-norm stop.  "one-over-L" with ``grad_tol > 0`` solves with
+    restarted Nesterov steps (see ``gd_minimize``); every other setting takes
+    plain GD steps.  ``warm_start`` is consumed by the upper-level drivers
+    (reuse of the previous sample solution as the initializer).
     """
 
     step: float | str = "one-over-L"
@@ -58,7 +60,20 @@ class GDResult:
 
 
 def gd_minimize(problem: LowerProblem, x0: np.ndarray, cfg: GDConfig) -> GDResult:
-    """Plain gradient descent, stopping at grad_tol or max_iters.
+    """Gradient descent, stopping at grad_tol or max_iters.
+
+    With step "one-over-L" and ``grad_tol > 0`` only the point reached
+    matters, so the loop takes restarted Nesterov steps (O'Donoghue and
+    Candes, arXiv 1204.3982): from the gradient point y, ``x+ = y - s g(y)``,
+    ``t+ = (1 + sqrt(1 + 4 t^2)) / 2`` and ``y+ = x+ + ((t - 1) / t+)(x+ - x)``,
+    restarting a row (``t = 1``, ``y+ = x+``) when ``<g(y), x+ - x> > 0``.
+    Every other solve takes plain steps ``x -= s g(x)``: a fixed budget
+    (``grad_tol == 0``), whose steps the unrolled engines differentiate and
+    BA's inner budget counts, and an explicit step, for which momentum can
+    diverge at a step in (1/L, 2/L) that plain GD survives.  Either way the
+    loop takes one gradient per iteration plus the final one, stops at a
+    gradient point and returns it; ``trajectory`` records the gradient
+    points.
 
     An ``x0`` stacked on the problem's grid, ``(S, *grid)``, is solved for
     all its rows in one loop; with "one-over-L" each row steps by its own
@@ -82,6 +97,9 @@ def gd_minimize(problem: LowerProblem, x0: np.ndarray, cfg: GDConfig) -> GDResul
     # the live rows, and the index in ``out`` of each; ``x`` is ``out``
     # itself until the first row stops
     x, idx = out, np.arange(rows)
+    momentum = cfg.step == "one-over-L" and cfg.grad_tol > 0
+    if momentum:  # each row's last plain step x and its t
+        x_prev, t = out.copy(), np.ones(rows)
     final = [0.0] * rows
     row_iters = [0] * rows
     diverged = []  # (row, iteration) of each row with a non-finite gradient
@@ -107,10 +125,23 @@ def gd_minimize(problem: LowerProblem, x0: np.ndarray, cfg: GDConfig) -> GDResul
             if not keep or (diverged and idx[keep[0]] > min(diverged)[0]):
                 break
             x, grad, idx = x[keep], grad[keep], idx[keep]
+            if momentum:
+                x_prev, t = x_prev[keep], t[keep]
             if np.ndim(step):
                 step = step[keep]
             problem = problem._rows(keep)
-        x -= step * grad
+        if momentum:
+            x_next = x - step * grad
+            dx = x_next - x_prev
+            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            restart = np.vecdot(grad.reshape(len(idx), -1),
+                                dx.reshape(len(idx), -1)) > 0.0
+            beta = np.where(restart, 0.0, (t - 1.0) / t_next)
+            t = np.where(restart, 1.0, t_next)
+            x[...] = x_next + beta.reshape((-1,) + (1,) * (x.ndim - 1)) * dx
+            x_prev = x_next
+        else:
+            x -= step * grad
         iters += 1
         if trajectory is not None:
             if x is not out:

@@ -124,6 +124,35 @@ class TestMinimizerEngine:
         assert f"{capped.cg_residual:.3e}" in capped.warning
 
 
+class TestMinimizerAtAcceleratedSolves:
+    """Lower solves at "one-over-L" to a tolerance take restarted Nesterov
+    steps; the minimizer engine at such a solve still matches end-to-end
+    finite differences through solves of the same kind."""
+
+    @pytest.mark.parametrize("dims", [(12,), (5, 4)])
+    @pytest.mark.parametrize("kind", ["identity", "mask", "circulant"])
+    def test_matches_end_to_end_finite_differences(self, kind, dims):
+        rng = np.random.default_rng(11)
+        grid = Grid(dims)
+        shapes = [(2,), (3,)] if grid.rank == 1 else [(2, 2), (1, 3)]
+        hp = HyperParams(-1.0, rng.standard_normal(2) * 0.3,
+                         [rng.standard_normal(t) for t in shapes],
+                         CornerRounded1Norm(0.1), learn_beta0=True)
+        A = _pin_model(kind, grid, rng)
+        x_true = rng.standard_normal(dims)
+        y = A.apply(x_true) + 0.1 * rng.standard_normal(dims)
+        problem = LowerProblem(A, y, hp)
+        loss = bind_loss(MSELoss(), y, A, x_true)
+        x0 = A.adjoint(y)
+        solved = gd_minimize(problem, x0, GDConfig(max_iters=500_000,
+                                                   grad_tol=1e-11))
+        assert solved.final_grad_norm <= 1e-11
+        engine = hypergrad_minimizer(problem, loss, solved.x, cg_tol=1e-12)
+        fd = fd_pipeline_gradient(problem, loss, x0)
+        scale = float(np.max(np.abs(fd)))
+        np.testing.assert_allclose(engine.grad, fd, atol=1e-5 * scale)
+
+
 class TestUnrolledEngines:
     def test_zero_steps_gives_zero_gradient(self):
         problem, loss, _, _ = make_instance()

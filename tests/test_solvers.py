@@ -1,12 +1,18 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from bilevelreg.data import build_theta, build_train_set, load_config
 from bilevelreg.errors import DivergenceError, SpdViolationError
-from bilevelreg.forward import Identity
+from bilevelreg.forward import Circulant, Identity, Mask
 from bilevelreg.lower import HyperParams, LowerProblem
 from bilevelreg.potentials import CornerRounded1Norm, Quadratic
 from bilevelreg.signals import Grid
 from bilevelreg.solvers import CGResult, GDConfig, cg_solve, gd_minimize
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def quadratic_problem(dims=(8,), k=1, lam=1.0, seed=0):
@@ -200,3 +206,152 @@ class TestCG:
         np.testing.assert_allclose(
             np.linalg.norm(mat @ res.x - b), res.residual_norm, rtol=1e-6
         )
+
+
+class PoisonedRows:
+    """grad_x = D x on each row, L = 2, with the gradient of row r made
+    infinite at iteration ``bad[r]`` of the solve; a stack has ``rows``, one
+    signal is row 0."""
+
+    A = Identity(Grid((4,)))
+    D = np.array([2.0, 1.0, 0.5, 0.1])
+
+    def __init__(self, bad, rows=None, calls=None):
+        self.bad, self.rows = bad, rows
+        self.calls = [0] if calls is None else calls
+
+    def lipschitz_grad(self):
+        return 2.0
+
+    def _rows(self, keep):
+        return PoisonedRows(self.bad, [self.rows[p] for p in keep], self.calls)
+
+    def grad_x(self, x):
+        iteration = self.calls[0]
+        self.calls[0] += 1
+        grad = self.D * x
+        for p, r in enumerate([0] if self.rows is None else self.rows):
+            if self.bad.get(r) == iteration:
+                grad.reshape(-1, 4)[p] = np.inf
+        return grad
+
+
+def dense_hessian(problem, x):
+    lin = problem.linearize(x)
+    eye = np.eye(problem.A.grid.n).reshape((-1,) + problem.A.grid.dims)
+    return np.array([lin.hess_vec(e).ravel() for e in eye])
+
+
+ACCELERATED = GDConfig(step="one-over-L", max_iters=100_000, grad_tol=1e-8)
+
+
+class TestAccelerated:
+    """"one-over-L" with grad_tol > 0 takes restarted Nesterov steps."""
+
+    def test_is_a_bare_restarted_nesterov_loop(self):
+        """Gradient points, count and result, bit for bit, of the rule
+        written out on one signal; the run restarts and builds momentum
+        again after a restart."""
+        problem, rng = quadratic_problem(dims=(32,), k=2, lam=30.0, seed=2)
+        x0 = rng.standard_normal(32)
+        step = 1.0 / problem.lipschitz_grad()
+        x, y, t = x0.copy(), x0.copy(), 1.0
+        path, restarts, momentum_after_restart = [x0.copy()], 0, False
+        while True:
+            grad = problem.grad_x(y)
+            if np.linalg.norm(grad) <= ACCELERATED.grad_tol:
+                break
+            x_next = y - step * grad
+            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            if np.vdot(grad, x_next - x) > 0.0:
+                t, y = 1.0, x_next.copy()
+                restarts += 1
+            else:
+                momentum_after_restart |= restarts > 0 and t > 1.0
+                y = x_next + ((t - 1.0) / t_next) * (x_next - x)
+                t = t_next
+            x = x_next
+            path.append(y.copy())
+        assert restarts > 0 and momentum_after_restart
+        cfg = replace(ACCELERATED, record_trajectory=True)
+        res = gd_minimize(problem, x0, cfg)
+        assert res.iters_run == len(path) - 1
+        np.testing.assert_array_equal(np.array(res.trajectory), np.array(path))
+        np.testing.assert_array_equal(res.x, path[-1])
+
+    def test_counts_iters_plus_one_gradients(self):
+        for max_iters in (100_000, 7):
+            problem = PoisonedRows({})
+            res = gd_minimize(problem, np.ones(4),
+                              GDConfig(max_iters=max_iters, grad_tol=1e-8))
+            assert 7 <= res.iters_run <= max_iters
+            assert problem.calls == [res.iters_run + 1]
+
+    def test_returns_the_point_of_its_last_gradient(self):
+        problem, rng = quadratic_problem(dims=(16,), lam=3.0)
+        res = gd_minimize(problem, rng.standard_normal(16), ACCELERATED)
+        norm = np.linalg.norm(problem.grad_x(res.x))
+        assert norm == res.final_grad_norm <= ACCELERATED.grad_tol
+
+    def test_non_finite_gradient_names_the_row_and_its_iteration(self):
+        """Row 0 stops at once, row 2 diverges at iteration 4 and row 1 at
+        9; the lowest diverged row raises, with its own solve's iteration."""
+        x0 = np.array([0.0, 1.0, 100.0])[:, None] * np.ones(4)
+        bad = {1: 9, 2: 4}
+        for r in (1, 2):
+            with pytest.raises(DivergenceError) as err:
+                gd_minimize(PoisonedRows({0: bad[r]}), x0[r], ACCELERATED)
+            assert (err.value.row, err.value.iteration) == (None, bad[r])
+        problem = PoisonedRows(bad, rows=[0, 1, 2])
+        with pytest.raises(DivergenceError) as err:
+            gd_minimize(problem, x0, ACCELERATED)
+        assert (err.value.row, err.value.iteration) == (1, 9)
+        assert problem.calls == [10]
+
+    @pytest.mark.parametrize("kind", ["mask-1d", "circulant-2d"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_meets_the_tolerance_near_plain_gd(self, kind, seed):
+        """A Mask observes two entries in three, so only the regularizer
+        makes the problem strongly convex.  Both solves end within
+        grad_tol / mu of the minimizer, mu the least Hessian eigenvalue."""
+        rng = np.random.default_rng(seed)
+        if kind == "mask-1d":
+            grid = Grid((24,))
+            mask = np.ones(grid.n)
+            mask[::3] = 0.0
+            A = Mask(grid, mask)
+            filters = [np.array([0.7, -0.7]), np.array([0.5, 0.1, -0.6])]
+        else:
+            grid = Grid((8, 8))
+            A = Circulant(grid, [[0.0, 0.1], [0.1, 0.8]])
+            filters = [np.array([[1.0, -1.0]]), np.array([[1.0], [-1.0]])]
+        hp = HyperParams(-1.0, [0.0, -0.5], filters, CornerRounded1Norm(0.1))
+        problem = LowerProblem(A, rng.standard_normal(grid.dims), hp)
+        x0 = A.adjoint(problem.y)
+        tol = ACCELERATED.grad_tol
+        fast = gd_minimize(problem, x0, ACCELERATED)
+        plain = gd_minimize(problem, x0, GDConfig(
+            step=1.0 / problem.lipschitz_grad(), max_iters=100_000, grad_tol=tol))
+        assert np.linalg.norm(problem.grad_x(fast.x)) <= tol
+        assert 0 < fast.iters_run < plain.iters_run < 100_000
+        mu = np.linalg.eigvalsh(dense_hessian(problem, fast.x))[0]
+        assert mu > 0
+        assert np.linalg.norm(fast.x - plain.x) <= 2.0 * tol / mu
+
+    def test_sweep_takes_five_times_fewer_row_iterations(self):
+        """configs/sweep.json's problem at three of its beta0 values."""
+        cfg = load_config(CONFIGS / "sweep.json")
+        train = build_train_set(cfg.dataset, cfg.grid, cfg.forward)
+        theta = build_theta(cfg, train)
+        Y = np.stack(train.y)
+        fast = plain = 0
+        for b0 in (-4.0, -2.0, 0.0):
+            problem = LowerProblem(train.A, Y, replace(theta, beta0=b0))
+            x0 = train.A.adjoint(Y)
+            res = gd_minimize(problem, x0, cfg.solver)
+            assert res.final_grad_norm <= cfg.solver.grad_tol
+            fast += sum(res.row_iters)
+            plain += sum(gd_minimize(problem, x0, replace(
+                cfg.solver, step=1.0 / problem.lipschitz_grad())).row_iters)
+        assert 5 * fast <= plain
+

@@ -139,6 +139,56 @@ class TestRowsMatch:
                 for t in range(res.iters_run + 1)]
         np.testing.assert_array_equal(np.array(res.trajectory), np.array(held))
 
+    @pytest.mark.parametrize("per_row_b0", [False, True])
+    def test_accelerated_rows_meet_the_tolerance(self, kind, dims, per_row_b0):
+        """"one-over-L" at a tolerance: every returned row's recomputed
+        gradient norm is within grad_tol, and final_grad_norm is the
+        largest of them."""
+        A = make_model(kind, dims)
+        hp = make_theta(len(dims))
+        Y = make_stack(dims)
+        b0 = np.array([-1.0, -2.5, 0.3, -1.7]) if per_row_b0 else None
+        own_hp = [hp] * S if b0 is None else [replace(hp, beta0=b) for b in b0]
+        cfg = GDConfig(max_iters=10_000, grad_tol=1e-5)
+        res = gd_minimize(LowerProblem(A, Y, hp, b0), A.adjoint(Y), cfg)
+        norms = [np.linalg.norm(LowerProblem(A, y, h).grad_x(x))
+                 for y, h, x in zip(Y, own_hp, res.x)]
+        assert max(res.row_iters) < cfg.max_iters
+        assert max(norms) <= cfg.grad_tol
+        assert res.final_grad_norm == max(norms)
+
+    @pytest.mark.parametrize("cfg", [
+        GDConfig(max_iters=40, record_trajectory=True),
+        GDConfig(step=0.05, max_iters=3000, grad_tol=1e-5, record_trajectory=True),
+    ], ids=["budget-one-over-L", "explicit-step-tol"])
+    def test_plain_steps_are_a_bare_loop(self, kind, dims, cfg):
+        """A fixed budget and an explicit step take plain steps: each row's
+        x, iteration count and trajectory are those of a bare
+        ``x -= step * grad_x(x)`` loop on that row alone, bit for bit."""
+        A = make_model(kind, dims)
+        hp = make_theta(len(dims))
+        Y = make_stack(dims)
+        b0 = np.array([-1.0, -2.5, 0.3, -1.7])
+        res = gd_minimize(LowerProblem(A, Y, hp, b0), A.adjoint(Y), cfg)
+        paths = []
+        for y, b in zip(Y, b0):
+            own = LowerProblem(A, y, replace(hp, beta0=b))
+            step = 1.0 / own.lipschitz_grad() if cfg.step == "one-over-L" else cfg.step
+            x = A.adjoint(y)
+            paths.append([x.copy()])
+            for _ in range(cfg.max_iters):
+                grad = own.grad_x(x)
+                if np.linalg.norm(grad) <= cfg.grad_tol:
+                    break
+                x -= step * grad
+                paths[-1].append(x.copy())
+        assert res.row_iters == [len(path) - 1 for path in paths]
+        for j, path in enumerate(paths):
+            np.testing.assert_array_equal(res.x[j], path[-1])
+        held = [[path[min(t, len(path) - 1)] for path in paths]
+                for t in range(res.iters_run + 1)]
+        np.testing.assert_array_equal(np.array(res.trajectory), np.array(held))
+
     def test_per_row_beta0(self, kind, dims):
         """A row with its own b0 gets the gradient and the Lipschitz
         constant of the problem that has that b0 as its scalar."""
