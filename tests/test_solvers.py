@@ -11,6 +11,7 @@ from bilevelreg.lower import HyperParams, LowerProblem
 from bilevelreg.potentials import CornerRounded1Norm, Quadratic
 from bilevelreg.signals import Grid
 from bilevelreg.solvers import CGResult, GDConfig, cg_solve, gd_minimize
+from bilevelreg.upper import _dense_hessian
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -236,12 +237,6 @@ class PoisonedRows:
         return grad
 
 
-def dense_hessian(problem, x):
-    lin = problem.linearize(x)
-    eye = np.eye(problem.A.grid.n).reshape((-1,) + problem.A.grid.dims)
-    return np.array([lin.hess_vec(e).ravel() for e in eye])
-
-
 ACCELERATED = GDConfig(step="one-over-L", max_iters=100_000, grad_tol=1e-8)
 
 
@@ -334,7 +329,7 @@ class TestAccelerated:
             step=1.0 / problem.lipschitz_grad(), max_iters=100_000, grad_tol=tol))
         assert np.linalg.norm(problem.grad_x(fast.x)) <= tol
         assert 0 < fast.iters_run < plain.iters_run < 100_000
-        mu = np.linalg.eigvalsh(dense_hessian(problem, fast.x))[0]
+        mu = np.linalg.eigvalsh(_dense_hessian(problem.linearize(fast.x)))[0]
         assert mu > 0
         assert np.linalg.norm(fast.x - plain.x) <= 2.0 * tol / mu
 
