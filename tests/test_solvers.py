@@ -241,38 +241,58 @@ ACCELERATED = GDConfig(step="one-over-L", max_iters=100_000, grad_tol=1e-8)
 
 
 class TestAccelerated:
-    """"one-over-L" with grad_tol > 0 takes restarted Nesterov steps."""
+    """"one-over-L" with grad_tol > 0 takes restarted OGM steps."""
 
-    def test_is_a_bare_restarted_nesterov_loop(self):
+    def test_is_a_bare_restarted_ogm_loop(self):
         """Gradient points, count and result, bit for bit, of the rule
-        written out on one signal; the run restarts and builds momentum
-        again after a restart."""
-        problem, rng = quadratic_problem(dims=(32,), k=2, lam=30.0, seed=2)
+        written out on one signal; the run restarts, at least once on the
+        gradient-sign test alone, and builds momentum again after a
+        restart."""
+        problem, rng = quadratic_problem(dims=(32,), k=2, lam=30.0, seed=3)
         x0 = rng.standard_normal(32)
         step = 1.0 / problem.lipschitz_grad()
-        x, y, t = x0.copy(), x0.copy(), 1.0
-        path, restarts, momentum_after_restart = [x0.copy()], 0, False
+        x, y, t, g_prev = x0.copy(), x0.copy(), 1.0, np.zeros(32)
+        path, restarts, sign_restarts = [x0.copy()], 0, 0
+        momentum_after_restart = False
         while True:
             grad = problem.grad_x(y)
             if np.linalg.norm(grad) <= ACCELERATED.grad_tol:
                 break
-            x_next = y - step * grad
+            sg = step * grad
+            x_next = y - sg
             t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            if np.vdot(grad, x_next - x) > 0.0:
-                t, y = 1.0, x_next.copy()
+            descent_restart = np.vdot(grad, x_next - x) > 0.0
+            sign_restart = np.vdot(grad, g_prev) < 0.0
+            if descent_restart or sign_restart:
+                a = b = 0.0
+                t = 1.0
                 restarts += 1
+                sign_restarts += sign_restart and not descent_restart
             else:
                 momentum_after_restart |= restarts > 0 and t > 1.0
-                y = x_next + ((t - 1.0) / t_next) * (x_next - x)
+                a, b = (t - 1.0) / t_next, t / t_next
                 t = t_next
-            x = x_next
+            y = x_next + a * (x_next - x) - b * sg
+            x, g_prev = x_next, grad
             path.append(y.copy())
-        assert restarts > 0 and momentum_after_restart
+        assert sign_restarts > 0 and momentum_after_restart
         cfg = replace(ACCELERATED, record_trajectory=True)
         res = gd_minimize(problem, x0, cfg)
         assert res.iters_run == len(path) - 1
         np.testing.assert_array_equal(np.array(res.trajectory), np.array(path))
         np.testing.assert_array_equal(res.x, path[-1])
+
+    @pytest.mark.parametrize("b0", [-1.0, -0.5, 0.3, 1.0])
+    @pytest.mark.parametrize("start", [0.0, 0.5, 1.3, 2.0])
+    def test_stops_at_once_when_one_over_l_is_exact(self, b0, start):
+        """One sample whose curvature is L everywhere: the first step lands
+        on the minimizer and the (t / t+) term overshoots it, so the
+        gradient turns and the row restarts onto the minimizer."""
+        hp = HyperParams(b0, [0.0], [np.array([1.0])], Quadratic())
+        problem = LowerProblem(Identity(Grid((1,))), np.array([1.0]), hp)
+        res = gd_minimize(problem, np.array([start]), ACCELERATED)
+        assert res.final_grad_norm <= ACCELERATED.grad_tol
+        assert res.iters_run <= 3
 
     def test_counts_iters_plus_one_gradients(self):
         for max_iters in (100_000, 7):

@@ -509,7 +509,7 @@ def driver_train():
     dims = (12,)
     A = make_model("mask", dims)
     Y = [A.apply(y) for y in make_stack(dims)[:3]]
-    return TrainSet(list(make_stack(dims, seed=2)[:3]), Y, A)
+    return TrainSet(list(make_stack(dims, seed=3)[:3]), Y, A)
 
 
 def implicit(accuracy, cg_max_iters=None):
