@@ -8,7 +8,6 @@ from .errors import (
     FormatError,
     SpdViolationError,
     StepTooLargeError,
-    UnboundedError,
 )
 from .forward import Circulant, ForwardModel, Identity, Mask
 from .hypergrad import (
@@ -44,7 +43,6 @@ from .potentials import CornerRounded1Norm, Quadratic
 from .signals import (
     Grid,
     as_filter,
-    as_signal,
     circ_conv,
     circ_conv_adjoint,
     circshift,

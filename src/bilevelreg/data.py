@@ -34,7 +34,9 @@ from .lower import THETA_LAYOUT, HyperParams
 from .potentials import CornerRounded1Norm, Potential, Quadratic
 from .signals import Grid
 from .solvers import GDConfig
-from .upper import Constant, DecreaseAdaptive, PowerLaw, StepSchedule, TrainSet
+from .upper import (
+    Constant, DecreaseAdaptive, PowerLaw, StepSchedule, TrainSet, default_theta_init,
+)
 
 SIGNAL_MAGIC = "BLVL-SIG v1"
 PARAMS_SCHEMA_VERSION = 1
@@ -212,23 +214,26 @@ def load_params(path) -> HyperParams:
     unknown = set(doc) - known
     if unknown:
         raise FormatError(f"unknown params key {sorted(unknown)[0]!r}")
-    if doc["potential"] == "cr1n":
-        potential = CornerRounded1Norm(doc["epsilon"])
-    elif doc["potential"] == "quadratic":
-        potential = Quadratic()
-    else:
-        raise FormatError(f"unknown potential {doc['potential']!r}")
-    filters = [
-        np.asarray(f["taps"], dtype=np.float64).reshape(f["extents"])
-        for f in doc["filters"]
-    ]
-    return HyperParams(
-        beta0=doc["beta0"],
-        betas=np.asarray(doc["betas"], dtype=np.float64),
-        filters=filters,
-        potential=potential,
-        learn_beta0=bool(doc["learn_beta0"]),
-    )
+    try:
+        if doc["potential"] == "cr1n":
+            potential = CornerRounded1Norm(doc["epsilon"])
+        elif doc["potential"] == "quadratic":
+            potential = Quadratic()
+        else:
+            raise FormatError(f"unknown potential {doc['potential']!r}")
+        filters = [
+            np.asarray(f["taps"], dtype=np.float64).reshape(f["extents"])
+            for f in doc["filters"]
+        ]
+        return HyperParams(
+            beta0=doc["beta0"],
+            betas=np.asarray(doc["betas"], dtype=np.float64),
+            filters=filters,
+            potential=potential,
+            learn_beta0=bool(doc["learn_beta0"]),
+        )
+    except KeyError as exc:  # at the top level, or "taps"/"extents" of a filter
+        raise FormatError(f"params file lacks key {exc.args[0]!r}") from exc
 
 
 _REQUIRED = object()
@@ -264,6 +269,16 @@ class _Section:
                 f"config key '{self.name}.{key}' must be {wanted}, got {value!r}"
             )
         return int(number) if integer else float(number)
+
+    def numbers(self, key, default=_REQUIRED, length=None):
+        """A list of numbers (``length`` of them if given) as a float tuple."""
+        value = self.take(key, default)
+        if not (isinstance(value, list) and len(value) == (length or len(value))
+                and all(type(v) in (int, float) for v in value)):
+            count = f"{length} " if length else ""
+            raise ConfigError(f"config key '{self.name}.{key}' must be a list of "
+                              f"{count}numbers, got {value!r}")
+        return tuple(float(v) for v in value)
 
     def finish(self):
         if self.data:
@@ -383,7 +398,7 @@ def build_dataset_spec(spec: dict) -> DatasetSpec:
         )
     count = int(sec.take("count"))
     n_jumps = int(sec.take("n_jumps", 4))
-    amplitude = sec.take("amplitude", [0.0, 1.0])
+    amplitude = sec.numbers("amplitude", [0.0, 1.0], length=2)
     noise_sigma = float(sec.take("noise_sigma"))
     seed = int(sec.take("seed"))
     realizations = int(sec.take("realizations_per_image", 1))
@@ -393,7 +408,7 @@ def build_dataset_spec(spec: dict) -> DatasetSpec:
     return DatasetSpec(
         count=count,
         n_jumps=n_jumps,
-        amplitude=(float(amplitude[0]), float(amplitude[1])),
+        amplitude=amplitude,
         noise_sigma=noise_sigma,
         seed=seed,
         realizations_per_image=realizations,
@@ -483,7 +498,7 @@ def build_optimizer(spec: dict) -> dict:
         out["up_exponent"] = float(sec.take("up_exponent", 0.75))
         out["low_a"] = float(sec.take("low_a", 0.5))
         out["low_exponent"] = float(sec.take("low_exponent", 0.5))
-        out["batch"] = int(sec.take("batch", 4))
+        out["batch"] = sec.positive("batch", 4, integer=True)
     else:
         raise ConfigError(f"unknown config value 'optimizer.kind' = {kind!r}")
     sec.finish()
@@ -601,8 +616,6 @@ def load_config(path) -> ExperimentConfig:
 
 
 def build_theta(cfg: ExperimentConfig, train: TrainSet | None) -> HyperParams:
-    from .upper import default_theta_init
-
     sec = _Section("theta_init", cfg.theta_init)
     learn_beta0 = bool(sec.take("learn_beta0", False))
     explicit_filters = sec.take("filters", None)
@@ -621,7 +634,7 @@ def build_theta(cfg: ExperimentConfig, train: TrainSet | None) -> HyperParams:
             learn_beta0=learn_beta0,
         )
     n_filters = int(sec.take("n_filters"))
-    tap_extents = tuple(int(t) for t in sec.take("tap_extents"))
+    tap_extents = tuple(int(t) for t in sec.numbers("tap_extents"))
     seed = int(sec.take("seed", cfg.seed))
     beta0 = sec.take("beta0", "auto")
     sec.finish()

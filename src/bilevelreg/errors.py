@@ -9,10 +9,6 @@ class DimensionError(BilevelError):
     """Grid/shape mismatch between operands."""
 
 
-class UnboundedError(BilevelError):
-    """A requested bound constant does not exist for this potential."""
-
-
 class DivergenceError(BilevelError):
     """Lower-level iteration produced a non-finite cost.
 

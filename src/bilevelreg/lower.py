@@ -68,10 +68,6 @@ class HyperParams:
     def n_filters(self) -> int:
         return len(self.filters)
 
-    def weights(self) -> np.ndarray:
-        """Effective per-filter weights e^{b0 + b_k}."""
-        return np.exp(self.beta0 + self.betas)
-
     def theta_size(self) -> int:
         taps = sum(c.size for c in self.filters)
         return taps + self.n_filters + (1 if self.learn_beta0 else 0)
@@ -194,7 +190,7 @@ class LowerProblem:
         r = self.A.apply(x) - self.y
         total = 0.5 * float(np.vdot(r, r))
         pot = self.theta.potential
-        for w, c in zip(self.theta.weights(), self.theta.filters):
+        for w, c in zip(self._weights, self.theta.filters):
             total += w * float(np.sum(pot.phi(circ_conv(x, c))))
         return total
 
@@ -227,7 +223,7 @@ class LowerProblem:
             base[tuple(slice(h - g // 2, h + g // 2 + 1) for h, g in zip(half, gram.shape))] = gram
             pairs = [
                 (w * c.reshape(-1)) * np.append(c, 0.0)[pair_index(c.shape, half)]
-                for w, c in zip(self.theta.weights(), filters)
+                for w, c in zip(self._weights, filters)
             ]
             self._plan = (
                 half,
@@ -255,25 +251,20 @@ class LowerProblem:
         sigma1_sq, sigman_sq = self.A.spectral_bounds()
         l_dphi = pot.curvature_bound()
         l_ddphi = pot.curvature_lipschitz()
-        sig1 = [
-            filter_spectrum_max(c, self.A.grid) for c in self.theta.filters
-        ]
-        weights = self.theta.weights()
-        reg_curv = float(sum(w * l_dphi * s**2 for w, s in zip(weights, sig1)))
-        report = {
+        sig1 = [filter_spectrum_max(c, self.A.grid) for c in self.theta.filters]
+        pairs = list(zip(self._weights, sig1))  # (w_k, sigma1(C_k))
+        reg_curv = float(sum(w * l_dphi * s**2 for w, s in pairs))
+        return {
             "mu": float(sigman_sq),
             "strongly_convex": bool(sigman_sq > 0.0),
             "L_grad_x": float(sigma1_sq + reg_curv),
             "L_hess_x": reg_curv,
-            "L_mixed_beta": [
-                float(w * l_dphi * s**2) for w, s in zip(weights, sig1)
-            ],
+            "L_mixed_beta": [float(w * l_dphi * s**2) for w, s in pairs],
             "L_mixed_tap": [
                 float(w * s * (2.0 * l_dphi + s * l_ddphi * x_norm_bound))
-                for w, s in zip(weights, sig1)
+                for w, s in pairs
             ],
         }
-        return report
 
 
 @dataclass
@@ -288,8 +279,8 @@ class _FilterTerm:
     adj_slope: np.ndarray | None = None  # c~_k * phi'.(c_k * x), see slope_term
 
     def slope_term(self) -> np.ndarray:
-        """c~_k * phi'.(z_k), the part of the mixed Jacobian free of u and of
-        the direction, built on first use and kept."""
+        """c~_k * phi'.(z_k), the part of the mixed Jacobian free of u and
+        of the shift s, built on first use and kept."""
         if self.adj_slope is None:
             self.adj_slope = circ_conv_adjoint(self.slope, self.taps)
         return self.adj_slope
@@ -346,7 +337,7 @@ class Linearization:
     def _filter_terms(self) -> list[_FilterTerm]:
         pot = self.problem.theta.potential
         terms = []
-        for w, c in zip(self.problem.theta.weights(), self.problem.theta.filters):
+        for w, c in zip(self.problem._weights, self.problem.theta.filters):
             c = self._grid.lift(self.x, c)
             _, slope, curv = pot.derivatives(circ_conv(self.x, c))
             terms.append(_FilterTerm(w, c, slope, curv, shifted(self.x, c.shape, 1)))
@@ -419,30 +410,6 @@ class Linearization:
         # w_k = e^{b0 + b_k}, so the b0 entry sums the beta entries in order
         out = _join(self.problem.theta, [sum(betas, 0.0)], betas, taps)
         return np.ascontiguousarray(out.T) if self._stacked else out
-
-    def jac_apply(self, dtheta: np.ndarray) -> np.ndarray:
-        """d(grad_x Phi)/d theta applied to a flat direction dtheta.
-
-        For a stack, the one direction is applied at every row.
-        """
-        db0, dbetas, dtaps = _split(
-            self.problem.theta, np.asarray(dtheta, dtype=np.float64).reshape(-1)
-        )
-        db0 = 0.0 if db0 is None else db0
-        out = np.zeros_like(self.x)
-        for t, db, dc in zip(self._terms, dbetas, dtaps):
-            dbk = db + db0  # w_k = e^{b0 + b_k}
-            if dbk != 0.0:
-                out += dbk * t.weight * t.slope_term()
-            dc = dc.reshape(t.taps.shape)
-            if np.any(dc != 0.0):
-                # sum_s dc_s circshift(slope,-s) = dc~ * slope, and the
-                # curvature terms collapse into one convolution with dc.
-                out += t.weight * (
-                    circ_conv_adjoint(t.slope, dc)
-                    + circ_conv_adjoint(t.curv * circ_conv(self.x, dc), t.taps)
-                )
-        return out
 
     def jac_columns(self) -> np.ndarray:
         """All columns of d(grad_x Phi)/d theta, shaped (P, *x.shape).

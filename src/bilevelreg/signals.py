@@ -81,14 +81,6 @@ class Grid:
         return np.vecdot(flat(a), flat(b))
 
 
-def as_signal(values, grid: Grid) -> np.ndarray:
-    """Validate and return ``values`` as a float64 signal on ``grid``."""
-    x = np.asarray(values, dtype=np.float64).reshape(grid.dims)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("signal contains non-finite values")
-    return x
-
-
 def as_filter(taps) -> np.ndarray:
     """Validate and return filter taps as a float64 array."""
     c = np.asarray(taps, dtype=np.float64)

@@ -220,6 +220,44 @@ class TestErrors:
         cfg.write_text(json.dumps(doc))
         assert run_in(tmp_path, monkeypatch, ["train", "--config", str(cfg)]) == 0
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("optimizer", "batch", 0),
+        ("dataset", "amplitude", 1.0),
+        ("theta_init", "tap_extents", 3),
+    ])
+    def test_bad_config_value_is_one_line_error(self, tmp_path, monkeypatch, capsys,
+                                                recwarn, section, key, value):
+        doc = json.loads((CONFIGS / "toy_train.json").read_text())
+        if section == "optimizer":
+            doc["optimizer"] = {"kind": "ttsa", "max_upper": 2}
+        doc[section][key] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_in(tmp_path, monkeypatch, ["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"'{section}.{key}'" in err
+        assert not recwarn.list  # no numpy warning from a run that started
+        assert not (tmp_path / "params.json").exists()
+
+    @pytest.mark.parametrize("key", ["betas", "taps"])
+    def test_params_file_missing_key_is_one_line_error(self, tmp_path, monkeypatch,
+                                                       capsys, key):
+        cfg = tmp_path / "cfg.json"
+        shutil.copy(CONFIGS / "toy_train.json", cfg)
+        assert run_in(tmp_path, monkeypatch, ["train", "--config", str(cfg)]) == 0
+        params = tmp_path / "params.json"
+        doc = json.loads(params.read_text())
+        del (doc["filters"][0] if key == "taps" else doc)[key]
+        params.write_text(json.dumps(doc))
+        y = tmp_path / "y.sig"
+        save_signal(y, np.zeros(32))
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", str(cfg), "--params", str(params),
+                     "--input", str(y), "--output", str(tmp_path / "xhat.sig")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: params file lacks key '{key}'\n"
+
     def test_bad_signal_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.sig"
         bad.write_bytes(b"not a signal")

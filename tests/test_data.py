@@ -11,6 +11,7 @@ from bilevelreg.data import (
     build_loss,
     build_optimizer,
     build_potential,
+    build_theta,
     build_train_set,
     gen_piecewise_constant,
     load_config,
@@ -170,6 +171,25 @@ class TestParamsFile:
         with pytest.raises(FormatError, match="surprise"):
             load_params(path)
 
+    @pytest.mark.parametrize("key", ["beta0", "learn_beta0", "betas", "potential",
+                                     "epsilon", "filters", "taps", "extents"])
+    def test_missing_key_named(self, tmp_path, key):
+        path = tmp_path / "params.json"
+        save_params(path, self.make_params())
+        doc = json.loads(path.read_text())
+        del (doc["filters"][1] if key in ("taps", "extents") else doc)[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"params file lacks key '{key}'"):
+            load_params(path)
+
+    def test_quadratic_needs_no_epsilon(self, tmp_path):
+        path = tmp_path / "params.json"
+        save_params(path, HyperParams(0.0, [0.0], [np.array([1.0])], Quadratic()))
+        doc = json.loads(path.read_text())
+        del doc["epsilon"]
+        path.write_text(json.dumps(doc))
+        assert isinstance(load_params(path).potential, Quadratic)
+
 
 class TestBuilders:
     def test_forward_variants(self):
@@ -311,6 +331,37 @@ class TestConfig:
         engine = load_config(path).engine
         assert engine == {"kind": "reverse", "unroll_steps": 7, "unroll_step": 1.0}
         assert type(engine["unroll_steps"]) is int and type(engine["unroll_step"]) is float
+
+    @pytest.mark.parametrize("value", [0, -1, 2.5, "4", True])
+    def test_ttsa_batch_must_be_a_positive_integer(self, tmp_path, value):
+        path = self.write_config(
+            tmp_path, optimizer={"kind": "ttsa", "max_upper": 3, "batch": value})
+        with pytest.raises(ConfigError, match="'optimizer.batch' must be an integer >= 1"):
+            load_config(path)
+
+    @pytest.mark.parametrize("value", [1.0, [1.0], [0.0, 1.0, 2.0], [0, "1"], [0, None],
+                                       [True, 1.0], {"lo": 0.0}])
+    def test_amplitude_must_be_two_numbers(self, tmp_path, value):
+        path = self.write_config(
+            tmp_path, dataset={"count": 1, "noise_sigma": 0.0, "seed": 3,
+                               "amplitude": value})
+        with pytest.raises(ConfigError,
+                           match="'dataset.amplitude' must be a list of 2 numbers"):
+            load_config(path)
+
+    def test_amplitude_keeps_its_values(self, tmp_path):
+        path = self.write_config(
+            tmp_path, dataset={"count": 1, "noise_sigma": 0.0, "seed": 3,
+                               "amplitude": [-1, 2.5]})
+        assert load_config(path).dataset.amplitude == (-1.0, 2.5)
+
+    @pytest.mark.parametrize("value", [3, "3", ["3"], [2, None], {"rows": 2}])
+    def test_tap_extents_must_be_a_list_of_numbers(self, tmp_path, value):
+        cfg = load_config(self.write_config(
+            tmp_path, theta_init={"n_filters": 1, "tap_extents": value, "seed": 2}))
+        with pytest.raises(ConfigError,
+                           match="'theta_init.tap_extents' must be a list of numbers"):
+            build_theta(cfg, None)
 
     def test_seed_mandatory(self, tmp_path):
         doc = json.loads(self.write_config(tmp_path).read_text())

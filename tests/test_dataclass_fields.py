@@ -1,3 +1,6 @@
+"""AST checks that keep unused surface out of ``src/``: every dataclass field
+needs a reader, and every public method a caller."""
+
 import ast
 from pathlib import Path
 
@@ -44,3 +47,44 @@ def test_every_dataclass_field_has_a_reader():
             reads |= _attribute_reads(ast.parse(path.read_text()))
     unread = [f"{cls}.{name}" for cls, name in fields if name not in reads]
     assert not unread, f"dataclass fields that nothing reads: {unread}"
+
+
+# Public methods kept with no caller in the program, each with its reason.
+UNCALLED_API = {
+    ("LowerProblem", "cost"): "the paper's lower cost Phi; the tests' finite-"
+                              "difference oracle for grad_x and descent check",
+    ("LowerProblem", "regularity_report"): "the regularity constants (mu and the "
+                                           "Lipschitz constants) of the paper's "
+                                           "running example",
+}
+
+
+def _public_methods(tree):
+    """(class name, method name) of every public method of a public
+    module-level class, properties included."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.FunctionDef)
+                        and not stmt.name.startswith("_")):
+                    yield node.name, stmt.name
+
+
+def test_every_public_method_has_a_caller():
+    methods = [
+        method
+        for path in sorted(SRC.glob("*.py"))
+        for method in _public_methods(ast.parse(path.read_text()))
+    ]
+    assert ("Linearization", "jac_columns") in methods, "the check no longer sees methods"
+    # tests do not count as callers: a method only tests call is not program
+    reads = set()
+    for root in (SRC, TESTS.parent / "perfbench"):
+        for path in sorted(root.rglob("*.py")):
+            reads |= _attribute_reads(ast.parse(path.read_text()))
+    uncalled = [f"{cls}.{name}" for cls, name in methods
+                if name not in reads and (cls, name) not in UNCALLED_API]
+    assert not uncalled, f"public methods nothing in src/ or perfbench/ calls: {uncalled}"
+    stale = [f"{cls}.{name}" for cls, name in UNCALLED_API
+             if (cls, name) not in methods or name in reads]
+    assert not stale, f"allowlisted methods that are gone or now called: {stale}"

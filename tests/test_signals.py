@@ -11,7 +11,6 @@ from bilevelreg.errors import DimensionError
 from bilevelreg.signals import (
     Grid,
     as_filter,
-    as_signal,
     circ_conv,
     circ_conv_adjoint,
     circshift,
@@ -65,10 +64,7 @@ class TestGrid:
         with pytest.raises(DimensionError):
             Grid((2, 2, 2))
 
-    def test_signal_validation(self):
-        grid = Grid((4,))
-        with pytest.raises(ValueError):
-            as_signal([1.0, np.nan, 0.0, 0.0], grid)
+    def test_filter_validation(self):
         with pytest.raises(ValueError):
             as_filter([np.inf])
 
