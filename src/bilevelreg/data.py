@@ -15,6 +15,7 @@ is no global RNG state anywhere in the package.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -216,11 +217,18 @@ def load_params(path) -> HyperParams:
         raise FormatError(f"unknown params key {sorted(unknown)[0]!r}")
     try:
         if doc["potential"] == "cr1n":
+            if type(doc["epsilon"]) not in (int, float):
+                raise FormatError(
+                    f"params key 'epsilon' must be a number, got {doc['epsilon']!r}")
             potential = CornerRounded1Norm(doc["epsilon"])
         elif doc["potential"] == "quadratic":
             potential = Quadratic()
         else:
             raise FormatError(f"unknown potential {doc['potential']!r}")
+        if not (isinstance(doc["filters"], list)
+                and all(isinstance(f, dict) for f in doc["filters"])):
+            raise FormatError("params key 'filters' must be a list of objects, "
+                              f"got {doc['filters']!r}")
         filters = [
             np.asarray(f["taps"], dtype=np.float64).reshape(f["extents"])
             for f in doc["filters"]
@@ -248,27 +256,46 @@ class _Section:
         self.name = name
         self.data = dict(data)
 
+    def _where(self, key) -> str:
+        return f"{self.name}.{key}" if self.name else key
+
     def take(self, key, default=_REQUIRED):
         if key in self.data:
             return self.data.pop(key)
         if default is _REQUIRED:
-            where = f"{self.name}.{key}" if self.name else key
-            raise ConfigError(f"missing config key '{where}'")
+            raise ConfigError(f"missing config key '{self._where(key)}'")
         return default
 
-    def positive(self, key, default=_REQUIRED, integer=False):
-        """A number that must be > 0 and finite (an integer >= 1 with
-        ``integer``); anything else is a ConfigError naming the key."""
+    def flag(self, key, default=_REQUIRED) -> bool:
+        """true or false; anything else is a ConfigError naming the key."""
         value = self.take(key, default)
-        number = value if isinstance(value, (int, float)) else float("nan")
-        ok = (not isinstance(value, bool) and np.isfinite(number) and number > 0
-              and (not integer or number == int(number)))
-        if not ok:
-            wanted = "an integer >= 1" if integer else "a finite number > 0"
+        if not isinstance(value, bool):
             raise ConfigError(
-                f"config key '{self.name}.{key}' must be {wanted}, got {value!r}"
+                f"config key '{self._where(key)}' must be true or false, got {value!r}"
             )
-        return int(number) if integer else float(number)
+        return value
+
+    def number(self, key, default=_REQUIRED, integer=False, positive=False):
+        """A finite number: an integer with ``integer``, > 0 with ``positive``
+        (an integer >= 1 with both).  A default that is no number ("auto",
+        "one-over-L", None) is returned as is, also when given.  Anything
+        else is a ConfigError naming the key."""
+        value = self.take(key, default)
+        if (type(value) in (int, float) and math.isfinite(value)
+                and (not integer or value == int(value))
+                and (not positive or value > 0)):
+            return int(value) if integer else float(value)
+        special = type(default) not in (int, float) and default is not _REQUIRED
+        if special and value == default:
+            return value
+        wanted = "an integer" if integer else "a finite number"
+        if positive:
+            wanted += " >= 1" if integer else " > 0"
+        if special:
+            wanted += f" or {json.dumps(default)}"
+        raise ConfigError(
+            f"config key '{self._where(key)}' must be {wanted}, got {value!r}"
+        )
 
     def numbers(self, key, default=_REQUIRED, length=None):
         """A list of numbers (``length`` of them if given) as a float tuple."""
@@ -276,15 +303,14 @@ class _Section:
         if not (isinstance(value, list) and len(value) == (length or len(value))
                 and all(type(v) in (int, float) for v in value)):
             count = f"{length} " if length else ""
-            raise ConfigError(f"config key '{self.name}.{key}' must be a list of "
+            raise ConfigError(f"config key '{self._where(key)}' must be a list of "
                               f"{count}numbers, got {value!r}")
         return tuple(float(v) for v in value)
 
     def finish(self):
         if self.data:
             key = sorted(self.data)[0]
-            where = f"{self.name}.{key}" if self.name else key
-            raise ConfigError(f"unknown config key '{where}'")
+            raise ConfigError(f"unknown config key '{self._where(key)}'")
 
 
 def build_grid(spec) -> Grid:
@@ -314,7 +340,7 @@ def build_potential(spec: dict) -> Potential:
     sec = _Section("potential", spec)
     kind = sec.take("kind")
     if kind == "cr1n":
-        eps = float(sec.take("epsilon", 0.01))
+        eps = sec.number("epsilon", 0.01)
         sec.finish()
         return CornerRounded1Norm(eps)
     if kind == "quadratic":
@@ -330,16 +356,16 @@ def build_loss(spec: dict) -> LossSpec:
         sec.finish()
         return MSELoss()
     if kind == "huber":
-        eps = float(sec.take("epsilon"))
+        eps = sec.number("epsilon")
         sec.finish()
         return HuberLoss(eps)
     if kind == "discrepancy":
-        sigma = float(sec.take("sigma"))
+        sigma = sec.number("sigma")
         sec.finish()
         return DiscrepancyLoss(sigma)
     if kind == "noise-corridor":
-        low = float(sec.take("var_low"))
-        high = float(sec.take("var_high"))
+        low = sec.number("var_low")
+        high = sec.number("var_high")
         weights = sec.take("weights", None)
         sec.finish()
         return NoiseCorridorLoss(
@@ -347,36 +373,27 @@ def build_loss(spec: dict) -> LossSpec:
             None if weights is None else np.asarray(weights, dtype=np.float64),
         )
     if kind == "sure-mc":
-        sigma = float(sec.take("sigma"))
-        probe_eps = sec.take("probe_eps", None)
-        n_probes = int(sec.take("n_probes", 1))
-        seed = int(sec.take("seed", 0))
+        sigma = sec.number("sigma")
+        probe_eps = sec.number("probe_eps", None)
+        n_probes = sec.number("n_probes", 1, integer=True)
+        seed = sec.number("seed", 0, integer=True)
         sec.finish()
-        return SureMCLoss(
-            sigma,
-            None if probe_eps is None else float(probe_eps),
-            n_probes,
-            seed,
-        )
+        return SureMCLoss(sigma, probe_eps, n_probes, seed)
     raise ConfigError(f"unknown config value 'loss.kind' = {kind!r}")
 
 
 def build_solver(spec: dict, grid: Grid) -> GDConfig:
     sec = _Section("solver", spec)
-    step = sec.take("step", "one-over-L")
-    max_iters = int(sec.take("max_iters", 2000))
-    grad_tol = sec.take("grad_tol", None)
-    warm_start = bool(sec.take("warm_start", True))
+    step = sec.number("step", "one-over-L")
+    max_iters = sec.number("max_iters", 2000, integer=True)
+    grad_tol = sec.number("grad_tol", None)
+    warm_start = sec.flag("warm_start", True)
     sec.finish()
     if grad_tol is None:
         # default stop for unit-scale signals
-        grad_tol = 1e-6 * np.sqrt(grid.n)
-    return GDConfig(
-        step=step if isinstance(step, str) else float(step),
-        max_iters=max_iters,
-        grad_tol=float(grad_tol),
-        warm_start=warm_start,
-    )
+        grad_tol = float(1e-6 * np.sqrt(grid.n))
+    return GDConfig(step=step, max_iters=max_iters, grad_tol=grad_tol,
+                    warm_start=warm_start)
 
 
 @dataclass
@@ -396,12 +413,12 @@ def build_dataset_spec(spec: dict) -> DatasetSpec:
         raise ConfigError(
             f"unknown config value 'dataset.generator' = {generator!r}"
         )
-    count = int(sec.take("count"))
-    n_jumps = int(sec.take("n_jumps", 4))
+    count = sec.number("count", integer=True)
+    n_jumps = sec.number("n_jumps", 4, integer=True)
     amplitude = sec.numbers("amplitude", [0.0, 1.0], length=2)
-    noise_sigma = float(sec.take("noise_sigma"))
-    seed = int(sec.take("seed"))
-    realizations = int(sec.take("realizations_per_image", 1))
+    noise_sigma = sec.number("noise_sigma")
+    seed = sec.number("seed", integer=True)
+    realizations = sec.number("realizations_per_image", 1, integer=True)
     sec.finish()
     if count < 1 or realizations < 1:
         raise ConfigError("dataset.count and realizations_per_image must be >= 1")
@@ -433,10 +450,10 @@ def build_engine(spec: dict) -> dict:
     kind = sec.take("kind", "minimizer")
     out = {"kind": kind}
     if kind == "minimizer":
-        out["cg_tol"] = sec.positive("cg_tol", 1e-10)
+        out["cg_tol"] = sec.number("cg_tol", 1e-10, positive=True)
     elif kind in ("reverse", "forward"):
-        out["unroll_steps"] = sec.positive("unroll_steps", integer=True)
-        out["unroll_step"] = sec.positive("unroll_step")
+        out["unroll_steps"] = sec.number("unroll_steps", integer=True, positive=True)
+        out["unroll_step"] = sec.number("unroll_step", positive=True)
     else:
         raise ConfigError(f"unknown config value 'engine.kind' = {kind!r}")
     sec.finish()
@@ -450,15 +467,13 @@ def _step_schedule(spec) -> StepSchedule:
     sec = _Section("optimizer.step", spec)
     kind = sec.take("kind")
     if kind == "constant":
-        step = Constant(float(sec.take("alpha")))
+        step = Constant(sec.number("alpha"))
     elif kind == "decrease-adaptive":
         step = DecreaseAdaptive(
-            float(sec.take("alpha0")),
-            float(sec.take("shrink", 0.5)),
-            float(sec.take("grow", 1.05)),
+            sec.number("alpha0"), sec.number("shrink", 0.5), sec.number("grow", 1.05)
         )
     elif kind == "power-law":
-        step = PowerLaw(float(sec.take("a")), float(sec.take("exponent")))
+        step = PowerLaw(sec.number("a"), sec.number("exponent"))
     else:
         raise ConfigError(f"unknown config value 'optimizer.step.kind' = {kind!r}")
     sec.finish()
@@ -470,17 +485,17 @@ def build_optimizer(spec: dict) -> dict:
     kind = sec.take("kind")
     out = {
         "kind": kind,
-        "max_upper": int(sec.take("max_upper", 100)),
+        "max_upper": sec.number("max_upper", 100, integer=True),
     }
     if kind in ("adam", "gd"):
-        out["step"] = float(sec.take("step", 0.05))
-        out["theta_rel_tol"] = float(sec.take("theta_rel_tol", 0.01))
+        out["step"] = sec.number("step", 0.05)
+        out["theta_rel_tol"] = sec.number("theta_rel_tol", 0.01)
     elif kind == "hoag":
-        out["eps0"] = float(sec.take("eps0", 0.1))
+        out["eps0"] = sec.number("eps0", 0.1)
         out["step"] = _step_schedule(sec.take("step", 0.1))
-        out["theta_rel_tol"] = float(sec.take("theta_rel_tol", 0.01))
+        out["theta_rel_tol"] = sec.number("theta_rel_tol", 0.01)
     elif kind == "ba":
-        out["ss_upper"] = float(sec.take("ss_upper"))
+        out["ss_upper"] = sec.number("ss_upper")
         ss_lower = sec.take("ss_lower", "paper-default")
         positive = (isinstance(ss_lower, (int, float))
                     and not isinstance(ss_lower, bool) and ss_lower > 0)
@@ -490,15 +505,15 @@ def build_optimizer(spec: dict) -> dict:
                 f"'paper-default', got {ss_lower!r}"
             )
         out["ss_lower"] = ss_lower if isinstance(ss_lower, str) else float(ss_lower)
-        out["inner_iters"] = int(sec.take("inner_iters", 10))
-        out["warm_start"] = bool(sec.take("warm_start", False))
-        out["theta_rel_tol"] = float(sec.take("theta_rel_tol", 0.01))
+        out["inner_iters"] = sec.number("inner_iters", 10, integer=True)
+        out["warm_start"] = sec.flag("warm_start", False)
+        out["theta_rel_tol"] = sec.number("theta_rel_tol", 0.01)
     elif kind == "ttsa":
-        out["up_a"] = float(sec.take("up_a", 0.1))
-        out["up_exponent"] = float(sec.take("up_exponent", 0.75))
-        out["low_a"] = float(sec.take("low_a", 0.5))
-        out["low_exponent"] = float(sec.take("low_exponent", 0.5))
-        out["batch"] = sec.positive("batch", 4, integer=True)
+        out["up_a"] = sec.number("up_a", 0.1)
+        out["up_exponent"] = sec.number("up_exponent", 0.75)
+        out["low_a"] = sec.number("low_a", 0.5)
+        out["low_exponent"] = sec.number("low_exponent", 0.5)
+        out["batch"] = sec.number("batch", 4, integer=True, positive=True)
     else:
         raise ConfigError(f"unknown config value 'optimizer.kind' = {kind!r}")
     sec.finish()
@@ -522,7 +537,7 @@ def build_sweep(spec: dict | None) -> dict | None:
     if spec is None:
         return None
     sec = _Section("sweep", spec)
-    grid = [float(b) for b in sec.take("beta0_grid")]
+    grid = sec.numbers("beta0_grid")
     sec.finish()
     if not grid:
         raise ConfigError("config key 'sweep.beta0_grid' must be nonempty")
@@ -532,12 +547,10 @@ def build_sweep(spec: dict | None) -> dict | None:
 def build_gradcheck(spec: dict | None) -> dict:
     sec = _Section("gradcheck", spec if spec is not None else {})
     out = {
-        "tolerances": [
-            float(t) for t in sec.take("tolerances", [1e-1, 1e-2, 1e-4, 1e-8])
-        ],
-        "fd_step": float(sec.take("fd_step", 1e-6)),
-        "fd_rel_tol": float(sec.take("fd_rel_tol", 1e-4)),
-        "unroll_steps": int(sec.take("unroll_steps", 50)),
+        "tolerances": sec.numbers("tolerances", [1e-1, 1e-2, 1e-4, 1e-8]),
+        "fd_step": sec.number("fd_step", 1e-6),
+        "fd_rel_tol": sec.number("fd_rel_tol", 1e-4),
+        "unroll_steps": sec.number("unroll_steps", 50, integer=True),
     }
     sec.finish()
     return out
@@ -617,10 +630,10 @@ def load_config(path) -> ExperimentConfig:
 
 def build_theta(cfg: ExperimentConfig, train: TrainSet | None) -> HyperParams:
     sec = _Section("theta_init", cfg.theta_init)
-    learn_beta0 = bool(sec.take("learn_beta0", False))
+    learn_beta0 = sec.flag("learn_beta0", False)
     explicit_filters = sec.take("filters", None)
     if explicit_filters is not None:
-        beta0 = float(sec.take("beta0", 0.0))
+        beta0 = sec.number("beta0", 0.0)
         betas = sec.take("betas", None)
         sec.finish()
         filters = [np.asarray(c, dtype=np.float64) for c in explicit_filters]
@@ -633,10 +646,10 @@ def build_theta(cfg: ExperimentConfig, train: TrainSet | None) -> HyperParams:
             potential=cfg.potential,
             learn_beta0=learn_beta0,
         )
-    n_filters = int(sec.take("n_filters"))
+    n_filters = sec.number("n_filters", integer=True)
     tap_extents = tuple(int(t) for t in sec.numbers("tap_extents"))
-    seed = int(sec.take("seed", cfg.seed))
-    beta0 = sec.take("beta0", "auto")
+    seed = sec.number("seed", cfg.seed, integer=True)
+    beta0 = sec.number("beta0", "auto")
     sec.finish()
     return default_theta_init(
         n_filters,
@@ -644,6 +657,6 @@ def build_theta(cfg: ExperimentConfig, train: TrainSet | None) -> HyperParams:
         cfg.potential,
         seed,
         learn_beta0=learn_beta0,
-        beta0=None if beta0 == "auto" else float(beta0),
+        beta0=None if beta0 == "auto" else beta0,
         train=train,
     )

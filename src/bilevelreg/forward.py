@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
 from .signals import (
     Grid,
+    _check_filter_fits,
     as_filter,
     circ_conv,
     circ_conv_adjoint,
@@ -104,10 +104,7 @@ class Circulant(ForwardModel):
     def __init__(self, grid: Grid, taps):
         self.grid = grid
         self.taps = as_filter(taps)
-        if any(rc > rg for rc, rg in zip(self.taps.shape, grid.dims)):
-            raise DimensionError(
-                f"kernel extents {self.taps.shape} exceed grid {grid.dims}"
-            )
+        _check_filter_fits(grid.dims, self.taps.shape)
 
     def apply(self, x):
         return circ_conv(x, self.grid.lift(x, self.taps))

@@ -24,6 +24,7 @@ evaluates the last three at one x, building z_k, phi' and phi'' once.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -173,12 +174,16 @@ class LowerProblem:
         self._plan = None  # see _stencil_plan
 
     def _rows(self, keep) -> "LowerProblem":
-        """The problem of the stack's rows ``keep``, in that order."""
-        stacked = self.A.grid.is_stack(self.y)
-        return LowerProblem(
-            self.A, self.y[keep] if stacked else self.y, self.theta,
-            None if self.row_beta0 is None else self.row_beta0[keep],
-        )
+        """The problem of the stack's rows ``keep``, in that order: one
+        signal for an index, a stack for a list (which ``row_beta0`` needs).
+        A shallow copy that slices ``y``, ``row_beta0`` and the weights and
+        shares the stencil plan, so it checks and computes nothing."""
+        rows = copy.copy(self)
+        rows.y = self.y[keep]
+        if self.row_beta0 is not None:
+            rows.row_beta0 = self.row_beta0[keep]
+            rows._weights = [w[keep] for w in self._weights]
+        return rows
 
     def _shared_beta0(self, what: str) -> None:
         if self.row_beta0 is not None:
@@ -276,34 +281,26 @@ class _FilterTerm:
     slope: np.ndarray  # phi'.(c_k * x)
     curv: np.ndarray  # phi''.(c_k * x)
     x_shifts: np.ndarray  # circshift(x, s) for every tap s of c_k
-    adj_slope: np.ndarray | None = None  # c~_k * phi'.(c_k * x), see slope_term
-
-    def slope_term(self) -> np.ndarray:
-        """c~_k * phi'.(z_k), the part of the mixed Jacobian free of u and
-        of the shift s, built on first use and kept."""
-        if self.adj_slope is None:
-            self.adj_slope = circ_conv_adjoint(self.slope, self.taps)
-        return self.adj_slope
+    adj_slope: np.ndarray  # c~_k * phi'.(c_k * x)
 
     def rows(self, keep, stacked: bool) -> "_FilterTerm":
         """This term of a stacked x at rows ``keep``, as views of its arrays;
-        ``stacked`` False drops the taps' stack axis for one signal.  Builds
-        c~_k * phi' once for every row of the stack first."""
+        ``stacked`` False drops the taps' stack axis for one signal."""
         return _FilterTerm(
             self.weight, self.taps if stacked else self.taps[0], self.slope[keep],
-            self.curv[keep], self.x_shifts[:, keep], self.slope_term()[keep],
+            self.curv[keep], self.x_shifts[:, keep], self.adj_slope[keep],
         )
 
 
 class Linearization:
     """Hessian and mixed Jacobian of the lower cost at a fixed ``x``.
 
-    Builds z_k = c_k * x, phi'.(z_k), phi''.(z_k) and the tap shifts of x
-    once, so every product a CG solve or an unrolled step takes at this x
-    reuses them.  ``x`` is copied; later changes to the caller's array do not
-    reach the linearization.  ``x`` may be a stack ``(S, *grid)`` of one
-    iterate per row of a stacked problem: every product then acts on each
-    row, bit for bit as that row's own linearization would.
+    Builds z_k = c_k * x, phi'.(z_k), phi''.(z_k), the tap shifts of x and
+    c~_k * phi'.(z_k) once, so every product a CG solve or an unrolled step
+    takes at this x reuses them.  ``x`` is copied; later changes to the
+    caller's array do not reach the linearization.  ``x`` may be a stack
+    ``(S, *grid)`` of one iterate per row of a stacked problem: every product
+    then acts on each row, bit for bit as that row's own linearization would.
 
     The first ``hess_vec`` is the matrix-free formula.  The second assembles
     the Hessian as a position-dependent stencil over centred offsets d,
@@ -317,10 +314,9 @@ class Linearization:
     are grouped by offset, not by filter), and repeated ones give the same
     bytes.  M takes offsets x size x 8 bytes.
 
-    The Jacobian products share c~_k * phi'.(z_k), built at the first of
-    them.  A linearization at a stack of iterates serves each iterate through
-    a row view (``_rows``), which slices its arrays: the unrolled reverse
-    engine linearizes its whole trajectory at once this way.
+    A linearization at a stack of iterates serves each iterate through a row
+    view (``_rows``), which slices its arrays: the unrolled reverse engine
+    linearizes its whole trajectory at once this way.
     """
 
     def __init__(self, problem: LowerProblem, x: np.ndarray, _terms=None):
@@ -340,7 +336,8 @@ class Linearization:
         for w, c in zip(self.problem._weights, self.problem.theta.filters):
             c = self._grid.lift(self.x, c)
             _, slope, curv = pot.derivatives(circ_conv(self.x, c))
-            terms.append(_FilterTerm(w, c, slope, curv, shifted(self.x, c.shape, 1)))
+            terms.append(_FilterTerm(w, c, slope, curv, shifted(self.x, c.shape, 1),
+                                     circ_conv_adjoint(slope, c)))
         return terms
 
     def _rows(self, keep) -> "Linearization":
@@ -401,7 +398,7 @@ class Linearization:
         betas, taps = [], []
         for t in self._terms:
             curv_cu = t.curv * circ_conv(u, t.taps)
-            betas.append(t.weight * dots(t.slope_term(), u))
+            betas.append(t.weight * dots(t.adj_slope, u))
             # <circshift(slope,-s), u> = <slope, circshift(u,s)>;
             # <c~*(curv.*circshift(x,s)), u> = <circshift(x,s), curv.*(c*u)>
             taps.append(t.weight * (
@@ -421,7 +418,7 @@ class Linearization:
         cols = np.zeros((hp.theta_size(),) + self.x.shape)
         b0_col, beta_cols, tap_cols = _split(hp, cols)
         for t, beta_col, run in zip(self._terms, beta_cols, tap_cols):
-            beta_col[:] = t.weight * t.slope_term()
+            beta_col[:] = t.weight * t.adj_slope
             for col, slope_s, x_s in zip(
                 run, shifted(t.slope, t.taps.shape, -1), t.x_shifts
             ):

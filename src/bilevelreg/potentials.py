@@ -29,9 +29,6 @@ class CornerRounded1Norm:
     def dphi(self, z):
         return np.asarray(z) / self.phi(z)
 
-    def ddphi(self, z):
-        return self.epsilon**2 / self.phi(z) ** 3
-
     def derivatives(self, z):
         """(phi, phi', phi'') evaluated elementwise at z."""
         root = self.phi(z)
@@ -58,11 +55,8 @@ class Quadratic:
     def dphi(self, z):
         return np.asarray(z, dtype=np.float64) + 0.0
 
-    def ddphi(self, z):
-        return np.ones_like(np.asarray(z, dtype=np.float64))
-
     def derivatives(self, z):
-        return self.phi(z), self.dphi(z), self.ddphi(z)
+        return self.phi(z), self.dphi(z), np.ones_like(np.asarray(z, dtype=np.float64))
 
     def curvature_bound(self) -> float:
         return 1.0

@@ -90,6 +90,14 @@ class OptTrace:
     def __len__(self):
         return len(self.records)
 
+    def _record(self, i, t_start, loss, grad_norm, lower_iters, theta_vec, extra):
+        """Append iteration i's record, its wall time counted from ``t_start``
+        and its theta a copy of the flat ``theta_vec``."""
+        self.records.append(TraceRecord(
+            i, loss, grad_norm, lower_iters, (time.perf_counter() - t_start) * 1e3,
+            theta_vec.copy(), extra,
+        ))
+
     def write_csv(self, path) -> None:
         extra_keys = sorted({k for r in self.records for k in r.extra})
         with open(path, "w", newline="") as fh:
@@ -313,17 +321,8 @@ def _double_loop(
         if cg_residuals:
             extra["cg_residual"] = max(cg_residuals)
         theta = unpack_theta(theta, theta_new_vec)
-        trace.records.append(
-            TraceRecord(
-                iteration=i,
-                loss=value,
-                grad_norm=float(np.linalg.norm(g)),
-                lower_iters=sum(r.lower_iters for r in results),
-                wall_ms=(time.perf_counter() - t_start) * 1e3,
-                theta=theta_new_vec.copy(),
-                extra=extra,
-            )
-        )
+        trace._record(i, t_start, value, float(np.linalg.norm(g)),
+                      sum(r.lower_iters for r in results), theta_new_vec, extra)
         if _theta_converged(theta_vec, theta_new_vec, theta_rel_tol):
             break
     return theta, trace
@@ -345,13 +344,10 @@ def _implicit_engine(
         cfg, cg_tol = accuracy(i, problem)
         res = gd_minimize(problem, start, cfg)
         results = []
-        for j, (y, loss, x, iters) in enumerate(
-            zip(problem.y, losses, res.x, res.row_iters)
-        ):
-            row = LowerProblem(problem.A, y, problem.theta)
+        for j, (loss, x, iters) in enumerate(zip(losses, res.x, res.row_iters)):
             try:
                 results.append(hypergrad_minimizer(
-                    row, loss, x, cg_tol=cg_tol, cg_max_iters=cg_max_iters,
+                    problem._rows(j), loss, x, cg_tol=cg_tol, cg_max_iters=cg_max_iters,
                     lower_iters=iters, grad_tol=cfg.grad_tol,
                 ))
             except SpdViolationError as exc:
@@ -517,18 +513,9 @@ def ttsa(
         theta_new_vec = theta_vec - step_up * g
         theta = unpack_theta(theta, theta_new_vec)
         batch_value = float(np.mean([loss.value(x) for loss in batch_losses]))
-        trace.records.append(
-            TraceRecord(
-                iteration=i,
-                loss=batch_value,
-                grad_norm=float(np.linalg.norm(g)),
-                lower_iters=1,
-                wall_ms=(time.perf_counter() - t_start) * 1e3,
-                theta=theta_new_vec.copy(),
-                extra={"step_upper": step_up, "step_lower": step_low,
-                       "cg_residual": cg.residual_norm},
-            )
-        )
+        trace._record(i, t_start, batch_value, float(np.linalg.norm(g)), 1,
+                      theta_new_vec, {"step_upper": step_up, "step_lower": step_low,
+                                      "cg_residual": cg.residual_norm})
     return theta, trace
 
 
@@ -675,18 +662,9 @@ def stable_run(
             state, sample, train.A, loss_spec, tau_at(i), c_mix, mu
         )
         new_vec = pack_theta(state.theta)
-        trace.records.append(
-            TraceRecord(
-                iteration=i,
-                loss=losses[j].value(state.x),
-                grad_norm=float(
-                    np.linalg.norm((new_vec - prev_vec) / state.step_upper)
-                ),
-                lower_iters=1,
-                wall_ms=(time.perf_counter() - t_start) * 1e3,
-                theta=new_vec.copy(),
-            )
-        )
+        trace._record(i, t_start, losses[j].value(state.x),
+                      float(np.linalg.norm((new_vec - prev_vec) / state.step_upper)),
+                      1, new_vec, {})
     return state.theta, trace
 
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from bilevelreg.cli import main
-from bilevelreg.data import load_params, load_signal, save_signal
+from bilevelreg.data import load_params, load_signal, save_params, save_signal
+from bilevelreg.lower import HyperParams
+from bilevelreg.potentials import CornerRounded1Norm
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -224,11 +226,15 @@ class TestErrors:
         ("optimizer", "batch", 0),
         ("dataset", "amplitude", 1.0),
         ("theta_init", "tap_extents", 3),
+        ("solver", "warm_start", "false"),
+        ("solver", "max_iters", 2.7),
+        ("optimizer", "step", [0.1]),
+        ("theta_init", "learn_beta0", "no"),
     ])
     def test_bad_config_value_is_one_line_error(self, tmp_path, monkeypatch, capsys,
                                                 recwarn, section, key, value):
         doc = json.loads((CONFIGS / "toy_train.json").read_text())
-        if section == "optimizer":
+        if key == "batch":
             doc["optimizer"] = {"kind": "ttsa", "max_upper": 2}
         doc[section][key] = value
         cfg = tmp_path / "bad.json"
@@ -239,6 +245,40 @@ class TestErrors:
         assert f"'{section}.{key}'" in err
         assert not recwarn.list  # no numpy warning from a run that started
         assert not (tmp_path / "params.json").exists()
+
+    @pytest.mark.parametrize("command,section,key", [
+        ("sweep", "sweep", "beta0_grid"),
+        ("gradcheck", "gradcheck", "tolerances"),
+    ])
+    def test_scalar_for_a_list_is_one_line_error(self, tmp_path, monkeypatch, capsys,
+                                                 command, section, key):
+        doc = json.loads((CONFIGS / f"{command}.json").read_text())
+        doc[section][key] = 0.5
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_in(tmp_path, monkeypatch, [command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"'{section}.{key}'" in err
+
+    @pytest.mark.parametrize("key,value", [("epsilon", None), ("filters", [[0.7, -0.7]])])
+    def test_params_file_mistyped_value_is_one_line_error(self, tmp_path, capsys,
+                                                          key, value):
+        cfg = tmp_path / "cfg.json"
+        shutil.copy(CONFIGS / "toy_train.json", cfg)
+        params = tmp_path / "params.json"
+        save_params(params, HyperParams(0.0, [0.0], [np.array([0.7, -0.7])],
+                                        CornerRounded1Norm(0.01)))
+        doc = json.loads(params.read_text())
+        doc[key] = value
+        params.write_text(json.dumps(doc))
+        y = tmp_path / "y.sig"
+        save_signal(y, np.zeros(32))
+        assert main(["reconstruct", "--config", str(cfg), "--params", str(params),
+                     "--input", str(y), "--output", str(tmp_path / "xhat.sig")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: params key '{key}' must be")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("key", ["betas", "taps"])
     def test_params_file_missing_key_is_one_line_error(self, tmp_path, monkeypatch,

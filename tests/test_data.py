@@ -182,6 +182,17 @@ class TestParamsFile:
         with pytest.raises(FormatError, match=f"params file lacks key '{key}'"):
             load_params(path)
 
+    @pytest.mark.parametrize("key,value", [("epsilon", None), ("epsilon", "0.1"),
+                                           ("filters", [[0.7, -0.7]]), ("filters", 3)])
+    def test_mistyped_value_named(self, tmp_path, key, value):
+        path = tmp_path / "params.json"
+        save_params(path, self.make_params())
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"params key '{key}' must be"):
+            load_params(path)
+
     def test_quadratic_needs_no_epsilon(self, tmp_path):
         path = tmp_path / "params.json"
         save_params(path, HyperParams(0.0, [0.0], [np.array([1.0])], Quadratic()))
@@ -362,6 +373,56 @@ class TestConfig:
         with pytest.raises(ConfigError,
                            match="'theta_init.tap_extents' must be a list of numbers"):
             build_theta(cfg, None)
+
+    @pytest.mark.parametrize("section,key,value,wanted", [
+        ("solver", "warm_start", "false", "true or false"),
+        ("solver", "warm_start", 0, "true or false"),
+        ("solver", "max_iters", 2.7, "an integer"),
+        ("solver", "step", "fixed", 'a finite number or "one-over-L"'),
+        ("solver", "grad_tol", [1e-8], "a finite number or null"),
+        ("optimizer", "step", [0.1], "a finite number"),
+        ("optimizer", "max_upper", "3", "an integer"),
+        ("dataset", "noise_sigma", None, "a finite number"),
+        ("dataset", "seed", float("nan"), "an integer"),
+        ("potential", "epsilon", True, "a finite number"),
+    ])
+    def test_mistyped_scalar_named(self, tmp_path, section, key, value, wanted):
+        doc = json.loads(self.write_config(tmp_path).read_text())
+        doc[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == (f"config key '{section}.{key}' must be {wanted}, "
+                                   f"got {value!r}")
+
+    @pytest.mark.parametrize("theta_init,key,wanted", [
+        ({"n_filters": 1, "tap_extents": [2], "learn_beta0": "yes"}, "learn_beta0",
+         "true or false"),
+        ({"n_filters": 1.5, "tap_extents": [2]}, "n_filters", "an integer"),
+        ({"n_filters": 1, "tap_extents": [2], "beta0": None}, "beta0",
+         'a finite number or "auto"'),
+        ({"filters": [[1.0, -1.0]], "beta0": "auto"}, "beta0", "a finite number"),
+    ])
+    def test_mistyped_theta_init_named(self, tmp_path, theta_init, key, wanted):
+        cfg = load_config(self.write_config(tmp_path, theta_init=theta_init))
+        with pytest.raises(ConfigError,
+                           match=f"^config key 'theta_init.{key}' must be {wanted}, got"):
+            build_theta(cfg, None)
+
+    def test_scalars_keep_their_values(self, tmp_path):
+        path = self.write_config(
+            tmp_path, solver={"step": 0.5, "max_iters": 7.0, "grad_tol": 0,
+                              "warm_start": False},
+            theta_init={"n_filters": 1, "tap_extents": [2], "beta0": -1,
+                        "learn_beta0": True})
+        cfg = load_config(path)
+        assert (cfg.solver.step, cfg.solver.max_iters, cfg.solver.grad_tol) == (0.5, 7, 0.0)
+        assert type(cfg.solver.max_iters) is int and cfg.solver.warm_start is False
+        theta = build_theta(cfg, None)
+        assert theta.beta0 == -1.0 and theta.learn_beta0 is True
+        defaults = load_config(self.write_config(tmp_path, solver={}))
+        assert defaults.solver.step == "one-over-L" and defaults.solver.warm_start
 
     def test_seed_mandatory(self, tmp_path):
         doc = json.loads(self.write_config(tmp_path).read_text())

@@ -102,3 +102,14 @@ class TestValidation:
     def test_circulant_kernel_fits(self):
         with pytest.raises(DimensionError):
             Circulant(Grid((2,)), [1.0, 2.0, 3.0])
+
+    def test_circulant_kernel_rank_matches_grid(self):
+        """A 2-D kernel on a 1-D grid fails at construction, not at the
+        first apply; an oversized kernel reads the shared filter check's
+        text."""
+        with pytest.raises(DimensionError,
+                           match=r"^filter rank 2 does not match grid rank 1$"):
+            Circulant(Grid((8,)), [[0.1, 0.8], [0.05, 0.05]])
+        with pytest.raises(DimensionError,
+                           match=r"^filter extents \(3,\) exceed grid extents \(2,\)$"):
+            Circulant(Grid((2,)), [1.0, 2.0, 3.0])

@@ -293,7 +293,7 @@ def reference_hess_vec(problem, x, v):
     hp = problem.theta
     pot = hp.potential
     for w, c in zip(np.exp(hp.beta0 + hp.betas), hp.filters):
-        curv = pot.ddphi(circ_conv(x, c))
+        curv = pot.derivatives(circ_conv(x, c))[2]
         h += w * circ_conv_adjoint(curv * circ_conv(v, c), c)
     return h
 
@@ -308,7 +308,7 @@ def reference_jac_adjoint_apply(problem, x, u):
     for k, (w, c) in enumerate(zip(np.exp(hp.beta0 + hp.betas), hp.filters)):
         z = circ_conv(x, c)
         slope = pot.dphi(z)
-        curv_cu = pot.ddphi(z) * circ_conv(u, c)
+        curv_cu = pot.derivatives(z)[2] * circ_conv(u, c)
         beta_entry = w * float(np.vdot(circ_conv_adjoint(slope, c), u))
         out[pos + k] = beta_entry
         beta_total += beta_entry
@@ -330,7 +330,7 @@ def reference_jac_columns(problem, x):
     for k, (w, c) in enumerate(zip(np.exp(hp.beta0 + hp.betas), hp.filters)):
         z = circ_conv(x, c)
         slope = pot.dphi(z)
-        curv = pot.ddphi(z)
+        curv = pot.derivatives(z)[2]
         beta_col = w * circ_conv_adjoint(slope, c)
         cols[pos + k] = beta_col
         if hp.learn_beta0:
@@ -509,21 +509,24 @@ class TestRowView:
             np.testing.assert_array_equal(view.jac_columns(), own.jac_columns())
 
     def test_views_share_the_stack_slope_term(self, monkeypatch):
-        """c~_k * phi' is one convolution per filter for the whole stack, and
-        each view's Jacobian product convolves only its own u."""
-        lin, _, rng = stencil_case("identity", 1, "mixed", stacked=True)
+        """Linearizing the stack takes one z_k = c_k * x and one c~_k * phi'
+        per filter for all its rows; its views take none, and each view's
+        Jacobian product convolves only its own u."""
+        built, _, rng = stencil_case("identity", 1, "mixed", stacked=True)
         calls = {"circ_conv": 0, "circ_conv_adjoint": 0}
         for name in calls:
             def counted(*args, _f=getattr(lower, name), _name=name):
                 calls[_name] += 1
                 return _f(*args)
             monkeypatch.setattr(lower, name, counted)
+        lin = built.problem.linearize(built.x)
+        assert calls == {"circ_conv": 2, "circ_conv_adjoint": 2}
         views = [lin._rows(j) for j in range(len(lin.x))]
-        assert calls == {"circ_conv": 0, "circ_conv_adjoint": 2}
+        assert calls == {"circ_conv": 2, "circ_conv_adjoint": 2}
         for view in views:
             for _ in range(2):
                 view.jac_adjoint_apply(rng.standard_normal(view.x.shape))
-        assert calls == {"circ_conv": 2 * 2 * len(views), "circ_conv_adjoint": 2}
+        assert calls == {"circ_conv": 2 + 2 * 2 * len(views), "circ_conv_adjoint": 2}
 
 
 class TestLipschitz:

@@ -59,7 +59,7 @@ class TestFiniteDifferences:
             fd1 = (pot.phi(z + h) - pot.phi(z - h)) / (2 * h)
             fd2 = (pot.dphi(z + h) - pot.dphi(z - h)) / (2 * h)
             assert abs(fd1 - pot.dphi(z)) <= 1e-7
-            assert abs(fd2 - pot.ddphi(z)) <= 1e-7
+            assert abs(fd2 - pot.derivatives(z)[2]) <= 1e-7
 
     def test_small_eps_scales_as_h_squared(self):
         # central-difference error is O(h^2) with constants from the next
@@ -73,7 +73,7 @@ class TestFiniteDifferences:
             fd1 = (pot.phi(z + h) - pot.phi(z - h)) / (2 * h)
             fd2 = (pot.dphi(z + h) - pot.dphi(z - h)) / (2 * h)
             assert abs(fd1 - pot.dphi(z)) <= tol1
-            assert abs(fd2 - pot.ddphi(z)) <= tol2
+            assert abs(fd2 - pot.derivatives(z)[2]) <= tol2
 
 
 class TestRangeInvariants:
@@ -81,7 +81,7 @@ class TestRangeInvariants:
         pot = CornerRounded1Norm(0.05)
         z = np.linspace(-50.0, 50.0, 1001)
         assert np.all(np.abs(pot.dphi(z)) < 1.0)
-        curv = pot.ddphi(z)
+        curv = pot.derivatives(z)[2]
         assert np.all(curv > 0.0)
         assert np.all(curv <= 1.0 / 0.05 + 1e-12)
 
@@ -100,4 +100,4 @@ def test_symmetry(z, eps):
     pot = CornerRounded1Norm(eps)
     assert pot.phi(-z) == pot.phi(z)
     assert pot.dphi(-z) == -pot.dphi(z)
-    assert pot.ddphi(-z) == pot.ddphi(z)
+    assert pot.derivatives(-z)[2] == pot.derivatives(z)[2]

@@ -140,6 +140,25 @@ class TestRowsMatch:
         np.testing.assert_array_equal(np.array(res.trajectory), np.array(held))
 
     @pytest.mark.parametrize("per_row_b0", [False, True])
+    def test_row_drops_build_no_problem(self, kind, dims, per_row_b0, monkeypatch):
+        """A row drop views the live rows of the problem: the loop builds no
+        ``LowerProblem``, so nothing re-checks the stack or recomputes w_k."""
+        A = make_model(kind, dims)
+        b0 = np.array([-1.0, -2.5, 0.3, -1.7]) if per_row_b0 else None
+        problem = LowerProblem(A, make_stack(dims), make_theta(len(dims)), b0)
+        built = []
+
+        def counted(self, _init=LowerProblem.__post_init__):
+            built.append(self)
+            _init(self)
+
+        monkeypatch.setattr(LowerProblem, "__post_init__", counted)
+        cfg = GDConfig(max_iters=2000, grad_tol=1e-5)
+        res = gd_minimize(problem, A.adjoint(problem.y), cfg)
+        assert min(res.row_iters) < max(res.row_iters)  # some rows dropped
+        assert built == []
+
+    @pytest.mark.parametrize("per_row_b0", [False, True])
     def test_accelerated_rows_meet_the_tolerance(self, kind, dims, per_row_b0):
         """"one-over-L" at a tolerance: every returned row's recomputed
         gradient norm is within grad_tol, and final_grad_norm is the
