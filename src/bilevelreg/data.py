@@ -215,36 +215,56 @@ def load_params(path) -> HyperParams:
     unknown = set(doc) - known
     if unknown:
         raise FormatError(f"unknown params key {sorted(unknown)[0]!r}")
+
+    def typed(key, wanted, ok, listed=False):
+        """``doc[key]`` if ``ok`` holds for it (for each entry of a list with
+        ``listed``); anything else is a FormatError naming the key."""
+        value = doc[key]
+        if not (isinstance(value, list) and all(map(ok, value)) if listed else ok(value)):
+            raise FormatError(f"params key {key!r} must be {wanted}, got {value!r}")
+        return value
+
     try:
         if doc["potential"] == "cr1n":
-            if type(doc["epsilon"]) not in (int, float):
-                raise FormatError(
-                    f"params key 'epsilon' must be a number, got {doc['epsilon']!r}")
-            potential = CornerRounded1Norm(doc["epsilon"])
+            potential = CornerRounded1Norm(typed("epsilon", "a finite number", _fits))
         elif doc["potential"] == "quadratic":
             potential = Quadratic()
         else:
             raise FormatError(f"unknown potential {doc['potential']!r}")
-        if not (isinstance(doc["filters"], list)
-                and all(isinstance(f, dict) for f in doc["filters"])):
-            raise FormatError("params key 'filters' must be a list of objects, "
-                              f"got {doc['filters']!r}")
         filters = [
             np.asarray(f["taps"], dtype=np.float64).reshape(f["extents"])
-            for f in doc["filters"]
+            for f in typed("filters", "a list of objects",
+                           lambda f: isinstance(f, dict), listed=True)
         ]
         return HyperParams(
-            beta0=doc["beta0"],
-            betas=np.asarray(doc["betas"], dtype=np.float64),
+            beta0=typed("beta0", "a finite number", _fits),
+            betas=np.asarray(typed("betas", "a list of finite numbers", _fits,
+                                   listed=True), dtype=np.float64),
             filters=filters,
             potential=potential,
-            learn_beta0=bool(doc["learn_beta0"]),
+            learn_beta0=typed("learn_beta0", "true or false",
+                              lambda v: isinstance(v, bool)),
         )
     except KeyError as exc:  # at the top level, or "taps"/"extents" of a filter
         raise FormatError(f"params file lacks key {exc.args[0]!r}") from exc
 
 
 _REQUIRED = object()
+
+
+def _fits(value, integer=False, positive=False) -> bool:
+    """A finite JSON number, bools excluded: an integer with ``integer``,
+    > 0 with ``positive``."""
+    return (type(value) in (int, float) and math.isfinite(value)
+            and (not integer or value == int(value))
+            and (not positive or value > 0))
+
+
+def _wanted(integer, positive) -> str:
+    wanted = "an integer" if integer else "a finite number"
+    if positive:
+        wanted += " >= 1" if integer else " > 0"
+    return wanted
 
 
 class _Section:
@@ -281,42 +301,35 @@ class _Section:
         "one-over-L", None) is returned as is, also when given.  Anything
         else is a ConfigError naming the key."""
         value = self.take(key, default)
-        if (type(value) in (int, float) and math.isfinite(value)
-                and (not integer or value == int(value))
-                and (not positive or value > 0)):
+        if _fits(value, integer, positive):
             return int(value) if integer else float(value)
         special = type(default) not in (int, float) and default is not _REQUIRED
         if special and value == default:
             return value
-        wanted = "an integer" if integer else "a finite number"
-        if positive:
-            wanted += " >= 1" if integer else " > 0"
+        wanted = _wanted(integer, positive)
         if special:
             wanted += f" or {json.dumps(default)}"
         raise ConfigError(
             f"config key '{self._where(key)}' must be {wanted}, got {value!r}"
         )
 
-    def numbers(self, key, default=_REQUIRED, length=None):
-        """A list of numbers (``length`` of them if given) as a float tuple."""
+    def numbers(self, key, default=_REQUIRED, length=None, integer=False,
+                positive=False):
+        """A non-empty list of numbers (``length`` of them if given), each
+        read as ``number`` reads one, as a tuple.  Anything else is a
+        ConfigError naming the key."""
         value = self.take(key, default)
-        if not (isinstance(value, list) and len(value) == (length or len(value))
-                and all(type(v) in (int, float) for v in value)):
-            count = f"{length} " if length else ""
-            raise ConfigError(f"config key '{self._where(key)}' must be a list of "
-                              f"{count}numbers, got {value!r}")
-        return tuple(float(v) for v in value)
+        if (isinstance(value, list) and value and len(value) == (length or len(value))
+                and all(_fits(v, integer, positive) for v in value)):
+            return tuple(int(v) if integer else float(v) for v in value)
+        count = f"{length} " if length else ""
+        raise ConfigError(f"config key '{self._where(key)}' must be a list of {count}"
+                          f"numbers, each {_wanted(integer, positive)}, got {value!r}")
 
     def finish(self):
         if self.data:
             key = sorted(self.data)[0]
             raise ConfigError(f"unknown config key '{self._where(key)}'")
-
-
-def build_grid(spec) -> Grid:
-    if not isinstance(spec, list) or not spec:
-        raise ConfigError("config key 'grid' must be a list of extents")
-    return Grid(tuple(int(d) for d in spec))
 
 
 def build_forward(grid: Grid, spec: dict) -> ForwardModel:
@@ -582,7 +595,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("config must be a JSON object")
     sec = _Section("", doc)
     seed = sec.take("seed")
-    grid = build_grid(sec.take("grid"))
+    grid = Grid(sec.numbers("grid", integer=True, positive=True))
     forward = build_forward(grid, sec.take("forward", {"kind": "identity"}))
     potential = build_potential(sec.take("potential", {"kind": "cr1n"}))
     theta_init = sec.take("theta_init")
@@ -647,7 +660,7 @@ def build_theta(cfg: ExperimentConfig, train: TrainSet | None) -> HyperParams:
             learn_beta0=learn_beta0,
         )
     n_filters = sec.number("n_filters", integer=True)
-    tap_extents = tuple(int(t) for t in sec.numbers("tap_extents"))
+    tap_extents = sec.numbers("tap_extents", integer=True, positive=True)
     seed = sec.number("seed", cfg.seed, integer=True)
     beta0 = sec.number("beta0", "auto")
     sec.finish()

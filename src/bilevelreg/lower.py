@@ -302,21 +302,21 @@ class Linearization:
     ``(S, *grid)`` of one iterate per row of a stacked problem: every product
     then acts on each row, bit for bit as that row's own linearization would.
 
-    The first ``hess_vec`` is the matrix-free formula.  The second assembles
-    the Hessian as a position-dependent stencil over centred offsets d,
+    ``hess_vec`` applies the Hessian as a position-dependent stencil over
+    centred offsets d,
 
         (hess(x) v)_i = sum_d M[d, i] v_{i+d},
         M[d, i] = G_A[d, i] + sum_k w_k sum_{s - t = d} c_{k,s} c_{k,t} phi''.(z_k)_{i+s},
 
-    with G_A the stencil of A'A, and it and every later product apply M: one
-    gather of v at all offsets, one multiply and one reduce in offset order.
-    Stencil products equal the matrix-free formula up to rounding (the sums
-    are grouped by offset, not by filter), and repeated ones give the same
-    bytes.  M takes offsets x size x 8 bytes.
+    with G_A the stencil of A'A.  The first product assembles M, and every
+    product applies it: one gather of v at all offsets, one multiply and one
+    reduce in offset order.  Products equal the formula above up to rounding
+    (the sums are grouped by offset, not by filter), and repeated ones give
+    the same bytes.  M takes offsets x size x 8 bytes.
 
     A linearization at a stack of iterates serves each iterate through a row
-    view (``_rows``), which slices its arrays: the unrolled reverse engine
-    linearizes its whole trajectory at once this way.
+    view (``_rows``), which slices its arrays and assembles its own M: the
+    unrolled reverse engine linearizes its whole trajectory at once this way.
     """
 
     def __init__(self, problem: LowerProblem, x: np.ndarray, _terms=None):
@@ -327,8 +327,7 @@ class Linearization:
         self.x = np.array(x, dtype=np.float64) if _terms is None else x
         self._stacked = self._grid.is_stack(self.x)
         self._terms = self._filter_terms() if _terms is None else _terms
-        self._products = 0  # hess_vec calls taken at this x
-        self._stencil = None  # (half-widths, M), from the second product
+        self._stencil = None  # (half-widths, M), from the first product
 
     def _filter_terms(self) -> list[_FilterTerm]:
         pot = self.problem.theta.potential
@@ -352,18 +351,9 @@ class Linearization:
         )
 
     def hess_vec(self, v: np.ndarray) -> np.ndarray:
-        """hess(x) v = A'(Av) + sum_k w_k c~_k * (phi''.(z_k) .* (c_k * v)).
-
-        Matrix-free on the first call at this x, by the assembled stencil
-        from the second on (see the class docstring).
+        """hess(x) v = A'(Av) + sum_k w_k c~_k * (phi''.(z_k) .* (c_k * v)),
+        by the stencil M assembled at the first call (see the class docstring).
         """
-        self._products += 1
-        if self._products == 1:
-            A = self.problem.A
-            h = A.adjoint(A.apply(v))
-            for t in self._terms:
-                h += t.weight * circ_conv_adjoint(t.curv * circ_conv(v, t.taps), t.taps)
-            return h
         if self._stencil is None:
             self._stencil = self._assemble()
         half, m = self._stencil

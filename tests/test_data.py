@@ -7,7 +7,6 @@ from bilevelreg.data import (
     add_noise,
     build_dataset_spec,
     build_forward,
-    build_grid,
     build_loss,
     build_optimizer,
     build_potential,
@@ -183,7 +182,11 @@ class TestParamsFile:
             load_params(path)
 
     @pytest.mark.parametrize("key,value", [("epsilon", None), ("epsilon", "0.1"),
-                                           ("filters", [[0.7, -0.7]]), ("filters", 3)])
+                                           ("filters", [[0.7, -0.7]]), ("filters", 3),
+                                           ("learn_beta0", "false"), ("learn_beta0", 0),
+                                           ("beta0", "1.5"), ("beta0", None),
+                                           ("betas", [True]), ("betas", 0.5),
+                                           ("betas", ["-1.0"])])
     def test_mistyped_value_named(self, tmp_path, key, value):
         path = tmp_path / "params.json"
         save_params(path, self.make_params())
@@ -204,7 +207,7 @@ class TestParamsFile:
 
 class TestBuilders:
     def test_forward_variants(self):
-        grid = build_grid([8])
+        grid = Grid((8,))
         assert isinstance(build_forward(grid, {"kind": "identity"}), Identity)
         assert isinstance(
             build_forward(grid, {"kind": "mask", "values": [1] * 8}), Mask
@@ -366,13 +369,31 @@ class TestConfig:
                                "amplitude": [-1, 2.5]})
         assert load_config(path).dataset.amplitude == (-1.0, 2.5)
 
-    @pytest.mark.parametrize("value", [3, "3", ["3"], [2, None], {"rows": 2}])
+    @pytest.mark.parametrize("value", [3, "3", ["3"], [2, None], {"rows": 2},
+                                       [2.7], [True], [0], [2, 1.5], []])
     def test_tap_extents_must_be_a_list_of_numbers(self, tmp_path, value):
         cfg = load_config(self.write_config(
             tmp_path, theta_init={"n_filters": 1, "tap_extents": value, "seed": 2}))
         with pytest.raises(ConfigError,
                            match="'theta_init.tap_extents' must be a list of numbers"):
             build_theta(cfg, None)
+
+    @pytest.mark.parametrize("value", [[32.9], ["a"], [True, 4], [0], [16, -2], [],
+                                       16, "16"])
+    def test_grid_must_be_integers_of_at_least_1(self, tmp_path, value):
+        path = self.write_config(tmp_path, grid=value)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == ("config key 'grid' must be a list of numbers, each "
+                                   f"an integer >= 1, got {value!r}")
+
+    def test_extents_keep_their_values(self, tmp_path):
+        cfg = load_config(self.write_config(
+            tmp_path, grid=[4, 6.0],
+            theta_init={"n_filters": 1, "tap_extents": [2.0, 3], "seed": 2}))
+        assert cfg.grid.dims == (4, 6)
+        theta = build_theta(cfg, None)
+        assert [c.shape for c in theta.filters] == [(2, 3)]
 
     @pytest.mark.parametrize("section,key,value,wanted", [
         ("solver", "warm_start", "false", "true or false"),

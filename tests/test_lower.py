@@ -354,20 +354,20 @@ def _forward_model(kind, grid, rng, taps=None):
     return Circulant(grid, rng.random(taps))
 
 
-# A stencil product (the second and later products at one x) sums the same
-# terms as the matrix-free formula, grouped by offset instead of by filter.
+# A stencil product sums the same terms as ``reference_hess_vec``, grouped
+# by offset instead of by filter.
 STENCIL_RTOL = 1e-13
 
 
 def assert_stencil_close(got, ref):
-    """Within STENCIL_RTOL x max|ref| of the matrix-free product, entrywise."""
+    """Within STENCIL_RTOL x max|ref| of the reference product, entrywise."""
     scale = float(np.max(np.abs(ref)))
     assert float(np.max(np.abs(got - ref))) <= STENCIL_RTOL * scale
 
 
 def stencil_case(model, rank, filters, stacked, seed=3, learn_beta0=False):
-    """A linearization at a random x, and the matrix-free product as a
-    function of v (the first product of a fresh linearization at that x).
+    """A linearization at a random x, and ``reference_hess_vec`` at that x
+    (row by row for a stack) as a function of v.
 
     ``filters``: "equal" shapes, "mixed" shapes, "narrow" filters under a
     wider blur (A's taps wider than the filters), or "none".
@@ -394,10 +394,12 @@ def stencil_case(model, rank, filters, stacked, seed=3, learn_beta0=False):
                            rng.standard_normal(shape), hp)
     x = rng.standard_normal(shape)
 
-    def matrix_free(v):
-        return problem.linearize(x).hess_vec(v)
+    def reference(v):
+        if not stacked:
+            return reference_hess_vec(problem, x, v)
+        return np.stack([reference_hess_vec(problem, *row) for row in zip(x, v)])
 
-    return problem.linearize(x), matrix_free, rng
+    return problem.linearize(x), reference, rng
 
 
 class TestLinearization:
@@ -429,15 +431,10 @@ class TestLinearization:
         lin = problem.linearize(x)
         x[...] = 0.0  # the linearization keeps its own copy of x
         x = lin.x
-        for k in range(2):  # products do not disturb the cached state
-            # the first product is the matrix-free formula, bit for bit; the
-            # second applies the assembled stencil, whose sums are grouped by
-            # offset, so it matches to rounding (test_stencil_* pin its bytes)
-            ref = reference_hess_vec(problem, x, v)
-            if k == 0:
-                np.testing.assert_array_equal(lin.hess_vec(v), ref)
-            else:
-                assert_stencil_close(lin.hess_vec(v), ref)
+        for _ in range(2):  # products do not disturb the cached state
+            # hess_vec applies the assembled stencil, whose sums are grouped
+            # by offset, so it matches to rounding (TestStencil pins its bytes)
+            assert_stencil_close(lin.hess_vec(v), reference_hess_vec(problem, x, v))
             np.testing.assert_array_equal(
                 lin.jac_adjoint_apply(v), reference_jac_adjoint_apply(problem, x, v))
             np.testing.assert_array_equal(lin.jac_columns(),
@@ -456,33 +453,34 @@ class TestStencil:
     @pytest.mark.parametrize("stacked", [False, True])
     @pytest.mark.parametrize("model,rank,filters", STENCIL_CASES)
     def test_matches_matrix_free(self, model, rank, filters, stacked):
-        lin, matrix_free, rng = stencil_case(model, rank, filters, stacked)
-        for _ in range(4):  # the first product is matrix-free, then stencils
+        lin, reference, rng = stencil_case(model, rank, filters, stacked)
+        for _ in range(4):  # the first product assembles M, every one applies it
             v = rng.standard_normal(lin.x.shape)
-            assert_stencil_close(lin.hess_vec(v), matrix_free(v))
+            assert_stencil_close(lin.hess_vec(v), reference(v))
 
     @pytest.mark.parametrize("model,rank,filters", STENCIL_CASES)
     def test_repeated_and_stacked_products_bitwise(self, model, rank, filters):
+        # one formula: the first product at an x equals every later one, and
+        # each row's own first and later products
         lin, _, rng = stencil_case(model, rank, filters, stacked=True)
         v = rng.standard_normal(lin.x.shape)
-        lin.hess_vec(v)  # matrix-free; the stencil serves the rest
         stack = lin.hess_vec(v)
-        np.testing.assert_array_equal(lin.hess_vec(v), stack)
+        for _ in range(2):
+            np.testing.assert_array_equal(lin.hess_vec(v), stack)
         problem = lin.problem
         for j in range(len(v)):
             own = LowerProblem(problem.A, problem.y[j], problem.theta).linearize(lin.x[j])
-            own.hess_vec(v[j])
-            np.testing.assert_array_equal(own.hess_vec(v[j]), stack[j])
+            for _ in range(2):
+                np.testing.assert_array_equal(own.hess_vec(v[j]), stack[j])
 
     def test_dense_hessian_is_symmetric_and_matches_matrix_free(self):
-        # STABLE's dense Hessian takes N products at one x: stencils after
-        # the first
+        # STABLE's dense Hessian takes N stencil products at one x
         from bilevelreg.upper import _dense_hessian
 
-        lin, matrix_free, _ = stencil_case("circulant", 2, "mixed", stacked=False)
+        lin, reference, _ = stencil_case("circulant", 2, "mixed", stacked=False)
         h = _dense_hessian(lin)
         eye = np.eye(lin.x.size)
-        cols = np.stack([matrix_free(e.reshape(lin.x.shape)).reshape(-1) for e in eye],
+        cols = np.stack([reference(e.reshape(lin.x.shape)).reshape(-1) for e in eye],
                         axis=1)
         assert_stencil_close(h, cols)
         assert_stencil_close(h, h.T)
@@ -501,7 +499,7 @@ class TestRowView:
             own = LowerProblem(problem.A, problem.y[keep], problem.theta).linearize(
                 lin.x[keep])
             np.testing.assert_array_equal(view.x, own.x)
-            for _ in range(3):  # matrix-free, then stencil products
+            for _ in range(3):  # the first product assembles M, then reuses it
                 v = rng.standard_normal(own.x.shape)
                 np.testing.assert_array_equal(view.hess_vec(v), own.hess_vec(v))
                 np.testing.assert_array_equal(view.jac_adjoint_apply(v),
