@@ -46,60 +46,32 @@ PARAMS_SCHEMA_VERSION = 1
 def gen_piecewise_constant(
     grid: Grid, n_jumps: int, amplitude: tuple[float, float], seed: int
 ) -> np.ndarray:
-    """Seeded piecewise-constant signal: 1-D level segments or 2-D blocks.
+    """Seeded piecewise-constant signal: a grid of constant blocks.
 
-    In 1-D the non-circular first difference is nonzero in exactly n_jumps
-    positions (the wrap-around difference is unconstrained).
+    Each axis of extent d is cut at min(n_jumps, d - 1) distinct sorted
+    positions, one level per block is drawn from U(lo, hi) in row-major
+    order, and each level fills its block.  In 1-D equal neighbouring levels
+    are redrawn, so the non-circular first difference is nonzero in exactly
+    n_jumps positions (the wrap-around difference is unconstrained).
     """
     if n_jumps < 0:
         raise ValueError("n_jumps must be >= 0")
     if n_jumps >= grid.n:
         raise ValueError(f"n_jumps {n_jumps} must be < grid size {grid.n}")
-    rng = np.random.Generator(np.random.PCG64(seed))
     lo, hi = float(amplitude[0]), float(amplitude[1])
-
-    def draw_levels(count):
-        levels = rng.uniform(lo, hi, size=count)
-        # adjacent equal levels would hide a jump; a.s. impossible for lo<hi
-        for i in range(1, count):
-            while levels[i] == levels[i - 1]:
-                levels[i] = rng.uniform(lo, hi)
-        return levels
-
+    if n_jumps > 0 and lo == hi:
+        raise ValueError(f"amplitude bounds ({lo}, {hi}) are equal, "
+                         f"so n_jumps {n_jumps} cannot be drawn")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cuts = [np.sort(rng.choice(np.arange(1, d), size=min(n_jumps, d - 1), replace=False))
+            for d in grid.dims]
+    x = rng.uniform(lo, hi, size=tuple(c.size + 1 for c in cuts))
     if grid.rank == 1:
-        n = grid.dims[0]
-        if n_jumps > 0:
-            cuts = np.sort(rng.choice(np.arange(1, n), size=n_jumps, replace=False))
-        else:
-            cuts = np.array([], dtype=int)
-        levels = draw_levels(n_jumps + 1)
-        x = np.empty(n)
-        bounds = np.concatenate(([0], cuts, [n]))
-        for i in range(len(bounds) - 1):
-            x[bounds[i] : bounds[i + 1]] = levels[i]
-        return x
-
-    rows, cols = grid.dims
-    cuts_r = (
-        np.sort(rng.choice(np.arange(1, rows), size=min(n_jumps, rows - 1),
-                           replace=False))
-        if n_jumps > 0 and rows > 1
-        else np.array([], dtype=int)
-    )
-    cuts_c = (
-        np.sort(rng.choice(np.arange(1, cols), size=min(n_jumps, cols - 1),
-                           replace=False))
-        if n_jumps > 0 and cols > 1
-        else np.array([], dtype=int)
-    )
-    x = np.empty(grid.dims)
-    bounds_r = np.concatenate(([0], cuts_r, [rows]))
-    bounds_c = np.concatenate(([0], cuts_c, [cols]))
-    for i in range(len(bounds_r) - 1):
-        for j in range(len(bounds_c) - 1):
-            x[bounds_r[i] : bounds_r[i + 1], bounds_c[j] : bounds_c[j + 1]] = (
-                rng.uniform(lo, hi)
-            )
+        for i in range(1, x.size):  # a.s. never loops for lo != hi
+            while x[i] == x[i - 1]:
+                x[i] = rng.uniform(lo, hi)
+    for axis, (d, c) in enumerate(zip(grid.dims, cuts)):
+        x = np.repeat(x, np.diff(np.concatenate(([0], c, [d]))), axis=axis)
     return x
 
 
@@ -313,16 +285,16 @@ class _Section:
             f"config key '{self._where(key)}' must be {wanted}, got {value!r}"
         )
 
-    def numbers(self, key, default=_REQUIRED, length=None, integer=False,
+    def numbers(self, key, default=_REQUIRED, lengths=(), integer=False,
                 positive=False):
-        """A non-empty list of numbers (``length`` of them if given), each
-        read as ``number`` reads one, as a tuple.  Anything else is a
-        ConfigError naming the key."""
+        """A non-empty list of numbers (as many as one of ``lengths``, if
+        given), each read as ``number`` reads one, as a tuple.  Anything else
+        is a ConfigError naming the key."""
         value = self.take(key, default)
-        if (isinstance(value, list) and value and len(value) == (length or len(value))
+        if (isinstance(value, list) and value and len(value) in (lengths or (len(value),))
                 and all(_fits(v, integer, positive) for v in value)):
             return tuple(int(v) if integer else float(v) for v in value)
-        count = f"{length} " if length else ""
+        count = " or ".join(map(str, lengths)) + " " if lengths else ""
         raise ConfigError(f"config key '{self._where(key)}' must be a list of {count}"
                           f"numbers, each {_wanted(integer, positive)}, got {value!r}")
 
@@ -426,15 +398,13 @@ def build_dataset_spec(spec: dict) -> DatasetSpec:
         raise ConfigError(
             f"unknown config value 'dataset.generator' = {generator!r}"
         )
-    count = sec.number("count", integer=True)
+    count = sec.number("count", integer=True, positive=True)
     n_jumps = sec.number("n_jumps", 4, integer=True)
-    amplitude = sec.numbers("amplitude", [0.0, 1.0], length=2)
+    amplitude = sec.numbers("amplitude", [0.0, 1.0], lengths=(2,))
     noise_sigma = sec.number("noise_sigma")
     seed = sec.number("seed", integer=True)
-    realizations = sec.number("realizations_per_image", 1, integer=True)
+    realizations = sec.number("realizations_per_image", 1, integer=True, positive=True)
     sec.finish()
-    if count < 1 or realizations < 1:
-        raise ConfigError("dataset.count and realizations_per_image must be >= 1")
     return DatasetSpec(
         count=count,
         n_jumps=n_jumps,
@@ -509,15 +479,7 @@ def build_optimizer(spec: dict) -> dict:
         out["theta_rel_tol"] = sec.number("theta_rel_tol", 0.01)
     elif kind == "ba":
         out["ss_upper"] = sec.number("ss_upper")
-        ss_lower = sec.take("ss_lower", "paper-default")
-        positive = (isinstance(ss_lower, (int, float))
-                    and not isinstance(ss_lower, bool) and ss_lower > 0)
-        if ss_lower != "paper-default" and not positive:
-            raise ConfigError(
-                "config key 'optimizer.ss_lower' must be a positive number or "
-                f"'paper-default', got {ss_lower!r}"
-            )
-        out["ss_lower"] = ss_lower if isinstance(ss_lower, str) else float(ss_lower)
+        out["ss_lower"] = sec.number("ss_lower", "paper-default", positive=True)
         out["inner_iters"] = sec.number("inner_iters", 10, integer=True)
         out["warm_start"] = sec.flag("warm_start", False)
         out["theta_rel_tol"] = sec.number("theta_rel_tol", 0.01)
@@ -552,8 +514,6 @@ def build_sweep(spec: dict | None) -> dict | None:
     sec = _Section("sweep", spec)
     grid = sec.numbers("beta0_grid")
     sec.finish()
-    if not grid:
-        raise ConfigError("config key 'sweep.beta0_grid' must be nonempty")
     return {"beta0_grid": grid}
 
 
@@ -595,7 +555,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("config must be a JSON object")
     sec = _Section("", doc)
     seed = sec.take("seed")
-    grid = Grid(sec.numbers("grid", integer=True, positive=True))
+    grid = Grid(sec.numbers("grid", lengths=(1, 2), integer=True, positive=True))
     forward = build_forward(grid, sec.take("forward", {"kind": "identity"}))
     potential = build_potential(sec.take("potential", {"kind": "cr1n"}))
     theta_init = sec.take("theta_init")

@@ -215,7 +215,9 @@ def grad_compare(g_est: np.ndarray, g_ref: np.ndarray) -> tuple[float, float]:
         raise ValueError("undefined angle: reference gradient is zero")
     if est_norm == 0.0:
         raise ValueError("undefined angle: estimated gradient is zero")
-    cosine = float(np.vdot(g_est, g_ref)) / (est_norm * ref_norm)
-    angle = float(np.arccos(np.clip(cosine, -1.0, 1.0)))
+    # the chord between the unit directions resolves angles far below the
+    # sqrt(eps) floor of arccos(cosine); it reads 0.0 for equal directions
+    chord = float(np.linalg.norm(g_est / est_norm - g_ref / ref_norm))
+    angle = 2.0 * float(np.arcsin(min(1.0, chord / 2.0)))
     rel_err = float(np.linalg.norm(g_est - g_ref)) / ref_norm
     return angle, rel_err

@@ -532,8 +532,8 @@ class StableState:
     step_lower: float
     hess_est: np.ndarray | None = None
     mixed_est: np.ndarray | None = None
-    prev_theta: HyperParams | None = None
-    prev_x: np.ndarray | None = None
+    prev_hess: np.ndarray | None = None
+    prev_mixed: np.ndarray | None = None
 
 
 def truncate_eigenvalues(h: np.ndarray, floor: float) -> np.ndarray:
@@ -580,8 +580,10 @@ def stable_step(
     """One STABLE update: recursive curvature estimates, theta step, corrected x step.
 
     Dense mode only (N <= 64): the eigenvalue truncation and norm projection
-    need explicit matrices.  The recursion pairs the current sample at the
-    previous and current iterates; tau = 1 discards the memory entirely.
+    need explicit matrices.  The recursion differences the curvature at the
+    previous and current iterates.  Neither the Hessian nor the mixed
+    Jacobian depends on the sample, so the previous iterate's matrices are
+    the ones the previous step built; tau = 1 discards the memory entirely.
     """
     x_true, y = sample
     loss = bind_loss(loss_spec, y, A, x_true)
@@ -596,12 +598,9 @@ def stable_step(
     lin = problem.linearize(state.x)
     h_new = _dense_hessian(lin)
     m_new = _dense_mixed(lin)
-    if state.prev_x is not None and tau < 1.0:
-        prev_lin = LowerProblem(A, y, state.prev_theta).linearize(state.prev_x)
-        h_prev = _dense_hessian(prev_lin)
-        m_prev = _dense_mixed(prev_lin)
-        h_raw = (1.0 - tau) * (state.hess_est - h_prev) + h_new
-        m_raw = (1.0 - tau) * (state.mixed_est - m_prev) + m_new
+    if state.prev_hess is not None and tau < 1.0:
+        h_raw = (1.0 - tau) * (state.hess_est - state.prev_hess) + h_new
+        m_raw = (1.0 - tau) * (state.mixed_est - state.prev_mixed) + m_new
     else:
         h_raw, m_raw = h_new, m_new
     h_bar = truncate_eigenvalues(h_raw, mu)
@@ -624,8 +623,8 @@ def stable_step(
         step_lower=state.step_lower,
         hess_est=h_bar,
         mixed_est=m_bar,
-        prev_theta=state.theta,
-        prev_x=state.x,
+        prev_hess=h_new,
+        prev_mixed=m_new,
     )
 
 

@@ -261,6 +261,17 @@ class TestErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"'{section}.{key}'" in err
 
+    def test_equal_amplitude_bounds_is_one_line_error(self, tmp_path, capsys):
+        doc = json.loads((CONFIGS / "sweep.json").read_text())
+        doc["dataset"]["amplitude"] = [0.5, 0.5]
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--config", str(cfg),
+                     "--output-dir", str(data_dir)]) == 1
+        assert capsys.readouterr().err == (
+            "error: amplitude bounds (0.5, 0.5) are equal, so n_jumps 5 cannot be drawn\n")
+
     @pytest.mark.parametrize("key,value", [("epsilon", None), ("filters", [[0.7, -0.7]])])
     def test_params_file_mistyped_value_is_one_line_error(self, tmp_path, capsys,
                                                           key, value):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -54,6 +55,36 @@ class TestGenerator:
     def test_jump_count_validation(self):
         with pytest.raises(ValueError):
             gen_piecewise_constant(Grid((4,)), 4, (0.0, 1.0), seed=0)
+
+    @pytest.mark.parametrize("dims", [(8,), (4, 4), (1, 5)])
+    def test_equal_bounds_need_no_jumps(self, dims):
+        # no level can differ from its neighbour, so a jump cannot be drawn
+        with pytest.raises(ValueError) as info:
+            gen_piecewise_constant(Grid(dims), 2, (0.5, 0.5), seed=0)
+        assert str(info.value) == ("amplitude bounds (0.5, 0.5) are equal, "
+                                   "so n_jumps 2 cannot be drawn")
+        x = gen_piecewise_constant(Grid(dims), 0, (0.5, 0.5), seed=0)
+        assert x.shape == dims and np.all(x == 0.5)
+
+    GRIDS = [(1,), (2,), (7,), (32,), (64,), (1, 1), (1, 5), (5, 1), (3, 3), (8, 8),
+             (32, 32), (16, 40)]
+
+    def test_pinned_bytes(self):
+        # digest of every signal over grids x n_jumps 0-6 x seeds 0-39 x two
+        # amplitude ranges; reversed bounds (lo > hi) raise at every rank
+        digest = hashlib.sha256()
+        for dims in self.GRIDS:
+            grid = Grid(dims)
+            for n_jumps in range(min(7, grid.n)):
+                for seed in range(40):
+                    for amplitude in ((0.0, 1.0), (-2.5, 0.75)):
+                        x = gen_piecewise_constant(grid, n_jumps, amplitude, seed)
+                        assert x.shape == dims and x.dtype == np.float64
+                        digest.update(x.tobytes())
+                    with pytest.raises(ValueError):
+                        gen_piecewise_constant(grid, n_jumps, (1.0, -0.5), seed)
+        assert digest.hexdigest() == (
+            "75a0a9e17da37b47259af72149c760fa6b45c20ae65249b37edcbbbf5611013a")
 
 
 class TestNoise:
@@ -242,6 +273,12 @@ class TestBuilders:
         with pytest.raises(ConfigError, match="optimizer.ss_lower"):
             build_optimizer({"kind": "ba", "ss_upper": 0.1, "ss_lower": ss_lower})
 
+    def test_ba_lower_step_message(self):
+        with pytest.raises(ConfigError) as info:
+            build_optimizer({"kind": "ba", "ss_upper": 0.1, "ss_lower": 0})
+        assert str(info.value) == ("config key 'optimizer.ss_lower' must be a finite "
+                                   'number > 0 or "paper-default", got 0')
+
     def test_ba_lower_step_accepted_values(self):
         default = build_optimizer({"kind": "ba", "ss_upper": 0.1})
         assert default["ss_lower"] == "paper-default"
@@ -379,13 +416,14 @@ class TestConfig:
             build_theta(cfg, None)
 
     @pytest.mark.parametrize("value", [[32.9], ["a"], [True, 4], [0], [16, -2], [],
-                                       16, "16"])
+                                       16, "16", [4, 4, 4]])
     def test_grid_must_be_integers_of_at_least_1(self, tmp_path, value):
         path = self.write_config(tmp_path, grid=value)
         with pytest.raises(ConfigError) as info:
             load_config(path)
-        assert str(info.value) == ("config key 'grid' must be a list of numbers, each "
-                                   f"an integer >= 1, got {value!r}")
+        assert str(info.value) == ("config key 'grid' must be a list of 1 or 2 "
+                                   "numbers, each an integer >= 1, got "
+                                   f"{value!r}")
 
     def test_extents_keep_their_values(self, tmp_path):
         cfg = load_config(self.write_config(
@@ -405,6 +443,8 @@ class TestConfig:
         ("optimizer", "max_upper", "3", "an integer"),
         ("dataset", "noise_sigma", None, "a finite number"),
         ("dataset", "seed", float("nan"), "an integer"),
+        ("dataset", "count", 0, "an integer >= 1"),
+        ("dataset", "realizations_per_image", 0, "an integer >= 1"),
         ("potential", "epsilon", True, "a finite number"),
     ])
     def test_mistyped_scalar_named(self, tmp_path, section, key, value, wanted):

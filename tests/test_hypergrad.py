@@ -316,6 +316,17 @@ class TestGradCompare:
         assert angle == pytest.approx(0.0, abs=1e-7)
         assert rel == 0.0
 
+    def test_small_angles_resolved(self):
+        rng = np.random.default_rng(4)
+        g = rng.standard_normal(21)
+        assert grad_compare(g, g.copy()) == (0.0, 0.0)
+        u = g / np.linalg.norm(g)
+        v = rng.standard_normal(21)
+        v -= (v @ u) * u
+        v /= np.linalg.norm(v)
+        angle, _ = grad_compare(np.cos(1e-10) * u + np.sin(1e-10) * v, u)
+        assert angle == pytest.approx(1e-10, rel=1e-6)
+
     def test_opposite(self):
         g = np.array([1.0, 2.0])
         angle, rel = grad_compare(-g, g)

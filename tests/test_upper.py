@@ -419,7 +419,7 @@ class TestStable:
             theta=hp, x=np.array([0.0]), step_upper=0.3, step_lower=0.4,
             hess_est=np.array([[55.0]]),
             mixed_est=np.array([[7.0, -7.0]]),
-            prev_theta=hp, prev_x=np.array([9.0]),
+            prev_hess=np.array([[9.0]]), prev_mixed=np.array([[3.0, 3.0]]),
         )
         s2 = stable_step(poisoned, sample, train.A, MSELoss(), 1.0, 10.0, 1.0)
         np.testing.assert_array_equal(pack_theta(s1.theta), pack_theta(s2.theta))
@@ -483,6 +483,16 @@ class TestStable:
         with pytest.raises(DimensionError):
             stable_step(state, (np.zeros(80), np.zeros(80)), A, MSELoss(),
                         1.0, 10.0, 1.0)
+
+    def test_one_dense_hessian_per_step(self, monkeypatch):
+        # the recursion reuses the previous step's matrices at tau < 1
+        hp, train, _, _ = scalar_toy()
+        built = []
+        monkeypatch.setattr(upper, "_dense_hessian",
+                            lambda lin: built.append(lin) or np.array([[1.0]]))
+        stable_run(hp, np.array([0.0]), train, MSELoss(), step_upper=0.3,
+                   step_lower=0.4, tau=0.5, c_mix=10.0, mu=1.0, max_iter=5, seed=0)
+        assert len(built) == 5
 
     def test_run_converges_on_toy(self):
         hp, train, _, cfg = scalar_toy()
