@@ -17,7 +17,6 @@ from .hypergrad import (
     hypergrad_minimizer,
     hypergrad_unrolled_forward,
     hypergrad_unrolled_reverse,
-    unrolled_forward_sensitivity,
 )
 from .losses import (
     DiscrepancyLoss,
@@ -47,7 +46,6 @@ from .signals import (
     circ_conv_adjoint,
     circshift,
     filter_spectrum,
-    filter_spectrum_max,
     shifted,
 )
 from .solvers import CGResult, GDConfig, GDResult, cg_solve, gd_minimize

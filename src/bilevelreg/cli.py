@@ -239,9 +239,9 @@ def _run_sweep(cfg: ExperimentConfig):
 
 
 def _run_gen_data(cfg: ExperimentConfig, output_dir):
+    train = build_train_set(cfg.dataset, cfg.grid, cfg.forward)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train = build_train_set(cfg.dataset, cfg.grid, cfg.forward)
     for j in range(train.n_samples):
         save_signal(out / f"x_true_{j:03d}.sig", train.x_true[j])
         save_signal(out / f"y_{j:03d}.sig", train.y[j])

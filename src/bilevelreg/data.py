@@ -184,58 +184,82 @@ def load_params(path) -> HyperParams:
         "schema_version", "layout", "beta0", "learn_beta0", "betas",
         "potential", "epsilon", "filters",
     }
+
+    def typed(key, wanted, ok, listed=False, obj=doc, where=""):
+        """``obj[key]`` if ``ok`` holds for it (for each entry of a list with
+        ``listed``); a missing key or anything else is a FormatError naming
+        ``where + key``."""
+        if key not in obj:
+            raise FormatError(f"params file lacks key '{where}{key}'")
+        value = obj[key]
+        if not (isinstance(value, list) and all(map(ok, value)) if listed else ok(value)):
+            raise FormatError(f"params key '{where}{key}' must be {wanted}, got {value!r}")
+        return value
+
+    def read_filter(k, f):
+        """Filter k's taps, shaped by its extents."""
+        where = f"filters[{k}]."
+        unknown = set(f) - {"extents", "taps"}
+        if unknown:
+            raise FormatError(f"unknown params key '{where}{sorted(unknown)[0]}'")
+        shape = tuple(int(e) for e in typed(
+            "extents", "a list of 1 or 2 integers >= 1",
+            lambda v: _fits_all(v, (1, 2), integer=True, positive=True), obj=f, where=where))
+        size = math.prod(shape)
+        taps = typed("taps", f"a list of {size} finite numbers",
+                     lambda v: _fits_all(v, (size,)), obj=f, where=where)
+        return np.asarray(taps, dtype=np.float64).reshape(shape)
+
     unknown = set(doc) - known
     if unknown:
         raise FormatError(f"unknown params key {sorted(unknown)[0]!r}")
-
-    def typed(key, wanted, ok, listed=False):
-        """``doc[key]`` if ``ok`` holds for it (for each entry of a list with
-        ``listed``); anything else is a FormatError naming the key."""
-        value = doc[key]
-        if not (isinstance(value, list) and all(map(ok, value)) if listed else ok(value)):
-            raise FormatError(f"params key {key!r} must be {wanted}, got {value!r}")
-        return value
-
-    try:
-        if doc["potential"] == "cr1n":
-            potential = CornerRounded1Norm(typed("epsilon", "a finite number", _fits))
-        elif doc["potential"] == "quadratic":
-            potential = Quadratic()
-        else:
-            raise FormatError(f"unknown potential {doc['potential']!r}")
-        filters = [
-            np.asarray(f["taps"], dtype=np.float64).reshape(f["extents"])
-            for f in typed("filters", "a list of objects",
-                           lambda f: isinstance(f, dict), listed=True)
-        ]
-        return HyperParams(
-            beta0=typed("beta0", "a finite number", _fits),
-            betas=np.asarray(typed("betas", "a list of finite numbers", _fits,
-                                   listed=True), dtype=np.float64),
-            filters=filters,
-            potential=potential,
-            learn_beta0=typed("learn_beta0", "true or false",
-                              lambda v: isinstance(v, bool)),
-        )
-    except KeyError as exc:  # at the top level, or "taps"/"extents" of a filter
-        raise FormatError(f"params file lacks key {exc.args[0]!r}") from exc
+    kind = typed("potential", '"cr1n" or "quadratic"', lambda v: v in ("cr1n", "quadratic"))
+    potential = (CornerRounded1Norm(typed("epsilon", "a finite number", _fits))
+                 if kind == "cr1n" else Quadratic())
+    filters = [read_filter(k, f) for k, f in enumerate(
+        typed("filters", "a list of objects", lambda f: isinstance(f, dict), listed=True))]
+    return HyperParams(
+        beta0=typed("beta0", "a finite number", _fits),
+        betas=np.asarray(typed("betas", "a list of finite numbers", _fits, listed=True),
+                         dtype=np.float64),
+        filters=filters,
+        potential=potential,
+        learn_beta0=typed("learn_beta0", "true or false", lambda v: isinstance(v, bool)),
+    )
 
 
 _REQUIRED = object()
 
 
-def _fits(value, integer=False, positive=False) -> bool:
+def _fits(value, integer=False, positive=False, nonneg=False) -> bool:
     """A finite JSON number, bools excluded: an integer with ``integer``,
-    > 0 with ``positive``."""
+    > 0 with ``positive``, >= 0 with ``nonneg``."""
     return (type(value) in (int, float) and math.isfinite(value)
             and (not integer or value == int(value))
-            and (not positive or value > 0))
+            and (not positive or value > 0) and (not nonneg or value >= 0))
 
 
-def _wanted(integer, positive) -> str:
+def _fits_all(value, lengths=(), integer=False, positive=False) -> bool:
+    """A JSON list of numbers that each ``_fits``: as many as one of
+    ``lengths``, or at least one when no ``lengths`` are given."""
+    return (isinstance(value, list)
+            and (len(value) in lengths if lengths else len(value) > 0)
+            and all(_fits(v, integer, positive) for v in value))
+
+
+def _is_taps(value) -> bool:
+    """Filter taps in JSON: a list of numbers, or of equal-length such lists."""
+    nested = isinstance(value, list) and value and all(isinstance(r, list) for r in value)
+    rows = value if nested else [value]
+    return all(map(_fits_all, rows)) and len({len(row) for row in rows}) == 1
+
+
+def _wanted(integer, positive, nonneg=False) -> str:
     wanted = "an integer" if integer else "a finite number"
     if positive:
         wanted += " >= 1" if integer else " > 0"
+    elif nonneg:
+        wanted += " >= 0"
     return wanted
 
 
@@ -258,45 +282,47 @@ class _Section:
             raise ConfigError(f"missing config key '{self._where(key)}'")
         return default
 
-    def flag(self, key, default=_REQUIRED) -> bool:
-        """true or false; anything else is a ConfigError naming the key."""
-        value = self.take(key, default)
-        if not isinstance(value, bool):
-            raise ConfigError(
-                f"config key '{self._where(key)}' must be true or false, got {value!r}"
-            )
-        return value
-
-    def number(self, key, default=_REQUIRED, integer=False, positive=False):
-        """A finite number: an integer with ``integer``, > 0 with ``positive``
-        (an integer >= 1 with both).  A default that is no number ("auto",
-        "one-over-L", None) is returned as is, also when given.  Anything
-        else is a ConfigError naming the key."""
-        value = self.take(key, default)
-        if _fits(value, integer, positive):
-            return int(value) if integer else float(value)
-        special = type(default) not in (int, float) and default is not _REQUIRED
-        if special and value == default:
-            return value
-        wanted = _wanted(integer, positive)
-        if special:
-            wanted += f" or {json.dumps(default)}"
+    def reject(self, key, wanted, value):
+        """Raise the ConfigError that names the key and what it must be."""
         raise ConfigError(
             f"config key '{self._where(key)}' must be {wanted}, got {value!r}"
         )
 
+    def flag(self, key, default=_REQUIRED) -> bool:
+        """true or false; anything else is a ConfigError naming the key."""
+        value = self.take(key, default)
+        if not isinstance(value, bool):
+            self.reject(key, "true or false", value)
+        return value
+
+    def number(self, key, default=_REQUIRED, integer=False, positive=False,
+               nonneg=False):
+        """A finite number: an integer with ``integer``, > 0 with ``positive``
+        (an integer >= 1 with both), >= 0 with ``nonneg``.  A default that is
+        no number ("auto", "one-over-L", None) is returned as is, also when
+        given.  Anything else is a ConfigError naming the key."""
+        value = self.take(key, default)
+        if _fits(value, integer, positive, nonneg):
+            return int(value) if integer else float(value)
+        special = type(default) not in (int, float) and default is not _REQUIRED
+        if special and value == default:
+            return value
+        wanted = _wanted(integer, positive, nonneg)
+        if special:
+            wanted += f" or {json.dumps(default)}"
+        self.reject(key, wanted, value)
+
     def numbers(self, key, default=_REQUIRED, lengths=(), integer=False,
                 positive=False):
-        """A non-empty list of numbers (as many as one of ``lengths``, if
-        given), each read as ``number`` reads one, as a tuple.  Anything else
-        is a ConfigError naming the key."""
+        """A list of numbers (as many as one of ``lengths``, or at least one
+        when no ``lengths`` are given), each read as ``number`` reads one, as
+        a tuple.  Anything else is a ConfigError naming the key."""
         value = self.take(key, default)
-        if (isinstance(value, list) and value and len(value) in (lengths or (len(value),))
-                and all(_fits(v, integer, positive) for v in value)):
+        if _fits_all(value, lengths, integer=integer, positive=positive):
             return tuple(int(v) if integer else float(v) for v in value)
         count = " or ".join(map(str, lengths)) + " " if lengths else ""
-        raise ConfigError(f"config key '{self._where(key)}' must be a list of {count}"
-                          f"numbers, each {_wanted(integer, positive)}, got {value!r}")
+        self.reject(key, f"a list of {count}numbers, each "
+                         f"{_wanted(integer, positive)}", value)
 
     def finish(self):
         if self.data:
@@ -325,7 +351,7 @@ def build_potential(spec: dict) -> Potential:
     sec = _Section("potential", spec)
     kind = sec.take("kind")
     if kind == "cr1n":
-        eps = sec.number("epsilon", 0.01)
+        eps = sec.number("epsilon", 0.01, positive=True)
         sec.finish()
         return CornerRounded1Norm(eps)
     if kind == "quadratic":
@@ -341,16 +367,18 @@ def build_loss(spec: dict) -> LossSpec:
         sec.finish()
         return MSELoss()
     if kind == "huber":
-        eps = sec.number("epsilon")
+        eps = sec.number("epsilon", positive=True)
         sec.finish()
         return HuberLoss(eps)
     if kind == "discrepancy":
-        sigma = sec.number("sigma")
+        sigma = sec.number("sigma", positive=True)
         sec.finish()
         return DiscrepancyLoss(sigma)
     if kind == "noise-corridor":
-        low = sec.number("var_low")
-        high = sec.number("var_high")
+        low = sec.number("var_low", nonneg=True)
+        high = sec.number("var_high", nonneg=True)
+        if high < low:
+            sec.reject("var_high", f"a finite number >= var_low {low!r}", high)
         weights = sec.take("weights", None)
         sec.finish()
         return NoiseCorridorLoss(
@@ -358,9 +386,9 @@ def build_loss(spec: dict) -> LossSpec:
             None if weights is None else np.asarray(weights, dtype=np.float64),
         )
     if kind == "sure-mc":
-        sigma = sec.number("sigma")
-        probe_eps = sec.number("probe_eps", None)
-        n_probes = sec.number("n_probes", 1, integer=True)
+        sigma = sec.number("sigma", positive=True)
+        probe_eps = sec.number("probe_eps", None, positive=True)
+        n_probes = sec.number("n_probes", 1, integer=True, positive=True)
         seed = sec.number("seed", 0, integer=True)
         sec.finish()
         return SureMCLoss(sigma, probe_eps, n_probes, seed)
@@ -369,9 +397,9 @@ def build_loss(spec: dict) -> LossSpec:
 
 def build_solver(spec: dict, grid: Grid) -> GDConfig:
     sec = _Section("solver", spec)
-    step = sec.number("step", "one-over-L")
-    max_iters = sec.number("max_iters", 2000, integer=True)
-    grad_tol = sec.number("grad_tol", None)
+    step = sec.number("step", "one-over-L", positive=True)
+    max_iters = sec.number("max_iters", 2000, integer=True, nonneg=True)
+    grad_tol = sec.number("grad_tol", None, nonneg=True)
     warm_start = sec.flag("warm_start", True)
     sec.finish()
     if grad_tol is None:
@@ -399,9 +427,12 @@ def build_dataset_spec(spec: dict) -> DatasetSpec:
             f"unknown config value 'dataset.generator' = {generator!r}"
         )
     count = sec.number("count", integer=True, positive=True)
-    n_jumps = sec.number("n_jumps", 4, integer=True)
+    n_jumps = sec.number("n_jumps", 4, integer=True, nonneg=True)
     amplitude = sec.numbers("amplitude", [0.0, 1.0], lengths=(2,))
-    noise_sigma = sec.number("noise_sigma")
+    if amplitude[0] > amplitude[1] or (n_jumps > 0 and amplitude[0] == amplitude[1]):
+        sec.reject("amplitude", "[lo, hi] with lo <= hi, and lo < hi when n_jumps > 0",
+                   list(amplitude))
+    noise_sigma = sec.number("noise_sigma", nonneg=True)
     seed = sec.number("seed", integer=True)
     realizations = sec.number("realizations_per_image", 1, integer=True, positive=True)
     sec.finish()
@@ -468,7 +499,7 @@ def build_optimizer(spec: dict) -> dict:
     kind = sec.take("kind")
     out = {
         "kind": kind,
-        "max_upper": sec.number("max_upper", 100, integer=True),
+        "max_upper": sec.number("max_upper", 100, integer=True, positive=True),
     }
     if kind in ("adam", "gd"):
         out["step"] = sec.number("step", 0.05)
@@ -566,6 +597,8 @@ def load_config(path) -> ExperimentConfig:
     )
     loss = build_loss(sec.take("loss", {"kind": "mse"}))
     dataset = build_dataset_spec(sec.take("dataset"))
+    if dataset.n_jumps >= grid.n:
+        sec.reject("dataset.n_jumps", f"below the grid size {grid.n}", dataset.n_jumps)
     solver = build_solver(sec.take("solver", {}), grid)
     output = build_output(sec.take("output", {}))
     sweep = build_sweep(sec.take("sweep", None))
@@ -604,18 +637,18 @@ def load_config(path) -> ExperimentConfig:
 def build_theta(cfg: ExperimentConfig, train: TrainSet | None) -> HyperParams:
     sec = _Section("theta_init", cfg.theta_init)
     learn_beta0 = sec.flag("learn_beta0", False)
-    explicit_filters = sec.take("filters", None)
-    if explicit_filters is not None:
+    filters = sec.take("filters", None)
+    if filters is not None:
+        if not (isinstance(filters, list) and all(map(_is_taps, filters))):
+            sec.reject("filters", "a list of filters, each a list of numbers or of "
+                       "equal-length lists of numbers", filters)
         beta0 = sec.number("beta0", 0.0)
-        betas = sec.take("betas", None)
+        betas = sec.numbers("betas", [0.0] * len(filters), lengths=(len(filters),))
         sec.finish()
-        filters = [np.asarray(c, dtype=np.float64) for c in explicit_filters]
-        if betas is None:
-            betas = np.zeros(len(filters))
         return HyperParams(
             beta0=beta0,
             betas=np.asarray(betas, dtype=np.float64),
-            filters=filters,
+            filters=[np.asarray(c, dtype=np.float64) for c in filters],
             potential=cfg.potential,
             learn_beta0=learn_beta0,
         )

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DivergenceError
-from .lower import LowerProblem
+from .lower import Linearization, LowerProblem
 from .solvers import GDConfig, cg_solve, gd_minimize
 
 
@@ -82,7 +82,7 @@ def hypergrad_minimizer(
     1e-4 (1 + ||grad_x loss||).
     """
     grad_loss = loss.grad_x(x_approx)
-    lin = problem.linearize(x_approx)
+    lin = Linearization(problem, x_approx)
     cg = cg_solve(lin.hess_vec, grad_loss, cg_tol, cg_max_iters)
     grad = -lin.jac_adjoint_apply(cg.x)
     gnorm = float(np.linalg.norm(problem.grad_x(x_approx)))
@@ -130,7 +130,7 @@ def hypergrad_unrolled_reverse(
     grad = np.zeros(lead + (problem.theta.theta_size(),))
     delta = _loss_grad(problem, loss, run.x)
     if n_steps:
-        path = problem.linearize(np.reshape(run.trajectory[:n_steps], (-1,) + grid.dims))
+        path = Linearization(problem, np.reshape(run.trajectory[:n_steps], (-1,) + grid.dims))
     for t in range(n_steps, 0, -1):
         # iterate t - 1 is row t - 1 of the path, or rows (t-1)S .. tS-1 of it
         lin = path._rows(slice((t - 1) * lead[0], t * lead[0]) if lead else t - 1)
@@ -144,17 +144,23 @@ def hypergrad_unrolled_reverse(
     )
 
 
-def unrolled_forward_sensitivity(
-    problem: LowerProblem, x0: np.ndarray, n_steps: int, step: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Iterate GD while accumulating dx^T/dtheta.
+def hypergrad_unrolled_forward(
+    problem: LowerProblem,
+    loss: UpperLoss | Sequence[UpperLoss],
+    x0: np.ndarray,
+    n_steps: int,
+    step: float,
+) -> HypergradResult:
+    """Forward-mode accumulation of the unrolled gradient (memory O(N P)).
 
-    Returns (x_T, Z) with Z[p] the sensitivity of x_T to theta coordinate p,
-    shaped like x (for a stack, ``Z[:, j]`` is row j's); Z starts at zero
-    because the initializer does not depend on theta.  Raises DivergenceError
-    naming the step at which x or Z stops being finite.  In a stack every
-    row runs to the end unless row 0 fails, and the lowest failed row raises
-    with its own step and its ``row``, as its own run would have failed.
+    Iterates GD while accumulating Z = dx^T/dtheta, with Z[p] the sensitivity
+    of the iterate to theta coordinate p, shaped like x (for a stack,
+    ``Z[:, j]`` is row j's); Z starts at zero because the initializer does
+    not depend on theta.  Takes a stack, and warns of a step above 2/L, as
+    ``hypergrad_unrolled_reverse`` does.  Raises DivergenceError naming the
+    step at which x or Z stops being finite.  In a stack every row runs to
+    the end unless row 0 fails, and the lowest failed row raises with its own
+    step and its ``row``, as its own run would have failed.
     """
     n_params = problem.theta.theta_size()
     x = np.array(x0, dtype=np.float64, copy=True)
@@ -163,7 +169,7 @@ def unrolled_forward_sensitivity(
     z = np.zeros((n_params,) + x.shape)
     failed: dict[int, int] = {}  # row -> first step at which it is not finite
     for t in range(n_steps):
-        lin = problem.linearize(x)
+        lin = Linearization(problem, x)
         cols = lin.jac_columns()
         for p in range(n_params):
             z[p] -= step * (lin.hess_vec(z[p]) + cols[p])
@@ -180,24 +186,8 @@ def unrolled_forward_sensitivity(
             iteration=failed[row],
             row=row if stacked else None,
         )
-    return x, z
-
-
-def hypergrad_unrolled_forward(
-    problem: LowerProblem,
-    loss: UpperLoss | Sequence[UpperLoss],
-    x0: np.ndarray,
-    n_steps: int,
-    step: float,
-) -> HypergradResult:
-    """Forward-mode accumulation of the unrolled gradient (memory O(N P)).
-
-    Takes a stack, and warns of a step above 2/L, as
-    ``hypergrad_unrolled_reverse`` does.
-    """
-    x, z = unrolled_forward_sensitivity(problem, x0, n_steps, step)
     grad = problem.A.grid.dots(z, _loss_grad(problem, loss, x))
-    if problem.A.grid.is_stack(x):  # (P, S): one row per sample
+    if stacked:  # (P, S): one row per sample
         grad = np.ascontiguousarray(grad.T)
     return HypergradResult(
         grad=grad,

@@ -18,7 +18,7 @@ Derivative conventions (validated against finite differences; see README):
     d(grad_x Phi)/d c_{k,s} = w_k [circshift(phi'.(z_k), -s)
                                    + c~_k * (phi''.(z_k) .* circshift(x, s))]
 
-where z_k = c_k * x and w_k = e^{b0 + b_k}.  ``LowerProblem.linearize(x)``
+where z_k = c_k * x and w_k = e^{b0 + b_k}.  ``Linearization(problem, x)``
 evaluates the last three at one x, building z_k, phi' and phi'' once.
 """
 
@@ -36,7 +36,7 @@ from .signals import (
     centred_rows,
     circ_conv,
     circ_conv_adjoint,
-    filter_spectrum_max,
+    filter_spectrum,
     pair_index,
     shifted,
 )
@@ -141,12 +141,12 @@ class LowerProblem:
     """One reconstruction instance: operator, data, and hyperparameters.
 
     ``y`` is one signal on the grid, or a stack of S signals shaped
-    ``(S, *grid)`` that share ``A`` and ``theta``.  ``grad_x`` and
-    ``linearize`` accept a stack and act on every row bit for bit as the
+    ``(S, *grid)`` that share ``A`` and ``theta``.  ``grad_x`` and a
+    ``Linearization`` accept a stack and act on every row bit for bit as the
     unstacked problem of that row would; ``cost`` and ``regularity_report``
     take one signal.  ``row_beta0`` gives each row of a stacked ``y`` its own
     b0 in place of ``theta.beta0``; only ``grad_x`` and ``lipschitz_grad``
-    serve such a problem, and the other methods raise.
+    serve such a problem, and the other methods and a linearization raise.
     """
 
     A: ForwardModel
@@ -208,10 +208,6 @@ class LowerProblem:
             g += w * circ_conv_adjoint(pot.dphi(circ_conv(x, c)), c)
         return g
 
-    def linearize(self, x: np.ndarray) -> "Linearization":
-        """Derivatives of ``grad_x Phi`` in x and theta at a fixed ``x``."""
-        return Linearization(self, x)
-
     def _stencil_plan(self):
         """What the Hessian stencils of all linearizations of this problem
         share: the half-widths h of the offset box -h..h, A'A on that box
@@ -246,7 +242,7 @@ class LowerProblem:
         l_dphi = self.theta.potential.curvature_bound()
         total = sigma1_sq
         for w, c in zip(self._weights, self.theta.filters):
-            total += w * l_dphi * filter_spectrum_max(c, self.A.grid) ** 2
+            total += w * l_dphi * float(np.max(filter_spectrum(c, self.A.grid))) ** 2
         return np.reshape(total, -1) if np.ndim(total) else float(total)
 
     def regularity_report(self, x_norm_bound: float) -> dict:
@@ -256,7 +252,7 @@ class LowerProblem:
         sigma1_sq, sigman_sq = self.A.spectral_bounds()
         l_dphi = pot.curvature_bound()
         l_ddphi = pot.curvature_lipschitz()
-        sig1 = [filter_spectrum_max(c, self.A.grid) for c in self.theta.filters]
+        sig1 = [float(np.max(filter_spectrum(c, self.A.grid))) for c in self.theta.filters]
         pairs = list(zip(self._weights, sig1))  # (w_k, sigma1(C_k))
         reg_curv = float(sum(w * l_dphi * s**2 for w, s in pairs))
         return {

@@ -17,6 +17,7 @@ is the convention pinned by the worked shift examples; see README
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ class Grid:
 
     @property
     def n(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def is_stack(self, x: np.ndarray) -> bool:
         """False for one signal on the grid, True for a stack ``(S, *dims)``.
@@ -104,6 +105,15 @@ def _check_filter_fits(grid: tuple[int, ...], c_shape: tuple[int, ...]) -> None:
         )
 
 
+def _gather_index(shape: tuple[int, ...], offsets) -> np.ndarray:
+    """Read-only flat gather index whose row k holds the flat indices of
+    ``circshift(x, offsets[k])`` for an x of ``shape``."""
+    flat = np.arange(int(np.prod(shape))).reshape(shape)
+    index = np.stack([circshift(flat, s).reshape(-1) for s in offsets])
+    index.flags.writeable = False
+    return index
+
+
 @functools.lru_cache(maxsize=32)
 def _shift_index(c_shape: tuple[int, ...], grid: tuple[int, ...], sign: int) -> np.ndarray:
     """Flat gather index of every tap shift, shaped (taps, N) and read-only.
@@ -117,14 +127,7 @@ def _shift_index(c_shape: tuple[int, ...], grid: tuple[int, ...], sign: int) -> 
     call with a bad one raises.
     """
     _check_filter_fits(grid, c_shape)
-    flat = np.arange(int(np.prod(grid))).reshape(grid)
-    axes = tuple(range(len(grid)))
-    index = np.stack([
-        np.roll(flat, tuple(sign * k for k in s), axis=axes).reshape(-1)
-        for s in np.ndindex(c_shape)
-    ])
-    index.flags.writeable = False
-    return index
+    return _gather_index(grid, [tuple(sign * k for k in s) for s in np.ndindex(c_shape)])
 
 
 def _tap_rows(x: np.ndarray, c_shape: tuple[int, ...], sign: int) -> np.ndarray:
@@ -175,14 +178,9 @@ def _centred_index(half: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
     ``circshift(x, -d)``, i.e. of x_{i+d}, for an array of ``shape`` whose
     trailing ``len(half)`` axes form the grid; leading axes do not shift.
     """
-    flat = np.arange(int(np.prod(shape))).reshape(shape)
-    axes = tuple(range(len(shape) - len(half), len(shape)))
-    index = np.stack([
-        np.roll(flat, tuple(h - k for k, h in zip(d, half)), axis=axes).reshape(-1)
-        for d in np.ndindex(tuple(2 * h + 1 for h in half))
-    ])
-    index.flags.writeable = False
-    return index
+    lead = (0,) * (len(shape) - len(half))
+    box = np.ndindex(tuple(2 * h + 1 for h in half))
+    return _gather_index(shape, [lead + tuple(h - k for k, h in zip(d, half)) for d in box])
 
 
 def centred_rows(x: np.ndarray, half: tuple[int, ...]) -> np.ndarray:
@@ -240,8 +238,3 @@ def filter_spectrum(c: np.ndarray, grid: Grid) -> np.ndarray:
         phase = sum(sk * mk / dk for sk, mk, dk in zip(s, mesh, grid.dims))
         freq += c[s] * np.exp(-2j * np.pi * phase)
     return np.abs(freq)
-
-
-def filter_spectrum_max(c: np.ndarray, grid: Grid) -> float:
-    """Largest singular value of the circular convolution matrix of ``c``."""
-    return float(np.max(filter_spectrum(c, grid)))

@@ -500,7 +500,7 @@ def ttsa(
                     iteration=i,
                 )
             b = np.mean([loss.grad_x(x) for loss in batch_losses], axis=0)
-            lins = [p.linearize(x) for p in problems]
+            lins = [Linearization(p, x) for p in problems]
 
             def hess_action(v):
                 return np.mean([lin.hess_vec(v) for lin in lins], axis=0)
@@ -595,7 +595,7 @@ def stable_step(
     if not mu > 0:
         raise ConfigError("STABLE eigenvalue truncation needs mu > 0")
     problem = LowerProblem(A, y, state.theta)
-    lin = problem.linearize(state.x)
+    lin = Linearization(problem, state.x)
     h_new = _dense_hessian(lin)
     m_new = _dense_mixed(lin)
     if state.prev_hess is not None and tau < 1.0:

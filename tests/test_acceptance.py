@@ -32,6 +32,7 @@ from bilevelreg.hypergrad import (
 from bilevelreg.losses import MSELoss, bind_loss, metrics, sure_mc
 from bilevelreg.lower import (
     HyperParams,
+    Linearization,
     LowerProblem,
     pack_theta,
     theta_mask,
@@ -378,7 +379,7 @@ def test_criterion_10_structural_suite(tmp_path):
     hp = HyperParams(-0.5, [0.2], [np.array([0.6, -0.6])],
                      CornerRounded1Norm(0.05))
     problem = LowerProblem(Identity(grid), rng.standard_normal(12), hp)
-    lin = problem.linearize(rng.standard_normal(12))
+    lin = Linearization(problem, rng.standard_normal(12))
     ok = True
     for _ in range(10):
         v, w = rng.standard_normal((2, 12))

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bilevelreg import cli
 from bilevelreg.cli import main
 from bilevelreg.data import load_params, load_signal, save_params, save_signal
 from bilevelreg.lower import HyperParams
@@ -65,6 +66,20 @@ class TestTrain:
                 f"warning: {warned} of 3 iterations raised a hypergradient "
                 "warning (the trace's warnings column counts them)"
             ]
+
+    def test_ba_writes_inner_iters(self, tmp_path, monkeypatch):
+        doc = json.loads((CONFIGS / "toy_train.json").read_text())
+        doc["optimizer"] = {"kind": "ba", "ss_upper": 0.01, "inner_iters": 5,
+                            "max_upper": 3, "theta_rel_tol": 0.0}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_in(tmp_path, monkeypatch, ["train", "--config", str(cfg)]) == 0
+        with open(tmp_path / "trace.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3
+        assert [row["inner_iters"] for row in rows] == ["5.0"] * 3
+        assert [row["lower_iters"] for row in rows] == ["10"] * 3  # 5 per sample
+        assert load_params(tmp_path / "params.json").n_filters == 1
 
     def test_byte_determinism_excluding_wall_time(self, tmp_path, monkeypatch):
         outputs = []
@@ -230,12 +245,34 @@ class TestErrors:
         ("solver", "max_iters", 2.7),
         ("optimizer", "step", [0.1]),
         ("theta_init", "learn_beta0", "no"),
+        ("solver", "step", -1),
+        ("solver", "max_iters", -5),
+        ("solver", "grad_tol", -1),
+        ("dataset", "n_jumps", -1),
+        ("dataset", "n_jumps", 40),
+        ("dataset", "noise_sigma", -0.1),
+        ("dataset", "amplitude", [1.0, 0.0]),
+        ("dataset", "amplitude", [0.5, 0.5]),
+        ("potential", "epsilon", 0),
+        ("loss", "epsilon", 0),
+        ("loss", "sigma", -1),
+        ("loss", "var_high", 0.01),
+        ("optimizer", "max_upper", -3),
+        ("optimizer", "max_upper", 0),
+        ("theta_init", "filters", 5),
+        ("theta_init", "betas", 5),
     ])
     def test_bad_config_value_is_one_line_error(self, tmp_path, monkeypatch, capsys,
                                                 recwarn, section, key, value):
         doc = json.loads((CONFIGS / "toy_train.json").read_text())
-        if key == "batch":
-            doc["optimizer"] = {"kind": "ttsa", "max_upper": 2}
+        # a section of the kind that reads the key, where the config has another
+        doc.update({
+            ("optimizer", "batch"): {"optimizer": {"kind": "ttsa", "max_upper": 2}},
+            ("loss", "epsilon"): {"loss": {"kind": "huber"}},
+            ("loss", "sigma"): {"loss": {"kind": "discrepancy"}},
+            ("loss", "var_high"): {"loss": {"kind": "noise-corridor", "var_low": 0.02}},
+            ("theta_init", "betas"): {"theta_init": {"filters": [[0.7, -0.7]]}},
+        }.get((section, key), {}))
         doc[section][key] = value
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(doc))
@@ -270,7 +307,20 @@ class TestErrors:
         assert main(["gen-data", "--config", str(cfg),
                      "--output-dir", str(data_dir)]) == 1
         assert capsys.readouterr().err == (
-            "error: amplitude bounds (0.5, 0.5) are equal, so n_jumps 5 cannot be drawn\n")
+            "error: config key 'dataset.amplitude' must be [lo, hi] with lo <= hi, "
+            "and lo < hi when n_jumps > 0, got [0.5, 0.5]\n")
+        assert not data_dir.exists()
+
+    def test_gen_data_failure_leaves_no_directory(self, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise ValueError("no dataset")
+
+        monkeypatch.setattr(cli, "build_train_set", fail)
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--config", str(CONFIGS / "sweep.json"),
+                     "--output-dir", str(data_dir)]) == 1
+        assert capsys.readouterr().err == "error: no dataset\n"
+        assert not data_dir.exists()
 
     @pytest.mark.parametrize("key,value", [("epsilon", None), ("filters", [[0.7, -0.7]])])
     def test_params_file_mistyped_value_is_one_line_error(self, tmp_path, capsys,
@@ -282,6 +332,29 @@ class TestErrors:
                                         CornerRounded1Norm(0.01)))
         doc = json.loads(params.read_text())
         doc[key] = value
+        params.write_text(json.dumps(doc))
+        y = tmp_path / "y.sig"
+        save_signal(y, np.zeros(32))
+        assert main(["reconstruct", "--config", str(cfg), "--params", str(params),
+                     "--input", str(y), "--output", str(tmp_path / "xhat.sig")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: params key '{key}' must be")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("entry,key", [
+        ({"extents": "ab", "taps": [0.7, -0.7]}, "filters[0].extents"),
+        ({"extents": [2], "taps": ["x", 1.0]}, "filters[0].taps"),
+        ({"extents": [3], "taps": [0.7, -0.7]}, "filters[0].taps"),
+    ])
+    def test_params_file_mistyped_filter_is_one_line_error(self, tmp_path, capsys,
+                                                           entry, key):
+        cfg = tmp_path / "cfg.json"
+        shutil.copy(CONFIGS / "toy_train.json", cfg)
+        params = tmp_path / "params.json"
+        save_params(params, HyperParams(0.0, [0.0], [np.array([0.7, -0.7])],
+                                        CornerRounded1Norm(0.01)))
+        doc = json.loads(params.read_text())
+        doc["filters"] = [entry]
         params.write_text(json.dumps(doc))
         y = tmp_path / "y.sig"
         save_signal(y, np.zeros(32))
@@ -307,7 +380,8 @@ class TestErrors:
         assert main(["reconstruct", "--config", str(cfg), "--params", str(params),
                      "--input", str(y), "--output", str(tmp_path / "xhat.sig")]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: params file lacks key '{key}'\n"
+        named = "filters[0].taps" if key == "taps" else key
+        assert err == f"error: params file lacks key '{named}'\n"
 
     def test_bad_signal_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.sig"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -22,10 +23,13 @@ from bilevelreg.data import (
 )
 from bilevelreg.errors import ConfigError, FormatError
 from bilevelreg.forward import Circulant, Identity, Mask
-from bilevelreg.losses import HuberLoss, MSELoss, NoiseCorridorLoss, SureMCLoss
-from bilevelreg.lower import HyperParams
+from bilevelreg.losses import (
+    DiscrepancyLoss, HuberLoss, MSELoss, NoiseCorridorLoss, SureMCLoss,
+)
+from bilevelreg.lower import HyperParams, LowerProblem
 from bilevelreg.potentials import CornerRounded1Norm, Quadratic
 from bilevelreg.signals import Grid
+from bilevelreg.upper import DecreaseAdaptive, PowerLaw
 
 
 class TestGenerator:
@@ -207,9 +211,11 @@ class TestParamsFile:
         path = tmp_path / "params.json"
         save_params(path, self.make_params())
         doc = json.loads(path.read_text())
-        del (doc["filters"][1] if key in ("taps", "extents") else doc)[key]
+        in_filter = key in ("taps", "extents")
+        del (doc["filters"][1] if in_filter else doc)[key]
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match=f"params file lacks key '{key}'"):
+        named = f"filters[1].{key}" if in_filter else key
+        with pytest.raises(FormatError, match=f"params file lacks key '{re.escape(named)}'"):
             load_params(path)
 
     @pytest.mark.parametrize("key,value", [("epsilon", None), ("epsilon", "0.1"),
@@ -217,14 +223,53 @@ class TestParamsFile:
                                            ("learn_beta0", "false"), ("learn_beta0", 0),
                                            ("beta0", "1.5"), ("beta0", None),
                                            ("betas", [True]), ("betas", 0.5),
-                                           ("betas", ["-1.0"])])
+                                           ("betas", ["-1.0"]),
+                                           ("filters[0].extents", "ab"),
+                                           ("filters[0].extents", [0]),
+                                           ("filters[0].extents", [2.5]),
+                                           ("filters[1].extents", [1, 2, 2]),
+                                           ("filters[0].taps", ["x", 1.0]),
+                                           ("filters[0].taps", [1.0, None]),
+                                           ("filters[0].taps", 0.5),
+                                           ("filters[1].taps", [1.0, 2.0, 3.0])])
     def test_mistyped_value_named(self, tmp_path, key, value):
         path = tmp_path / "params.json"
         save_params(path, self.make_params())
         doc = json.loads(path.read_text())
-        doc[key] = value
+        if key.startswith("filters["):  # filters[k].entry
+            doc["filters"][int(key[8])][key.split(".")[1]] = value
+        else:
+            doc[key] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match=f"params key '{key}' must be"):
+        with pytest.raises(FormatError, match=f"params key '{re.escape(key)}' must be"):
+            load_params(path)
+
+    def test_extents_that_do_not_match_the_taps_named(self, tmp_path):
+        path = tmp_path / "params.json"
+        save_params(path, self.make_params())
+        doc = json.loads(path.read_text())
+        doc["filters"][0]["extents"] = [3]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError) as info:
+            load_params(path)
+        assert str(info.value) == ("params key 'filters[0].taps' must be a list of 3 "
+                                   "finite numbers, got [0.5, -0.5]")
+
+    def test_integral_extents_keep_their_shape(self, tmp_path):
+        path = tmp_path / "params.json"
+        save_params(path, self.make_params())
+        doc = json.loads(path.read_text())
+        doc["filters"][1]["extents"] = [2.0, 2]
+        path.write_text(json.dumps(doc))
+        assert load_params(path).filters[1].shape == (2, 2)
+
+    def test_unknown_filter_key_rejected(self, tmp_path):
+        path = tmp_path / "params.json"
+        save_params(path, self.make_params())
+        doc = json.loads(path.read_text())
+        doc["filters"][1]["origin"] = [0, 0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=re.escape("unknown params key 'filters[1].origin'")):
             load_params(path)
 
     def test_quadratic_needs_no_epsilon(self, tmp_path):
@@ -263,6 +308,17 @@ class TestBuilders:
         assert isinstance(corridor, NoiseCorridorLoss)
         sure = build_loss({"kind": "sure-mc", "sigma": 0.1, "n_probes": 3})
         assert isinstance(sure, SureMCLoss)
+        assert build_loss({"kind": "discrepancy", "sigma": 0.05}) == DiscrepancyLoss(0.05)
+
+    def test_hoag_step_schedules(self):
+        adaptive = {"kind": "decrease-adaptive", "alpha0": 0.01, "shrink": 0.25, "grow": 1.1}
+        assert build_optimizer({"kind": "hoag", "step": adaptive})["step"] == (
+            DecreaseAdaptive(0.01, 0.25, 1.1))
+        defaults = {"kind": "decrease-adaptive", "alpha0": 0.02}
+        assert build_optimizer({"kind": "hoag", "step": defaults})["step"] == (
+            DecreaseAdaptive(0.02, 0.5, 1.05))
+        power = {"kind": "power-law", "a": 0.1, "exponent": 0.75}
+        assert build_optimizer({"kind": "hoag", "step": power})["step"] == PowerLaw(0.1, 0.75)
 
     def test_unknown_key_named_in_error(self):
         with pytest.raises(ConfigError, match="loss.flavor"):
@@ -301,6 +357,10 @@ class TestBuilders:
         # same clean image across its realizations, distinct noise
         np.testing.assert_array_equal(train2.x_true[0], train2.x_true[1])
         assert np.any(train2.y[0] != train2.y[1])
+
+
+FILTERS_WANTED = re.escape("a list of filters, each a list of numbers or of "
+                           "equal-length lists of numbers")
 
 
 class TestConfig:
@@ -436,19 +496,38 @@ class TestConfig:
     @pytest.mark.parametrize("section,key,value,wanted", [
         ("solver", "warm_start", "false", "true or false"),
         ("solver", "warm_start", 0, "true or false"),
-        ("solver", "max_iters", 2.7, "an integer"),
-        ("solver", "step", "fixed", 'a finite number or "one-over-L"'),
-        ("solver", "grad_tol", [1e-8], "a finite number or null"),
+        ("solver", "max_iters", 2.7, "an integer >= 0"),
+        ("solver", "step", "fixed", 'a finite number > 0 or "one-over-L"'),
+        ("solver", "grad_tol", [1e-8], "a finite number >= 0 or null"),
         ("optimizer", "step", [0.1], "a finite number"),
-        ("optimizer", "max_upper", "3", "an integer"),
-        ("dataset", "noise_sigma", None, "a finite number"),
+        ("optimizer", "max_upper", "3", "an integer >= 1"),
+        ("dataset", "noise_sigma", None, "a finite number >= 0"),
         ("dataset", "seed", float("nan"), "an integer"),
         ("dataset", "count", 0, "an integer >= 1"),
         ("dataset", "realizations_per_image", 0, "an integer >= 1"),
-        ("potential", "epsilon", True, "a finite number"),
+        ("potential", "epsilon", True, "a finite number > 0"),
+        ("solver", "step", -1, 'a finite number > 0 or "one-over-L"'),
+        ("solver", "max_iters", -5, "an integer >= 0"),
+        ("solver", "grad_tol", -1, 'a finite number >= 0 or null'),
+        ("optimizer", "max_upper", 0, "an integer >= 1"),
+        ("optimizer", "max_upper", -3, "an integer >= 1"),
+        ("dataset", "n_jumps", -1, "an integer >= 0"),
+        ("dataset", "n_jumps", 16, "below the grid size 16"),
+        ("dataset", "noise_sigma", -0.1, "a finite number >= 0"),
+        ("dataset", "amplitude", [1.0, 0.0],
+         "[lo, hi] with lo <= hi, and lo < hi when n_jumps > 0"),
+        ("dataset", "amplitude", [0.5, 0.5],
+         "[lo, hi] with lo <= hi, and lo < hi when n_jumps > 0"),
+        ("potential", "epsilon", 0, "a finite number > 0"),
+        ("loss", "epsilon", 0, "a finite number > 0"),
+        ("loss", "sigma", -1, "a finite number > 0"),
+        ("loss", "var_high", 0.01, "a finite number >= var_low 0.02"),
     ])
     def test_mistyped_scalar_named(self, tmp_path, section, key, value, wanted):
         doc = json.loads(self.write_config(tmp_path).read_text())
+        if section == "loss":  # the loss kind that reads the key
+            doc["loss"] = {"epsilon": {"kind": "huber"}, "sigma": {"kind": "discrepancy"},
+                           "var_high": {"kind": "noise-corridor", "var_low": 0.02}}[key]
         doc[section][key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -464,6 +543,13 @@ class TestConfig:
         ({"n_filters": 1, "tap_extents": [2], "beta0": None}, "beta0",
          'a finite number or "auto"'),
         ({"filters": [[1.0, -1.0]], "beta0": "auto"}, "beta0", "a finite number"),
+        ({"filters": 5, "betas": [0.0]}, "filters", FILTERS_WANTED),
+        ({"filters": [["x", 1.0]]}, "filters", FILTERS_WANTED),
+        ({"filters": [[[1.0], [1.0, -1.0]]]}, "filters", FILTERS_WANTED),
+        ({"filters": [[1.0, -1.0]], "betas": 5}, "betas",
+         "a list of 1 numbers, each a finite number"),
+        ({"filters": [[1.0, -1.0]], "betas": [0.0, 0.0]}, "betas",
+         "a list of 1 numbers, each a finite number"),
     ])
     def test_mistyped_theta_init_named(self, tmp_path, theta_init, key, wanted):
         cfg = load_config(self.write_config(tmp_path, theta_init=theta_init))
@@ -484,6 +570,34 @@ class TestConfig:
         assert theta.beta0 == -1.0 and theta.learn_beta0 is True
         defaults = load_config(self.write_config(tmp_path, solver={}))
         assert defaults.solver.step == "one-over-L" and defaults.solver.warm_start
+
+    @pytest.mark.parametrize("grid,blur,tap_extents", [
+        ([16], [0.25, 0.5, 0.25], [3]),
+        ([8, 8], [[0.0, 0.1, 0.0], [0.1, 0.6, 0.1], [0.0, 0.1, 0.0]], [2, 2]),
+    ])
+    def test_auto_beta0_balances_the_gradients(self, tmp_path, grid, blur, tap_extents):
+        # a blur, so the data-fit gradient at the adjoint start A'y is not zero
+        cfg = load_config(self.write_config(
+            tmp_path, grid=grid, forward={"kind": "circulant", "taps": blur},
+            dataset={"count": 2, "noise_sigma": 0.1, "seed": 3},
+            theta_init={"n_filters": 2, "tap_extents": tap_extents, "seed": 2}))
+        train = build_train_set(cfg.dataset, cfg.grid, cfg.forward)
+        theta = build_theta(cfg, train)
+        assert theta.beta0 != 0.0
+        A, y = train.A, train.y[0]
+        x = A.adjoint(y)
+        g_data = A.adjoint(A.apply(x) - y)
+        g_reg = LowerProblem(A, y, theta).grad_x(x) - g_data
+        data_norm = np.linalg.norm(g_data)
+        assert abs(np.linalg.norm(g_reg) - data_norm) <= 1e-12 * data_norm
+
+    @pytest.mark.parametrize("grid,tap_extents", [([16], [1]), ([8, 8], [1, 1])])
+    def test_one_tap_random_filter_is_the_unit_delta(self, tmp_path, grid, tap_extents):
+        cfg = load_config(self.write_config(
+            tmp_path, grid=grid,
+            theta_init={"n_filters": 2, "tap_extents": tap_extents, "seed": 2}))
+        for c in build_theta(cfg, build_train_set(cfg.dataset, cfg.grid, cfg.forward)).filters:
+            np.testing.assert_array_equal(c, np.ones(tap_extents))
 
     def test_seed_mandatory(self, tmp_path):
         doc = json.loads(self.write_config(tmp_path).read_text())

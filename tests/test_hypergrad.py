@@ -3,14 +3,16 @@ import pytest
 
 from bilevelreg.forward import Circulant, Identity, Mask
 from bilevelreg.hypergrad import (
+    UpperLoss,
     grad_compare,
     hypergrad_minimizer,
     hypergrad_unrolled_forward,
     hypergrad_unrolled_reverse,
-    unrolled_forward_sensitivity,
 )
 from bilevelreg.losses import MSELoss, bind_loss
-from bilevelreg.lower import HyperParams, LowerProblem, pack_theta, unpack_theta
+from bilevelreg.lower import (
+    HyperParams, Linearization, LowerProblem, pack_theta, unpack_theta,
+)
 from bilevelreg.potentials import CornerRounded1Norm, Quadratic
 from bilevelreg.signals import Grid
 from bilevelreg.solvers import GDConfig, gd_minimize
@@ -189,7 +191,13 @@ class TestUnrolledEngines:
         x0 = problem.A.adjoint(problem.y)
         step = 1.0 / problem.lipschitz_grad()
         n_steps = 20
-        x_t, z = unrolled_forward_sensitivity(problem, x0, n_steps, step)
+        # the loss x_i reads column i of the sensitivity Z: grad[p] = Z[p]_i
+        z = np.zeros((problem.theta.theta_size(), x0.size))
+        for i in range(x0.size):
+            e_i = np.zeros_like(x0)
+            e_i[i] = 1.0
+            probe = UpperLoss(value=lambda x, i=i: float(x[i]), grad_x=lambda x, e=e_i: e)
+            z[:, i] = hypergrad_unrolled_forward(problem, probe, x0, n_steps, step).grad
         theta_vec = pack_theta(problem.theta)
         h = 1e-6
         cfg = GDConfig(step=step, max_iters=n_steps, grad_tol=0.0)
@@ -240,7 +248,7 @@ def reference_unrolled_reverse(problem, loss, x0, n_steps, step):
     else:
         delta = loss.grad_x(run.x)
     for t in range(n_steps, 0, -1):
-        lin = problem.linearize(run.trajectory[t - 1])
+        lin = Linearization(problem, run.trajectory[t - 1])
         grad -= step * lin.jac_adjoint_apply(delta)
         delta = delta - step * lin.hess_vec(delta)
     return grad, run.x

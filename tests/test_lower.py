@@ -8,6 +8,7 @@ from bilevelreg import lower
 from bilevelreg.forward import Circulant, Identity, Mask
 from bilevelreg.lower import (
     HyperParams,
+    Linearization,
     LowerProblem,
     pack_theta,
     theta_mask,
@@ -155,13 +156,13 @@ class TestHessVec:
     def test_scalar_case(self):
         problem = scalar_problem(lam=1.0)
         v = np.array([3.0])
-        lin = problem.linearize(np.array([1.0]))
+        lin = Linearization(problem, np.array([1.0]))
         np.testing.assert_allclose(lin.hess_vec(v), 2.0 * v)
 
     def test_symmetry(self):
         problem, rng = make_problem()
         x = rng.standard_normal(problem.A.grid.dims)
-        lin = problem.linearize(x)
+        lin = Linearization(problem, x)
         for _ in range(10):
             v = rng.standard_normal(x.shape)
             w = rng.standard_normal(x.shape)
@@ -181,7 +182,7 @@ class TestHessVec:
         for _ in range(5):
             v = rng.standard_normal(8)
             np.testing.assert_allclose(
-                problem.linearize(x).hess_vec(v), dense @ v, rtol=1e-5, atol=1e-8
+                Linearization(problem, x).hess_vec(v), dense @ v, rtol=1e-5, atol=1e-8
             )
 
     def test_positive_semidefinite_with_mu(self):
@@ -190,7 +191,7 @@ class TestHessVec:
         mu = problem.regularity_report(1.0)["mu"]
         for _ in range(20):
             v = rng.standard_normal(x.shape)
-            quad = float(np.vdot(v, problem.linearize(x).hess_vec(v)))
+            quad = float(np.vdot(v, Linearization(problem, x).hess_vec(v)))
             assert quad >= mu * float(np.vdot(v, v)) - 1e-10
 
 
@@ -199,11 +200,11 @@ class TestMixedJacobian:
         grid = Grid((4,))
         hp = HyperParams(0.0, [], [], CornerRounded1Norm(0.1))
         problem = LowerProblem(Identity(grid), np.zeros(4), hp)
-        assert problem.linearize(np.zeros(4)).jac_adjoint_apply(np.ones(4)).size == 0
+        assert Linearization(problem, np.zeros(4)).jac_adjoint_apply(np.ones(4)).size == 0
 
     def test_scalar_beta_entry(self):
         problem = scalar_problem(lam=1.0)
-        out = problem.linearize(np.array([1.0])).jac_adjoint_apply(np.array([-0.5]))
+        out = Linearization(problem, np.array([1.0])).jac_adjoint_apply(np.array([-0.5]))
         assert out[0] == pytest.approx(-0.5)
 
     @pytest.mark.parametrize("learn_beta0", [False, True])
@@ -213,7 +214,7 @@ class TestMixedJacobian:
         u = rng.standard_normal(16)
         theta_vec = pack_theta(problem.theta)
         h = 1e-6
-        out = problem.linearize(x).jac_adjoint_apply(u)
+        out = Linearization(problem, x).jac_adjoint_apply(u)
         assert out.size == theta_vec.size
         for p in range(theta_vec.size):
             tp = theta_vec.copy()
@@ -238,7 +239,7 @@ class TestMixedJacobian:
         x = rng.standard_normal(grid.dims)
         u = rng.standard_normal(grid.dims)
         theta_vec = pack_theta(hp)
-        out = problem.linearize(x).jac_adjoint_apply(u)
+        out = Linearization(problem, x).jac_adjoint_apply(u)
         h = 1e-6
         for p in range(theta_vec.size):
             tp = theta_vec.copy()
@@ -275,7 +276,7 @@ class TestJacColumns:
     def test_scalar_beta_column(self):
         problem = scalar_problem(lam=1.0)
         x = np.array([1.5])
-        np.testing.assert_allclose(problem.linearize(x).jac_columns()[0], 1.0 * x)
+        np.testing.assert_allclose(Linearization(problem, x).jac_columns()[0], 1.0 * x)
 
 
 def _roll(x, s):
@@ -399,7 +400,7 @@ def stencil_case(model, rank, filters, stacked, seed=3, learn_beta0=False):
             return reference_hess_vec(problem, x, v)
         return np.stack([reference_hess_vec(problem, *row) for row in zip(x, v)])
 
-    return problem.linearize(x), reference, rng
+    return Linearization(problem, x), reference, rng
 
 
 class TestLinearization:
@@ -428,7 +429,7 @@ class TestLinearization:
         problem = LowerProblem(_forward_model(model, grid, rng),
                                rng.standard_normal(dims), hp)
         x, v = rng.standard_normal((2,) + dims)
-        lin = problem.linearize(x)
+        lin = Linearization(problem, x)
         x[...] = 0.0  # the linearization keeps its own copy of x
         x = lin.x
         for _ in range(2):  # products do not disturb the cached state
@@ -469,7 +470,8 @@ class TestStencil:
             np.testing.assert_array_equal(lin.hess_vec(v), stack)
         problem = lin.problem
         for j in range(len(v)):
-            own = LowerProblem(problem.A, problem.y[j], problem.theta).linearize(lin.x[j])
+            own = Linearization(
+                LowerProblem(problem.A, problem.y[j], problem.theta), lin.x[j])
             for _ in range(2):
                 np.testing.assert_array_equal(own.hess_vec(v[j]), stack[j])
 
@@ -496,8 +498,8 @@ class TestRowView:
         problem = lin.problem
         for keep in (1, slice(1, 3)):
             view = lin._rows(keep)
-            own = LowerProblem(problem.A, problem.y[keep], problem.theta).linearize(
-                lin.x[keep])
+            own = Linearization(
+                LowerProblem(problem.A, problem.y[keep], problem.theta), lin.x[keep])
             np.testing.assert_array_equal(view.x, own.x)
             for _ in range(3):  # the first product assembles M, then reuses it
                 v = rng.standard_normal(own.x.shape)
@@ -517,7 +519,7 @@ class TestRowView:
                 calls[_name] += 1
                 return _f(*args)
             monkeypatch.setattr(lower, name, counted)
-        lin = built.problem.linearize(built.x)
+        lin = Linearization(built.problem, built.x)
         assert calls == {"circ_conv": 2, "circ_conv_adjoint": 2}
         views = [lin._rows(j) for j in range(len(lin.x))]
         assert calls == {"circ_conv": 2, "circ_conv_adjoint": 2}

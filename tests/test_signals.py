@@ -15,7 +15,6 @@ from bilevelreg.signals import (
     circ_conv_adjoint,
     circshift,
     filter_spectrum,
-    filter_spectrum_max,
     shifted,
 )
 
@@ -173,16 +172,21 @@ class TestCircshift:
             circshift(np.zeros((2, 2)), 1)
 
 
+def spectrum_max(c, grid):
+    """The largest singular value of c's convolution matrix, as ``lower`` takes it."""
+    return float(np.max(filter_spectrum(c, grid)))
+
+
 class TestSpectrum:
     def test_two_tap_on_four_grid(self):
         # direct DFT over the 4 frequencies: |1 - e^{-i pi m / 2}| peaks at m=2
-        assert filter_spectrum_max(np.array([1.0, -1.0]), Grid((4,))) == pytest.approx(
+        assert spectrum_max(np.array([1.0, -1.0]), Grid((4,))) == pytest.approx(
             2.0, abs=1e-14
         )
 
     def test_delta_all_pass(self):
-        assert filter_spectrum_max(np.array([1.0]), Grid((9,))) == pytest.approx(1.0)
-        assert filter_spectrum_max(np.array([[1.0]]), Grid((3, 4))) == pytest.approx(1.0)
+        assert spectrum_max(np.array([1.0]), Grid((9,))) == pytest.approx(1.0)
+        assert spectrum_max(np.array([[1.0]]), Grid((3, 4))) == pytest.approx(1.0)
 
     def test_filter_that_does_not_fit_is_rejected(self):
         # the same check, and message, as the convolution's
@@ -198,7 +202,7 @@ class TestSpectrum:
         for _ in range(25):
             c = rng.standard_normal(rng.integers(1, 5))
             grid = Grid((rng.integers(c.size, 17),))
-            assert filter_spectrum_max(c, grid) <= np.sum(np.abs(c)) + 1e-12
+            assert spectrum_max(c, grid) <= np.sum(np.abs(c)) + 1e-12
 
     @pytest.mark.parametrize("dims,taps", [((6,), (2,)), ((12,), (3,)), ((4, 4), (2, 2))])
     def test_matches_dense_gram_eigenvalue(self, dims, taps):
@@ -207,7 +211,7 @@ class TestSpectrum:
         c = rng.standard_normal(taps)
         dense = dense_conv_matrix(c, grid)
         top = np.max(np.linalg.eigvalsh(dense.T @ dense))
-        assert filter_spectrum_max(c, grid) ** 2 == pytest.approx(top, abs=1e-10)
+        assert spectrum_max(c, grid) ** 2 == pytest.approx(top, abs=1e-10)
 
     def test_full_spectrum_matches_fft(self):
         rng = np.random.default_rng(10)
@@ -341,11 +345,13 @@ def _roll_uses(tree):
 
 
 def test_shift_convention_is_coded_only_in_signals():
-    found = {
-        path.name: list(_roll_uses(ast.parse(path.read_text())))
-        for path in sorted(SRC.glob("*.py"))
-    }
-    assert found["signals.py"], "the check no longer sees signals.py's np.roll"
-    elsewhere = {name: lines for name, lines in found.items()
-                 if lines and name != "signals.py"}
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    found = {name: list(_roll_uses(tree)) for name, tree in trees.items()}
+    shift = next(node for node in ast.walk(trees["signals.py"])
+                 if isinstance(node, ast.FunctionDef) and node.name == "circshift")
+    lines = found.pop("signals.py")
+    assert len(lines) == 1 and shift.lineno <= lines[0] <= shift.end_lineno, (
+        f"signals.py must use np.roll once, inside circshift; it does on lines {lines}"
+    )
+    elsewhere = {name: lines for name, lines in found.items() if lines}
     assert not elsewhere, f"np.roll outside signals.py: {elsewhere}"

@@ -7,7 +7,7 @@ import pytest
 from bilevelreg.data import build_theta, build_train_set, load_config
 from bilevelreg.errors import DivergenceError, SpdViolationError
 from bilevelreg.forward import Circulant, Identity, Mask
-from bilevelreg.lower import HyperParams, LowerProblem
+from bilevelreg.lower import HyperParams, Linearization, LowerProblem
 from bilevelreg.potentials import CornerRounded1Norm, Quadratic
 from bilevelreg.signals import Grid
 from bilevelreg.solvers import CGResult, GDConfig, cg_solve, gd_minimize
@@ -87,7 +87,7 @@ class TestGD:
         for i in range(n):
             e = np.zeros(n)
             e[i] = 1.0
-            h[:, i] = problem.linearize(np.zeros(n)).hess_vec(e)
+            h[:, i] = Linearization(problem, np.zeros(n)).hess_vec(e)
         x_star = np.linalg.solve(h, problem.y)
         x0 = rng.standard_normal(n)
         lip = problem.lipschitz_grad()
@@ -349,7 +349,7 @@ class TestAccelerated:
             step=1.0 / problem.lipschitz_grad(), max_iters=100_000, grad_tol=tol))
         assert np.linalg.norm(problem.grad_x(fast.x)) <= tol
         assert 0 < fast.iters_run < plain.iters_run < 100_000
-        mu = np.linalg.eigvalsh(_dense_hessian(problem.linearize(fast.x)))[0]
+        mu = np.linalg.eigvalsh(_dense_hessian(Linearization(problem, fast.x)))[0]
         assert mu > 0
         assert np.linalg.norm(fast.x - plain.x) <= 2.0 * tol / mu
 

@@ -22,7 +22,9 @@ from bilevelreg.hypergrad import (
     hypergrad_unrolled_reverse,
 )
 from bilevelreg.losses import MSELoss, SureMCLoss, bind_loss, sure_mc
-from bilevelreg.lower import HyperParams, LowerProblem, pack_theta, unpack_theta
+from bilevelreg.lower import (
+    HyperParams, Linearization, LowerProblem, pack_theta, unpack_theta,
+)
 from bilevelreg.potentials import CornerRounded1Norm, Quadratic
 from bilevelreg.signals import Grid, circ_conv
 from bilevelreg.solvers import GDConfig, gd_minimize
@@ -229,12 +231,12 @@ class TestRowsMatch:
         A = make_model(kind, dims)
         hp = replace(make_theta(len(dims)), learn_beta0=learn_b0)
         Y, X, V = (make_stack(dims, seed=k) for k in range(3))
-        lin = LowerProblem(A, Y, hp).linearize(X)
+        lin = Linearization(LowerProblem(A, Y, hp), X)
         hv, jtv, cols = lin.hess_vec(V), lin.jac_adjoint_apply(V), lin.jac_columns()
         assert jtv.shape == (S, hp.theta_size())
         assert cols.shape == (hp.theta_size(), S) + dims
         for j in range(S):
-            own = LowerProblem(A, Y[j], hp).linearize(X[j])
+            own = Linearization(LowerProblem(A, Y[j], hp), X[j])
             np.testing.assert_array_equal(hv[j], own.hess_vec(V[j]))
             np.testing.assert_array_equal(jtv[j], own.jac_adjoint_apply(V[j]))
             np.testing.assert_array_equal(cols[:, j], own.jac_columns())
@@ -341,7 +343,7 @@ class TestPerRowBeta0Checks:
         problem = LowerProblem(make_model("mask", dims), Y, make_theta(1),
                                np.zeros(S))
         with pytest.raises(ValueError, match="one b0 for every row"):
-            problem.linearize(Y)
+            Linearization(problem, Y)
         with pytest.raises(ValueError, match="one b0 for every row"):
             problem.cost(Y[0])
         with pytest.raises(ValueError, match="one b0 for every row"):
