@@ -163,68 +163,46 @@ def save_params(path, hp: HyperParams) -> None:
 
 
 def load_params(path) -> HyperParams:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"params file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError("params file must contain a JSON object")
-    version = doc.get("schema_version")
+    sec = _read_json(path, "params")
+    version = sec.take("schema_version", None)
     if version != PARAMS_SCHEMA_VERSION:
         raise FormatError(
             f"unsupported params schema version {version!r} "
             f"(this build reads version {PARAMS_SCHEMA_VERSION})"
         )
-    if doc.get("layout") != THETA_LAYOUT:
+    layout = sec.take("layout", None)
+    if layout != THETA_LAYOUT:
         raise FormatError(
-            f"unsupported theta layout {doc.get('layout')!r} "
-            f"(expected {THETA_LAYOUT!r})"
+            f"unsupported theta layout {layout!r} (expected {THETA_LAYOUT!r})"
         )
-    known = {
-        "schema_version", "layout", "beta0", "learn_beta0", "betas",
-        "potential", "epsilon", "filters",
-    }
-
-    def typed(key, wanted, ok, listed=False, obj=doc, where=""):
-        """``obj[key]`` if ``ok`` holds for it (for each entry of a list with
-        ``listed``); a missing key or anything else is a FormatError naming
-        ``where + key``."""
-        if key not in obj:
-            raise FormatError(f"params file lacks key '{where}{key}'")
-        value = obj[key]
-        if not (isinstance(value, list) and all(map(ok, value)) if listed else ok(value)):
-            raise FormatError(f"params key '{where}{key}' must be {wanted}, got {value!r}")
-        return value
-
-    def read_filter(k, f):
-        """Filter k's taps, shaped by its extents."""
-        where = f"filters[{k}]."
-        unknown = set(f) - {"extents", "taps"}
-        if unknown:
-            raise FormatError(f"unknown params key '{where}{sorted(unknown)[0]}'")
-        shape = tuple(int(e) for e in typed(
-            "extents", "a list of 1 or 2 integers >= 1",
-            lambda v: _fits_all(v, (1, 2), integer=True, positive=True), obj=f, where=where))
-        size = math.prod(shape)
-        taps = typed("taps", f"a list of {size} finite numbers",
-                     lambda v: _fits_all(v, (size,)), obj=f, where=where)
-        return np.asarray(taps, dtype=np.float64).reshape(shape)
-
-    unknown = set(doc) - known
-    if unknown:
-        raise FormatError(f"unknown params key {sorted(unknown)[0]!r}")
-    kind = typed("potential", '"cr1n" or "quadratic"', lambda v: v in ("cr1n", "quadratic"))
-    potential = (CornerRounded1Norm(typed("epsilon", "a finite number", _fits))
-                 if kind == "cr1n" else Quadratic())
-    filters = [read_filter(k, f) for k, f in enumerate(
-        typed("filters", "a list of objects", lambda f: isinstance(f, dict), listed=True))]
+    kind = sec.take("potential")
+    if kind == "cr1n":
+        potential = CornerRounded1Norm(sec.number("epsilon"))
+    elif kind == "quadratic":
+        sec.take("epsilon", None)  # saved as null, unused
+        potential = Quadratic()
+    else:
+        sec.reject("potential", '"cr1n" or "quadratic"', kind)
+    beta0 = sec.number("beta0")
+    learn_beta0 = sec.flag("learn_beta0")
+    entries = sec.take("filters")
+    if not (isinstance(entries, list) and all(isinstance(f, dict) for f in entries)):
+        sec.reject("filters", "a list of objects", entries)
+    filters = []
+    for k, entry in enumerate(entries):
+        fsec = _Section(f"filters[{k}]", entry, "params")
+        shape = fsec.numbers("extents", lengths=(1, 2), integer=True, positive=True)
+        taps = fsec.numbers("taps", lengths=(math.prod(shape),))
+        fsec.finish()
+        filters.append(np.reshape(taps, shape))
+    betas = sec.numbers("betas", lengths=(len(filters),))
+    sec.finish()
     return HyperParams(
-        beta0=typed("beta0", "a finite number", _fits),
-        betas=np.asarray(typed("betas", "a list of finite numbers", _fits, listed=True),
-                         dtype=np.float64),
+        beta0=beta0,
+        betas=betas,
         filters=filters,
         potential=potential,
-        learn_beta0=typed("learn_beta0", "true or false", lambda v: isinstance(v, bool)),
+        learn_beta0=learn_beta0,
     )
 
 
@@ -239,16 +217,17 @@ def _fits(value, integer=False, positive=False, nonneg=False) -> bool:
             and (not positive or value > 0) and (not nonneg or value >= 0))
 
 
-def _fits_all(value, lengths=(), integer=False, positive=False) -> bool:
+def _fits_all(value, lengths=(), integer=False, positive=False, nonneg=False) -> bool:
     """A JSON list of numbers that each ``_fits``: as many as one of
     ``lengths``, or at least one when no ``lengths`` are given."""
     return (isinstance(value, list)
             and (len(value) in lengths if lengths else len(value) > 0)
-            and all(_fits(v, integer, positive) for v in value))
+            and all(_fits(v, integer, positive, nonneg) for v in value))
 
 
 def _is_taps(value) -> bool:
-    """Filter taps in JSON: a list of numbers, or of equal-length such lists."""
+    """An array in JSON (filter taps, a mask, weights): a list of numbers,
+    or of equal-length such lists."""
     nested = isinstance(value, list) and value and all(isinstance(r, list) for r in value)
     rows = value if nested else [value]
     return all(map(_fits_all, rows)) and len({len(row) for row in rows}) == 1
@@ -263,12 +242,30 @@ def _wanted(integer, positive, nonneg=False) -> str:
     return wanted
 
 
-class _Section:
-    """Dict wrapper that tracks consumed keys and rejects leftovers."""
+_ERRORS = {"config": ConfigError, "params": FormatError}
 
-    def __init__(self, name: str, data: dict):
+
+def _read_json(path, doc: str) -> _Section:
+    """The JSON object in the file at ``path``, as the top section of ``doc``."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise _ERRORS[doc](f"{doc} file is not valid JSON: {exc}") from exc
+    return _Section("", data, doc)
+
+
+class _Section:
+    """Dict wrapper that tracks consumed keys and rejects leftovers.
+
+    ``doc`` names the document read, "config" or "params": every error
+    names it and the key, as a ConfigError or a FormatError.
+    """
+
+    def __init__(self, name: str, data: dict, doc: str = "config"):
+        self.doc, self.error = doc, _ERRORS[doc]
         if not isinstance(data, dict):
-            raise ConfigError(f"config section '{name}' must be an object")
+            raise self.error(f"{doc} section '{name}' must be an object" if name
+                             else f"{doc} file must hold a JSON object")
         self.name = name
         self.data = dict(data)
 
@@ -279,17 +276,17 @@ class _Section:
         if key in self.data:
             return self.data.pop(key)
         if default is _REQUIRED:
-            raise ConfigError(f"missing config key '{self._where(key)}'")
+            raise self.error(f"missing {self.doc} key '{self._where(key)}'")
         return default
 
     def reject(self, key, wanted, value):
-        """Raise the ConfigError that names the key and what it must be."""
-        raise ConfigError(
-            f"config key '{self._where(key)}' must be {wanted}, got {value!r}"
+        """Raise the error that names the key and what it must be."""
+        raise self.error(
+            f"{self.doc} key '{self._where(key)}' must be {wanted}, got {value!r}"
         )
 
     def flag(self, key, default=_REQUIRED) -> bool:
-        """true or false; anything else is a ConfigError naming the key."""
+        """true or false; anything else is an error naming the key."""
         value = self.take(key, default)
         if not isinstance(value, bool):
             self.reject(key, "true or false", value)
@@ -300,7 +297,7 @@ class _Section:
         """A finite number: an integer with ``integer``, > 0 with ``positive``
         (an integer >= 1 with both), >= 0 with ``nonneg``.  A default that is
         no number ("auto", "one-over-L", None) is returned as is, also when
-        given.  Anything else is a ConfigError naming the key."""
+        given.  Anything else is an error naming the key."""
         value = self.take(key, default)
         if _fits(value, integer, positive, nonneg):
             return int(value) if integer else float(value)
@@ -313,21 +310,38 @@ class _Section:
         self.reject(key, wanted, value)
 
     def numbers(self, key, default=_REQUIRED, lengths=(), integer=False,
-                positive=False):
+                positive=False, nonneg=False):
         """A list of numbers (as many as one of ``lengths``, or at least one
         when no ``lengths`` are given), each read as ``number`` reads one, as
-        a tuple.  Anything else is a ConfigError naming the key."""
+        a tuple.  Anything else is an error naming the key."""
         value = self.take(key, default)
-        if _fits_all(value, lengths, integer=integer, positive=positive):
+        if _fits_all(value, lengths, integer, positive, nonneg):
             return tuple(int(v) if integer else float(v) for v in value)
         count = " or ".join(map(str, lengths)) + " " if lengths else ""
         self.reject(key, f"a list of {count}numbers, each "
-                         f"{_wanted(integer, positive)}", value)
+                         f"{_wanted(integer, positive, nonneg)}", value)
+
+    def array(self, key, default=_REQUIRED, scalar=False, many=False):
+        """A float64 array from a list of finite numbers or of equal-length
+        such lists, or with ``scalar`` from one number; with ``many``, a list
+        of such arrays from a list of such lists.  A None default is
+        returned as is.  Anything else is an error naming the key."""
+        value = self.take(key, default)
+        if value is None and default is None:
+            return None
+        items = value if many else [value]
+        if (not many or isinstance(value, list)) and all(
+                _is_taps(v) or (scalar and _fits(v)) for v in items):
+            arrays = [np.asarray(v, dtype=np.float64) for v in items]
+            return arrays if many else arrays[0]
+        self.reject(key, ("a list of filters, each " if many else "")
+                    + ("a number or " if scalar else "")
+                    + "a list of numbers or of equal-length lists of numbers", value)
 
     def finish(self):
         if self.data:
             key = sorted(self.data)[0]
-            raise ConfigError(f"unknown config key '{self._where(key)}'")
+            raise self.error(f"unknown {self.doc} key '{self._where(key)}'")
 
 
 def build_forward(grid: Grid, spec: dict) -> ForwardModel:
@@ -337,13 +351,15 @@ def build_forward(grid: Grid, spec: dict) -> ForwardModel:
         sec.finish()
         return Identity(grid)
     if kind == "mask":
-        values = sec.take("values")
+        values = sec.array("values")
+        if values.size != grid.n:
+            sec.reject("values", f"{grid.n} numbers, flat or nested", values.tolist())
         sec.finish()
-        return Mask(grid, np.asarray(values, dtype=np.float64))
+        return Mask(grid, values)
     if kind == "circulant":
-        taps = sec.take("taps")
+        taps = sec.array("taps")
         sec.finish()
-        return Circulant(grid, np.asarray(taps, dtype=np.float64))
+        return Circulant(grid, taps)
     raise ConfigError(f"unknown config value 'forward.kind' = {kind!r}")
 
 
@@ -379,12 +395,9 @@ def build_loss(spec: dict) -> LossSpec:
         high = sec.number("var_high", nonneg=True)
         if high < low:
             sec.reject("var_high", f"a finite number >= var_low {low!r}", high)
-        weights = sec.take("weights", None)
+        weights = sec.array("weights", None, scalar=True)
         sec.finish()
-        return NoiseCorridorLoss(
-            low, high,
-            None if weights is None else np.asarray(weights, dtype=np.float64),
-        )
+        return NoiseCorridorLoss(low, high, weights)
     if kind == "sure-mc":
         sigma = sec.number("sigma", positive=True)
         probe_eps = sec.number("probe_eps", None, positive=True)
@@ -505,13 +518,13 @@ def build_optimizer(spec: dict) -> dict:
         out["step"] = sec.number("step", 0.05)
         out["theta_rel_tol"] = sec.number("theta_rel_tol", 0.01)
     elif kind == "hoag":
-        out["eps0"] = sec.number("eps0", 0.1)
+        out["eps0"] = sec.number("eps0", 0.1, nonneg=True)
         out["step"] = _step_schedule(sec.take("step", 0.1))
         out["theta_rel_tol"] = sec.number("theta_rel_tol", 0.01)
     elif kind == "ba":
         out["ss_upper"] = sec.number("ss_upper")
         out["ss_lower"] = sec.number("ss_lower", "paper-default", positive=True)
-        out["inner_iters"] = sec.number("inner_iters", 10, integer=True)
+        out["inner_iters"] = sec.number("inner_iters", 10, integer=True, nonneg=True)
         out["warm_start"] = sec.flag("warm_start", False)
         out["theta_rel_tol"] = sec.number("theta_rel_tol", 0.01)
     elif kind == "ttsa":
@@ -519,6 +532,9 @@ def build_optimizer(spec: dict) -> dict:
         out["up_exponent"] = sec.number("up_exponent", 0.75)
         out["low_a"] = sec.number("low_a", 0.5)
         out["low_exponent"] = sec.number("low_exponent", 0.5)
+        if out["up_a"] != 0.0 and out["up_exponent"] <= out["low_exponent"]:
+            sec.reject("up_exponent", f"a finite number > low_exponent "
+                       f"{out['low_exponent']!r} when up_a != 0", out["up_exponent"])
         out["batch"] = sec.number("batch", 4, integer=True, positive=True)
     else:
         raise ConfigError(f"unknown config value 'optimizer.kind' = {kind!r}")
@@ -528,13 +544,13 @@ def build_optimizer(spec: dict) -> dict:
 
 def build_output(spec: dict) -> dict:
     sec = _Section("output", spec)
-    out = {
-        "params": sec.take("params", "params.json"),
-        "trace": sec.take("trace", "trace.csv"),
-        "report": sec.take("report", "gradcheck_report.txt"),
-        "angles": sec.take("angles", "gradcheck_angles.csv"),
-        "table": sec.take("table", "sweep.csv"),
-    }
+    out = {}
+    for key, default in (("params", "params.json"), ("trace", "trace.csv"),
+                         ("report", "gradcheck_report.txt"),
+                         ("angles", "gradcheck_angles.csv"), ("table", "sweep.csv")):
+        out[key] = path = sec.take(key, default)
+        if not (isinstance(path, str) and path):
+            sec.reject(key, "a non-empty string", path)
     sec.finish()
     return out
 
@@ -551,10 +567,10 @@ def build_sweep(spec: dict | None) -> dict | None:
 def build_gradcheck(spec: dict | None) -> dict:
     sec = _Section("gradcheck", spec if spec is not None else {})
     out = {
-        "tolerances": sec.numbers("tolerances", [1e-1, 1e-2, 1e-4, 1e-8]),
-        "fd_step": sec.number("fd_step", 1e-6),
+        "tolerances": sec.numbers("tolerances", [1e-1, 1e-2, 1e-4, 1e-8], nonneg=True),
+        "fd_step": sec.number("fd_step", 1e-6, positive=True),
         "fd_rel_tol": sec.number("fd_rel_tol", 1e-4),
-        "unroll_steps": sec.number("unroll_steps", 50, integer=True),
+        "unroll_steps": sec.number("unroll_steps", 50, integer=True, nonneg=True),
     }
     sec.finish()
     return out
@@ -578,24 +594,23 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    sec = _Section("", doc)
-    seed = sec.take("seed")
+    sec = _read_json(path, "config")
+    seed = sec.number("seed", integer=True)
     grid = Grid(sec.numbers("grid", lengths=(1, 2), integer=True, positive=True))
     forward = build_forward(grid, sec.take("forward", {"kind": "identity"}))
     potential = build_potential(sec.take("potential", {"kind": "cr1n"}))
-    theta_init = sec.take("theta_init")
+    theta_init = _Section("theta_init", sec.take("theta_init")).data
     engine_spec = sec.take("engine", {"kind": "minimizer"})
     engine = build_engine(engine_spec)
     optimizer = build_optimizer(
         sec.take("optimizer", {"kind": "adam", "step": 0.05, "max_upper": 100})
     )
     loss = build_loss(sec.take("loss", {"kind": "mse"}))
+    weights = getattr(loss, "weights", None)
+    if weights is not None and not (weights.ndim <= grid.rank and all(
+            w in (1, d) for w, d in zip(weights.shape[::-1], grid.dims[::-1]))):
+        sec.reject("loss.weights", f"a number or numbers that broadcast to the grid "
+                   f"{list(grid.dims)}", weights.tolist())
     dataset = build_dataset_spec(sec.take("dataset"))
     if dataset.n_jumps >= grid.n:
         sec.reject("dataset.n_jumps", f"below the grid size {grid.n}", dataset.n_jumps)
@@ -604,10 +619,6 @@ def load_config(path) -> ExperimentConfig:
     sweep = build_sweep(sec.take("sweep", None))
     gradcheck = build_gradcheck(sec.take("gradcheck", None))
     sec.finish()
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("config key 'seed' must be an integer")
-    if not isinstance(theta_init, dict):
-        raise ConfigError("config section 'theta_init' must be an object")
     if optimizer["kind"] in ("hoag", "ba", "ttsa") and engine["kind"] != "minimizer":
         raise ConfigError(
             f"optimizer {optimizer['kind']!r} requires engine.kind 'minimizer'"
@@ -637,18 +648,15 @@ def load_config(path) -> ExperimentConfig:
 def build_theta(cfg: ExperimentConfig, train: TrainSet | None) -> HyperParams:
     sec = _Section("theta_init", cfg.theta_init)
     learn_beta0 = sec.flag("learn_beta0", False)
-    filters = sec.take("filters", None)
+    filters = sec.array("filters", None, many=True)
     if filters is not None:
-        if not (isinstance(filters, list) and all(map(_is_taps, filters))):
-            sec.reject("filters", "a list of filters, each a list of numbers or of "
-                       "equal-length lists of numbers", filters)
         beta0 = sec.number("beta0", 0.0)
         betas = sec.numbers("betas", [0.0] * len(filters), lengths=(len(filters),))
         sec.finish()
         return HyperParams(
             beta0=beta0,
-            betas=np.asarray(betas, dtype=np.float64),
-            filters=[np.asarray(c, dtype=np.float64) for c in filters],
+            betas=betas,
+            filters=filters,
             potential=cfg.potential,
             learn_beta0=learn_beta0,
         )

@@ -261,6 +261,19 @@ class TestErrors:
         ("optimizer", "max_upper", 0),
         ("theta_init", "filters", 5),
         ("theta_init", "betas", 5),
+        ("output", "params", 1),
+        ("output", "params", True),
+        ("output", "params", None),
+        ("forward", "values", "ab"),
+        ("forward", "values", [1.0] * 31),
+        ("forward", "taps", 5),
+        ("loss", "weights", [1.0, 2.0, 3.0]),
+        ("optimizer", "inner_iters", -1),
+        ("optimizer", "eps0", -0.1),
+        ("optimizer", "up_exponent", 0.5),
+        ("gradcheck", "fd_step", 0),
+        ("gradcheck", "unroll_steps", -3),
+        ("gradcheck", "tolerances", [-1.0]),
     ])
     def test_bad_config_value_is_one_line_error(self, tmp_path, monkeypatch, capsys,
                                                 recwarn, section, key, value):
@@ -272,8 +285,18 @@ class TestErrors:
             ("loss", "sigma"): {"loss": {"kind": "discrepancy"}},
             ("loss", "var_high"): {"loss": {"kind": "noise-corridor", "var_low": 0.02}},
             ("theta_init", "betas"): {"theta_init": {"filters": [[0.7, -0.7]]}},
+            ("forward", "values"): {"forward": {"kind": "mask"}},
+            ("forward", "taps"): {"forward": {"kind": "circulant"}},
+            ("loss", "weights"): {"loss": {"kind": "noise-corridor", "var_low": 0.0,
+                                           "var_high": 0.01}},
+            ("optimizer", "inner_iters"): {"optimizer": {"kind": "ba", "ss_upper": 0.01,
+                                                         "max_upper": 2}},
+            ("optimizer", "eps0"): {"optimizer": {"kind": "hoag", "max_upper": 2},
+                                    "engine": {"kind": "minimizer"}},
+            ("optimizer", "up_exponent"): {"optimizer": {"kind": "ttsa", "max_upper": 2,
+                                                         "low_exponent": 0.75}},
         }.get((section, key), {}))
-        doc[section][key] = value
+        doc.setdefault(section, {})[key] = value
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(doc))
         assert run_in(tmp_path, monkeypatch, ["train", "--config", str(cfg)]) == 1
@@ -381,7 +404,7 @@ class TestErrors:
                      "--input", str(y), "--output", str(tmp_path / "xhat.sig")]) == 1
         err = capsys.readouterr().err
         named = "filters[0].taps" if key == "taps" else key
-        assert err == f"error: params file lacks key '{named}'\n"
+        assert err == f"error: missing params key '{named}'\n"
 
     def test_bad_signal_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.sig"

@@ -215,7 +215,7 @@ class TestParamsFile:
         del (doc["filters"][1] if in_filter else doc)[key]
         path.write_text(json.dumps(doc))
         named = f"filters[1].{key}" if in_filter else key
-        with pytest.raises(FormatError, match=f"params file lacks key '{re.escape(named)}'"):
+        with pytest.raises(FormatError, match=f"missing params key '{re.escape(named)}'"):
             load_params(path)
 
     @pytest.mark.parametrize("key,value", [("epsilon", None), ("epsilon", "0.1"),
@@ -223,7 +223,7 @@ class TestParamsFile:
                                            ("learn_beta0", "false"), ("learn_beta0", 0),
                                            ("beta0", "1.5"), ("beta0", None),
                                            ("betas", [True]), ("betas", 0.5),
-                                           ("betas", ["-1.0"]),
+                                           ("betas", ["-1.0"]), ("betas", [0.1]),
                                            ("filters[0].extents", "ab"),
                                            ("filters[0].extents", [0]),
                                            ("filters[0].extents", [2.5]),
@@ -253,7 +253,7 @@ class TestParamsFile:
         with pytest.raises(FormatError) as info:
             load_params(path)
         assert str(info.value) == ("params key 'filters[0].taps' must be a list of 3 "
-                                   "finite numbers, got [0.5, -0.5]")
+                                   "numbers, each a finite number, got [0.5, -0.5]")
 
     def test_integral_extents_keep_their_shape(self, tmp_path):
         path = tmp_path / "params.json"
@@ -279,6 +279,47 @@ class TestParamsFile:
         del doc["epsilon"]
         path.write_text(json.dumps(doc))
         assert isinstance(load_params(path).potential, Quadratic)
+
+
+class TestOneReader:
+    """A config and a params file are read by one reader: the same fault
+    gives the same message, with the document name and the key swapped."""
+
+    @staticmethod
+    def make_fault(doc, key, fault):
+        """Delete ``key`` (a dotted path such as ``filters[0].taps``) for a
+        missing key, else set it to "x"."""
+        *sections, last = key.split(".")
+        for section in sections:
+            name, _, index = section.partition("[")
+            doc = doc[name][int(index[:-1])] if index else doc[name]
+        if fault == "missing":
+            del doc[last]
+        else:
+            doc[last] = "x"
+
+    @pytest.mark.parametrize("fault,config_key,params_key", [
+        ("missing", "dataset", "betas"),
+        ("missing", "dataset.count", "filters[0].taps"),
+        ("unknown", "surprise", "surprise"),
+        ("mistyped", "optimizer.step", "beta0"),
+    ])
+    def test_params_message_is_the_config_message(self, tmp_path, fault, config_key,
+                                                   params_key):
+        config = TestConfig().write_config(tmp_path)
+        params = tmp_path / "params.json"
+        save_params(params, HyperParams(0.0, [0.0], [np.array([0.7, -0.7])],
+                                        CornerRounded1Norm(0.01)))
+        for path, key in ((config, config_key), (params, params_key)):
+            doc = json.loads(path.read_text())
+            self.make_fault(doc, key, fault)
+            path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as config_error:
+            load_config(config)
+        with pytest.raises(FormatError) as params_error:
+            load_params(params)
+        assert str(params_error.value) == str(config_error.value).replace(
+            "config", "params").replace(f"'{config_key}'", f"'{params_key}'")
 
 
 class TestBuilders:
@@ -359,8 +400,8 @@ class TestBuilders:
         assert np.any(train2.y[0] != train2.y[1])
 
 
-FILTERS_WANTED = re.escape("a list of filters, each a list of numbers or of "
-                           "equal-length lists of numbers")
+ARRAY_WANTED = "a list of numbers or of equal-length lists of numbers"
+FILTERS_WANTED = re.escape("a list of filters, each " + ARRAY_WANTED)
 
 
 class TestConfig:
@@ -522,19 +563,77 @@ class TestConfig:
         ("loss", "epsilon", 0, "a finite number > 0"),
         ("loss", "sigma", -1, "a finite number > 0"),
         ("loss", "var_high", 0.01, "a finite number >= var_low 0.02"),
+        ("forward", "values", "ab", ARRAY_WANTED),
+        ("forward", "values", [[1.0], [1.0, 0.0]], ARRAY_WANTED),
+        ("forward", "values", [1.0] * 15, "16 numbers, flat or nested"),
+        ("forward", "taps", 5, ARRAY_WANTED),
+        ("forward", "taps", [[1.0], [1.0, 2.0]], ARRAY_WANTED),
+        ("loss", "weights", "w", "a number or " + ARRAY_WANTED),
+        ("loss", "weights", [1.0, 2.0, 3.0],
+         "a number or numbers that broadcast to the grid [16]"),
+        ("loss", "weights", [[1.0] * 16], "a number or numbers that broadcast to the grid [16]"),
+        ("output", "params", 1, "a non-empty string"),
+        ("output", "trace", None, "a non-empty string"),
+        ("output", "table", "", "a non-empty string"),
+        ("optimizer", "inner_iters", -1, "an integer >= 0"),
+        ("optimizer", "eps0", -0.1, "a finite number >= 0"),
+        ("optimizer", "up_exponent", 0.5,
+         "a finite number > low_exponent 0.75 when up_a != 0"),
+        ("gradcheck", "fd_step", 0, "a finite number > 0"),
+        ("gradcheck", "unroll_steps", -3, "an integer >= 0"),
+        ("gradcheck", "tolerances", [-1.0], "a list of numbers, each a finite number >= 0"),
     ])
     def test_mistyped_scalar_named(self, tmp_path, section, key, value, wanted):
         doc = json.loads(self.write_config(tmp_path).read_text())
-        if section == "loss":  # the loss kind that reads the key
-            doc["loss"] = {"epsilon": {"kind": "huber"}, "sigma": {"kind": "discrepancy"},
-                           "var_high": {"kind": "noise-corridor", "var_low": 0.02}}[key]
-        doc[section][key] = value
+        # a section of the kind that reads the key
+        corridor = {"kind": "noise-corridor", "var_low": 0.02}
+        doc.update({
+            ("loss", "epsilon"): {"loss": {"kind": "huber"}},
+            ("loss", "sigma"): {"loss": {"kind": "discrepancy"}},
+            ("loss", "var_high"): {"loss": corridor},
+            ("loss", "weights"): {"loss": {**corridor, "var_high": 0.03}},
+            ("forward", "values"): {"forward": {"kind": "mask"}},
+            ("forward", "taps"): {"forward": {"kind": "circulant"}},
+            ("optimizer", "inner_iters"): {"optimizer": {"kind": "ba", "ss_upper": 0.1}},
+            ("optimizer", "eps0"): {"optimizer": {"kind": "hoag"}},
+            ("optimizer", "up_exponent"): {"optimizer": {"kind": "ttsa",
+                                                         "low_exponent": 0.75}},
+        }.get((section, key), {}))
+        doc.setdefault(section, {})[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError) as info:
             load_config(path)
         assert str(info.value) == (f"config key '{section}.{key}' must be {wanted}, "
                                    f"got {value!r}")
+
+    @pytest.mark.parametrize("grid,forward,weights", [
+        ([16], {"kind": "mask", "values": [1.0, 0.0] * 8}, 0.5),
+        ([4, 4], {"kind": "mask", "values": [[1, 0, 1, 1]] * 4}, [2.0, 1.0, 1.0, 1.0]),
+        ([4, 4], {"kind": "mask", "values": [1] * 16}, [[1.0] * 4] * 4),
+        ([4, 4], {"kind": "circulant", "taps": [[0.5, 0.5]]}, [[1.0]]),
+    ])
+    def test_arrays_keep_their_forms(self, tmp_path, grid, forward, weights):
+        cfg = load_config(self.write_config(
+            tmp_path, grid=grid, forward=forward,
+            loss={"kind": "noise-corridor", "var_low": 0.0, "var_high": 0.01,
+                  "weights": weights}))
+        np.testing.assert_array_equal(cfg.loss.weights, weights)
+        if forward["kind"] == "mask":
+            np.testing.assert_array_equal(cfg.forward.values.ravel(),
+                                          np.ravel(forward["values"]))
+        else:
+            np.testing.assert_array_equal(cfg.forward.taps, forward["taps"])
+
+    def test_bounds_keep_their_edges(self, tmp_path):
+        for optimizer in ({"kind": "adam", "step": 0.0}, {"kind": "gd", "step": 0.0},
+                          {"kind": "ba", "ss_upper": 0.1, "inner_iters": 0},
+                          {"kind": "hoag", "eps0": 0},
+                          {"kind": "ttsa", "up_a": 0.0, "up_exponent": 0.5}):
+            load_config(self.write_config(tmp_path, optimizer=optimizer))
+        gradcheck = {"tolerances": [0.0], "unroll_steps": 0}
+        assert load_config(self.write_config(tmp_path, gradcheck=gradcheck)).gradcheck == {
+            "tolerances": (0.0,), "fd_step": 1e-6, "fd_rel_tol": 1e-4, "unroll_steps": 0}
 
     @pytest.mark.parametrize("theta_init,key,wanted", [
         ({"n_filters": 1, "tap_extents": [2], "learn_beta0": "yes"}, "learn_beta0",
