@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, DimensionError, FormatError
 from .forward import Circulant, ForwardModel, Identity, Mask
 from .losses import (
     DiscrepancyLoss,
@@ -33,7 +33,7 @@ from .losses import (
 )
 from .lower import THETA_LAYOUT, HyperParams
 from .potentials import CornerRounded1Norm, Potential, Quadratic
-from .signals import Grid
+from .signals import Grid, _check_filter_fits
 from .solvers import GDConfig
 from .upper import (
     Constant, DecreaseAdaptive, PowerLaw, StepSchedule, TrainSet, default_theta_init,
@@ -243,6 +243,7 @@ def _wanted(integer, positive, nonneg=False) -> str:
 
 
 _ERRORS = {"config": ConfigError, "params": FormatError}
+_SHOWN = 100  # characters of a rejected value's repr shown in an error
 
 
 def _read_json(path, doc: str) -> _Section:
@@ -280,10 +281,23 @@ class _Section:
         return default
 
     def reject(self, key, wanted, value):
-        """Raise the error that names the key and what it must be."""
+        """Raise the error that names the key and what it must be.  A value
+        whose repr is long is cut, with its length named."""
+        shown = repr(value)
+        if len(shown) > _SHOWN:
+            size = f" ({len(value)} entries)" if isinstance(value, list) else ""
+            shown = f"{shown[:_SHOWN]} ...{size}"
         raise self.error(
-            f"{self.doc} key '{self._where(key)}' must be {wanted}, got {value!r}"
+            f"{self.doc} key '{self._where(key)}' must be {wanted}, got {shown}"
         )
+
+    def build(self, key, make, *args):
+        """``make(*args)``, with a ValueError or DimensionError it raises on
+        the value of ``key`` re-raised as the error that names the key."""
+        try:
+            return make(*args)
+        except (ValueError, DimensionError) as exc:
+            raise self.error(f"{self.doc} key '{self._where(key)}': {exc}") from None
 
     def flag(self, key, default=_REQUIRED) -> bool:
         """true or false; anything else is an error naming the key."""
@@ -355,11 +369,11 @@ def build_forward(grid: Grid, spec: dict) -> ForwardModel:
         if values.size != grid.n:
             sec.reject("values", f"{grid.n} numbers, flat or nested", values.tolist())
         sec.finish()
-        return Mask(grid, values)
+        return sec.build("values", Mask, grid, values)
     if kind == "circulant":
         taps = sec.array("taps")
         sec.finish()
-        return Circulant(grid, taps)
+        return sec.build("taps", Circulant, grid, taps)
     raise ConfigError(f"unknown config value 'forward.kind' = {kind!r}")
 
 
@@ -397,7 +411,7 @@ def build_loss(spec: dict) -> LossSpec:
             sec.reject("var_high", f"a finite number >= var_low {low!r}", high)
         weights = sec.array("weights", None, scalar=True)
         sec.finish()
-        return NoiseCorridorLoss(low, high, weights)
+        return sec.build("weights", NoiseCorridorLoss, low, high, weights)
     if kind == "sure-mc":
         sigma = sec.number("sigma", positive=True)
         probe_eps = sec.number("probe_eps", None, positive=True)
@@ -650,6 +664,8 @@ def build_theta(cfg: ExperimentConfig, train: TrainSet | None) -> HyperParams:
     learn_beta0 = sec.flag("learn_beta0", False)
     filters = sec.array("filters", None, many=True)
     if filters is not None:
+        for c in filters:
+            sec.build("filters", _check_filter_fits, cfg.grid.dims, c.shape)
         beta0 = sec.number("beta0", 0.0)
         betas = sec.numbers("betas", [0.0] * len(filters), lengths=(len(filters),))
         sec.finish()
@@ -662,6 +678,7 @@ def build_theta(cfg: ExperimentConfig, train: TrainSet | None) -> HyperParams:
         )
     n_filters = sec.number("n_filters", integer=True)
     tap_extents = sec.numbers("tap_extents", integer=True, positive=True)
+    sec.build("tap_extents", _check_filter_fits, cfg.grid.dims, tap_extents)
     seed = sec.number("seed", cfg.seed, integer=True)
     beta0 = sec.number("beta0", "auto")
     sec.finish()

@@ -16,6 +16,7 @@ from .signals import (
     as_filter,
     circ_conv,
     circ_conv_adjoint,
+    filter_power,
     filter_spectrum,
     pair_index,
 )
@@ -35,6 +36,12 @@ class ForwardModel:
     def spectral_bounds(self) -> tuple[float, float]:
         """Return (sigma1^2, sigmaN^2) of A."""
         raise NotImplementedError
+
+    def gram_symbol(self):
+        """A'A's share of the lower Hessian's circulant majorizer
+        (``LowerProblem.majorizer``): a DFT symbol on the rfft grid that
+        bounds A'A from above.  By default sigma1^2, a constant."""
+        return self.spectral_bounds()[0]
 
     def gram_stencil(self) -> np.ndarray:
         """A'A as a stencil G over centred offsets d in -h..h:
@@ -115,6 +122,10 @@ class Circulant(ForwardModel):
     def spectral_bounds(self):
         mags = filter_spectrum(self.taps, self.grid)
         return (float(np.max(mags) ** 2), float(np.min(mags) ** 2))
+
+    def gram_symbol(self):
+        # A'A is circulant: its own symbol |A^|^2
+        return filter_power(self.taps, self.grid)
 
     def gram_stencil(self):
         # the autocorrelation of the taps, the same at every position

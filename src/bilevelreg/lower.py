@@ -36,6 +36,7 @@ from .signals import (
     centred_rows,
     circ_conv,
     circ_conv_adjoint,
+    filter_power,
     filter_spectrum,
     pair_index,
     shifted,
@@ -145,8 +146,9 @@ class LowerProblem:
     ``Linearization`` accept a stack and act on every row bit for bit as the
     unstacked problem of that row would; ``cost`` and ``regularity_report``
     take one signal.  ``row_beta0`` gives each row of a stacked ``y`` its own
-    b0 in place of ``theta.beta0``; only ``grad_x`` and ``lipschitz_grad``
-    serve such a problem, and the other methods and a linearization raise.
+    b0 in place of ``theta.beta0``; only ``grad_x``, ``lipschitz_grad`` and
+    ``majorizer`` serve such a problem, and the other methods and a
+    linearization raise.
     """
 
     A: ForwardModel
@@ -244,6 +246,22 @@ class LowerProblem:
         for w, c in zip(self._weights, self.theta.filters):
             total += w * l_dphi * float(np.max(filter_spectrum(c, self.A.grid))) ** 2
         return np.reshape(total, -1) if np.ndim(total) else float(total)
+
+    def majorizer(self):
+        """P = |A^|^2 + L_phi' sum_k w_k |C_k^|^2, the DFT symbol of a
+        circulant bound on the Hessian, on the rfft grid (see
+        ``Grid.fourier_multiply``).
+
+        ``phi'' <= L_phi'`` and ``A'A <= |A^|^2`` (``gram_symbol``) give
+        ``H(x) <= P`` at every x.  Shaped ``(S, *rfft grid)``, one symbol
+        per row, for ``row_beta0`` with filters; a constant for ``Identity``
+        or ``Mask`` without filters.
+        """
+        l_dphi = self.theta.potential.curvature_bound()
+        total = self.A.gram_symbol()
+        for w, c in zip(self._weights, self.theta.filters):
+            total = total + w * l_dphi * filter_power(c, self.A.grid)
+        return total
 
     def regularity_report(self, x_norm_bound: float) -> dict:
         """Named regularity constants for the current hyperparameters."""

@@ -81,6 +81,19 @@ class Grid:
 
         return np.vecdot(flat(a), flat(b))
 
+    def fourier_multiply(self, x: np.ndarray, symbol) -> np.ndarray:
+        """irfft(symbol . rfft(x)) over the grid axes of one signal or of
+        each row of a stack: the circulant operator of a real, even DFT
+        symbol, given on the rfft grid (the last axis halved, as
+        ``filter_power`` returns it; per row, ``(S, *rfft grid)``)."""
+        if self.rank == 1:
+            spectrum = np.fft.rfft(x)
+            spectrum *= symbol
+            return np.fft.irfft(spectrum, n=self.dims[0])
+        spectrum = np.fft.rfft2(x)
+        spectrum *= symbol
+        return np.fft.irfft2(spectrum, s=self.dims)
+
 
 def as_filter(taps) -> np.ndarray:
     """Validate and return filter taps as a float64 array."""
@@ -115,19 +128,39 @@ def _gather_index(shape: tuple[int, ...], offsets) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _shift_index(c_shape: tuple[int, ...], grid: tuple[int, ...], sign: int) -> np.ndarray:
+def _shift_index(c_shape: tuple[int, ...], shape: tuple[int, ...], sign: int) -> np.ndarray:
     """Flat gather index of every tap shift, shaped (taps, N) and read-only.
 
     Row s (taps in row-major order) holds the flat indices of
     ``circshift(x, sign * s)``, so ``x.reshape(-1)[index]`` stacks all the
-    shifts a filter of shape ``c_shape`` reads.  Only shapes are keys, so the
-    few grids and filter shapes of a run share a handful of entries.  A
-    filter that does not fit the grid raises DimensionError; ``lru_cache``
+    shifts a filter of shape ``c_shape`` reads from an x of ``shape``.  Only
+    shapes are keys, so the few grids and filter shapes of a run share a
+    handful of entries.  A filter of extent 1 along the first of several
+    axes (a stack, under lifted taps) never shifts along it, so a stack's
+    index is the leading columns of the index of any larger stack: it is
+    copied from the one ``_stack_slot`` keeps for the most rows asked, and a
+    stack that shrinks, as a lower solve's live rows do, builds no new
+    index.  A filter that does not fit raises DimensionError; ``lru_cache``
     keeps no exception, so each good shape pair is checked once and every
     call with a bad one raises.
     """
-    _check_filter_fits(grid, c_shape)
-    return _gather_index(grid, [tuple(sign * k for k in s) for s in np.ndindex(c_shape)])
+    _check_filter_fits(shape, c_shape)
+    offsets = [tuple(sign * k for k in s) for s in np.ndindex(c_shape)]
+    if len(shape) == 1 or c_shape[0] != 1:
+        return _gather_index(shape, offsets)
+    slot = _stack_slot(c_shape, shape[1:], sign)
+    if slot[0] is None or slot[0].shape[1] < math.prod(shape):
+        slot[0] = _gather_index(shape, offsets)
+    index = np.ascontiguousarray(slot[0][:, : math.prod(shape)])
+    index.flags.writeable = False
+    return index
+
+
+@functools.lru_cache(maxsize=32)
+def _stack_slot(c_shape: tuple[int, ...], grid: tuple[int, ...], sign: int) -> list:
+    """A one-entry list: the index of the largest stack on ``grid`` that
+    ``_shift_index`` was asked for, or None."""
+    return [None]
 
 
 def _tap_rows(x: np.ndarray, c_shape: tuple[int, ...], sign: int) -> np.ndarray:
@@ -238,3 +271,15 @@ def filter_spectrum(c: np.ndarray, grid: Grid) -> np.ndarray:
         phase = sum(sk * mk / dk for sk, mk, dk in zip(s, mesh, grid.dims))
         freq += c[s] * np.exp(-2j * np.pi * phase)
     return np.abs(freq)
+
+
+def filter_power(c: np.ndarray, grid: Grid) -> np.ndarray:
+    """|c^|^2 on the rfft grid of ``grid`` (the last axis halved): the DFT
+    symbol of C'C, by one FFT of the zero-padded taps.
+
+    A kernel that vanishes at a frequency by symmetry, such as ``[0.5, 0.5]``
+    at Nyquist, gives an exact 0 there.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    _check_filter_fits(grid.dims, c.shape)
+    return np.abs(np.fft.rfftn(c, s=grid.dims, axes=tuple(range(grid.rank)))) ** 2

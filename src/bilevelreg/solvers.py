@@ -20,8 +20,9 @@ class GDConfig:
     ``step`` is either an explicit positive number or "one-over-L" to use the
     reciprocal of the analytic Lipschitz constant.  ``grad_tol`` of 0 disables
     the gradient-norm stop.  "one-over-L" with ``grad_tol > 0`` solves with
-    restarted optimized-gradient (OGM) steps (see ``gd_minimize``); every
-    other setting takes plain GD steps.  ``warm_start`` is consumed by the
+    restarted optimized-gradient (OGM) steps in the metric of the Hessian's
+    circulant majorizer (see ``gd_minimize``); every other setting takes
+    plain GD steps.  ``warm_start`` is consumed by the
     upper-level drivers (reuse of the previous sample solution as the
     initializer).
     """
@@ -84,47 +85,55 @@ def gd_minimize(problem: LowerProblem, x0: np.ndarray, cfg: GDConfig) -> GDResul
 
     With step "one-over-L" and ``grad_tol > 0`` only the point reached
     matters, so the loop takes restarted optimized-gradient steps (OGM, Kim
-    and Fessler, arXiv 1406.5468), half the worst-case bound of Nesterov's
-    at the same cost.  Per row, from the gradient point y and the last plain
-    step x, with ``g = g(y)`` and ``s = 1/L``: ``x+ = y - s g``,
-    ``t+ = (1 + sqrt(1 + 4 t^2)) / 2`` and
-    ``y+ = x+ + ((t - 1) / t+)(x+ - x) - (t / t+) s g``.  The row restarts
-    (both factors 0, then ``t = 1``) when ``<g, x+ - x> > 0`` (O'Donoghue
-    and Candes, arXiv 1204.3982) or when ``<g, g_prev> < 0``, its gradient
-    having turned against the previous one.  Without the second test the
-    ``(t / t+)`` term overshoots a problem whose ``1/L`` is its exact
-    curvature, and the row then closes in only like ``1/t``.
-    Every other solve takes plain steps ``x -= s g(x)``: a fixed budget
-    (``grad_tol == 0``), whose steps the unrolled engines differentiate and
-    BA's inner budget counts, and an explicit step, for which momentum can
-    diverge at a step in (1/L, 2/L) that plain GD survives.  Either way the
-    loop takes one gradient per iteration plus the final one, stops at a
-    gradient point and returns it; ``trajectory`` records the gradient
-    points.
+    and Fessler, arXiv 1406.5468) in the metric of ``P``, the problem's
+    circulant majorizer of the Hessian (``LowerProblem.majorizer``), half
+    the worst-case bound of Nesterov's at the same cost.  Per row, from the
+    gradient point y and the last plain step x, with ``g = g(y)`` and
+    ``d = P+ g`` (``Grid.fourier_multiply``; ``P+`` is 1/P, and 0 where P
+    is 0, a frequency at which the Hessian and the gradient vanish too):
+    ``x+ = y - d``, ``t+ = (1 + sqrt(1 + 4 t^2)) / 2`` and
+    ``y+ = x+ + ((t - 1) / t+)(x+ - x) - (t / t+) d``.  As ``P >= H``,
+    each ``x+`` is a majorize-minimize step.  The row restarts (both
+    factors 0, then ``t = 1``) when ``<g, x+ - x> > 0`` (O'Donoghue and
+    Candes, arXiv 1204.3982) or when ``<d, g_prev> < 0``, its gradient
+    having turned against the previous one in P's metric.  Without the
+    second test the ``(t / t+)`` term overshoots a problem whose P is its
+    exact curvature, and the row then closes in only like ``1/t``.
+    Every other solve takes plain steps ``x -= s g(x)``, ``s`` the step or
+    ``1/L``: a fixed budget (``grad_tol == 0``), whose steps the unrolled
+    engines differentiate and BA's inner budget counts, and an explicit
+    step, for which momentum can diverge at a step in (1/L, 2/L) that plain
+    GD survives.  Either way the loop takes one gradient per iteration plus
+    the final one, stops at a gradient point and returns it; ``trajectory``
+    records the gradient points.
 
     An ``x0`` stacked on the problem's grid, ``(S, *grid)``, is solved for
-    all its rows in one loop; with "one-over-L" each row steps by its own
-    ``1 / L`` when the problem gives each row its own b0.  Each row stops on
-    its own gradient norm, the same ``sqrt(dot)`` ``np.linalg.norm`` takes,
-    and the loop goes on with the live rows only, so every row takes exactly
-    the steps of its own unstacked solve.  One signal on the grid runs as one
+    all its rows in one loop; each row steps by its own ``1 / L`` or ``P``
+    when the problem gives each row its own b0.  Each row stops on its own
+    gradient norm, the same ``sqrt(dot)`` ``np.linalg.norm`` takes, and the
+    loop goes on with the live rows only, so every row takes exactly the
+    steps of its own unstacked solve.  One signal on the grid runs as one
     row.  A row whose gradient is not finite stops too; after the loop the
     lowest such row raises DivergenceError with its iteration (and ``row``
     when stacked).
     """
-    if cfg.step == "one-over-L":
-        step = problem.A.grid.per_row(1.0 / problem.lipschitz_grad())
+    grid = problem.A.grid
+    momentum = cfg.step == "one-over-L" and cfg.grad_tol > 0
+    if momentum:  # P+, the pseudo-inverse of the majorizer's symbol
+        symbol = problem.majorizer()
+        step = np.divide(1.0, symbol, out=np.zeros(np.shape(symbol)), where=symbol > 0.0)
+    elif cfg.step == "one-over-L":
+        step = grid.per_row(1.0 / problem.lipschitz_grad())
     else:
         step = float(cfg.step)
     out = np.array(x0, dtype=np.float64, copy=True)
-    stacked = problem.A.grid.is_stack(out)
+    stacked = grid.is_stack(out)
     rows = len(out) if stacked else 1
     tol = cfg.grad_tol if cfg.grad_tol > 0 else -math.inf
     trajectory = [out.copy()] if cfg.record_trajectory else None
     # the live rows, and the index in ``out`` of each; ``x`` is ``out``
     # itself until the first row stops
     x, idx = out, np.arange(rows)
-    momentum = cfg.step == "one-over-L" and cfg.grad_tol > 0
     if momentum:  # per row, flat: its last plain step and gradient, and
         # its steps since a restart, which index OGM's factors
         x_prev = out.reshape(rows, -1).copy()
@@ -157,23 +166,23 @@ def gd_minimize(problem: LowerProblem, x0: np.ndarray, cfg: GDConfig) -> GDResul
             x, grad, idx = x[keep], grad[keep], idx[keep]
             if momentum:
                 x_prev, g_prev, k = x_prev[keep], g_prev[keep], k[keep]
-            if np.ndim(step):
+            if np.ndim(step) > grid.rank:  # one step per row
                 step = step[keep]
             problem = problem._rows(keep)
         if momentum:
             g, y = grad.reshape(len(idx), -1), x.reshape(len(idx), -1)
-            sg = (step * grad).reshape(len(idx), -1)
-            x_next = y - sg
+            d = grid.fourier_multiply(grad, step).reshape(len(idx), -1)
+            x_next = y - d
             dx = np.subtract(x_next, x_prev, out=x_prev)
-            restart = (np.vecdot(g, dx) > 0.0) | (np.vecdot(g, g_prev) < 0.0)
+            restart = (np.vecdot(g, dx) > 0.0) | (np.vecdot(d, g_prev) < 0.0)
             k += 1
             k[restart] = 0
             if iters + 1 >= factors.shape[1]:  # k <= iters + 1
                 factors = _ogm_factors(2 * factors.shape[1])
             a, b = factors[:, k, None]
-            # y+ = x+ + a (x+ - x) - b s g, written into the live rows of x
+            # y+ = x+ + a (x+ - x) - b d, written into the live rows of x
             np.add(x_next, np.multiply(a, dx, out=dx), out=y)
-            np.subtract(y, np.multiply(b, sg, out=sg), out=y)
+            np.subtract(y, np.multiply(b, d, out=d), out=y)
             x_prev, g_prev = x_next, g
         else:
             x -= step * grad

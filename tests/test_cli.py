@@ -274,6 +274,13 @@ class TestErrors:
         ("gradcheck", "fd_step", 0),
         ("gradcheck", "unroll_steps", -3),
         ("gradcheck", "tolerances", [-1.0]),
+        ("forward", "values", [0.5] * 32),
+        ("forward", "taps", [[0.5, 0.5], [0.0, 0.0]]),
+        ("forward", "taps", [1.0] * 40),
+        ("theta_init", "filters", [[1.0] * 40]),
+        ("theta_init", "tap_extents", [40]),
+        ("theta_init", "tap_extents", [2, 2]),
+        ("loss", "weights", -1.0),
     ])
     def test_bad_config_value_is_one_line_error(self, tmp_path, monkeypatch, capsys,
                                                 recwarn, section, key, value):
@@ -285,6 +292,7 @@ class TestErrors:
             ("loss", "sigma"): {"loss": {"kind": "discrepancy"}},
             ("loss", "var_high"): {"loss": {"kind": "noise-corridor", "var_low": 0.02}},
             ("theta_init", "betas"): {"theta_init": {"filters": [[0.7, -0.7]]}},
+            ("theta_init", "filters"): {"theta_init": {}},
             ("forward", "values"): {"forward": {"kind": "mask"}},
             ("forward", "taps"): {"forward": {"kind": "circulant"}},
             ("loss", "weights"): {"loss": {"kind": "noise-corridor", "var_low": 0.0,
@@ -305,6 +313,19 @@ class TestErrors:
         assert f"'{section}.{key}'" in err
         assert not recwarn.list  # no numpy warning from a run that started
         assert not (tmp_path / "params.json").exists()
+
+    def test_long_value_is_cut_in_a_one_line_error(self, tmp_path, monkeypatch, capsys):
+        """A 1,023-number mask on a 32x32 grid is named by its length, not
+        printed whole."""
+        doc = json.loads((CONFIGS / "toy_train.json").read_text())
+        doc.update(grid=[32, 32], forward={"kind": "mask", "values": [1.0] * 1023})
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_in(tmp_path, monkeypatch, ["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'forward.values' must be 1024 numbers")
+        assert err.count("\n") == 1 and len(err) <= 250
+        assert err.endswith(", 1.0, ... (1023 entries)\n")
 
     @pytest.mark.parametrize("command,section,key", [
         ("sweep", "sweep", "beta0_grid"),

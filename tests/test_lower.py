@@ -553,6 +553,69 @@ class TestLipschitz:
             assert lhs <= lip * np.linalg.norm(x1 - x2) + 1e-12
 
 
+def _forward(kind, grid, rng):
+    if kind == "identity":
+        return Identity(grid)
+    if kind == "mask":
+        return Mask(grid, (rng.random(grid.dims) < 0.7).astype(float))
+    taps = rng.random((3,) if grid.rank == 1 else (2, 3))
+    return Circulant(grid, taps / taps.sum())
+
+
+class TestMajorizer:
+    """P, the symbol of a circulant bound on the Hessian, on the rfft grid."""
+
+    @pytest.mark.parametrize("kind", ["identity", "mask", "circulant"])
+    @pytest.mark.parametrize("dims", [(12,), (6, 8)])
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_bounds_the_hessian(self, kind, dims, per_row):
+        """v'H(x)v <= v'Pv over random x and v, at x = 0 (where phi'' is
+        its bound L_phi' everywhere, so P is tight for a circulant A) and
+        at pure frequencies v.  With ``row_beta0`` each row's P bounds the
+        Hessian of that row's own b0."""
+        rng = np.random.default_rng(len(dims) + 3 * len(kind))
+        grid = Grid(dims)
+        A = _forward(kind, grid, rng)
+        taps = (2,) if grid.rank == 1 else (2, 2)
+        hp = HyperParams(0.5, [0.0, -1.0], [rng.standard_normal(taps) for _ in range(2)],
+                         CornerRounded1Norm(0.1))
+        b0 = [-1.0, 0.5, 1.5]
+        y = rng.standard_normal((len(b0),) + dims)
+        if per_row:
+            p = LowerProblem(A, y, hp, row_beta0=b0).majorizer()
+            assert p.shape[0] == len(b0)
+            rows = [(LowerProblem(A, y[r], HyperParams(b, hp.betas, hp.filters,
+                                                        hp.potential)), p[r])
+                    for r, b in enumerate(b0)]
+        else:
+            problem = LowerProblem(A, y[0], hp)
+            rows = [(problem, problem.majorizer())]
+        waves = [np.cos(2 * np.pi * sum(k * i / n for k, i, n in zip(f, np.indices(dims), dims)))
+                 for f in [(0,) * len(dims), (1,) * len(dims), tuple(d // 2 for d in dims)]]
+        for problem, symbol in rows:
+            for x in (np.zeros(dims), rng.standard_normal(dims)):
+                lin = Linearization(problem, x)
+                for v in waves + [rng.standard_normal(dims) for _ in range(5)]:
+                    vhv = np.vdot(v, lin.hess_vec(v))
+                    vpv = np.vdot(v, grid.fourier_multiply(v, symbol))
+                    assert vhv <= vpv * (1.0 + 1e-12) + 1e-12
+
+    def test_a_row_equals_its_own_problem(self):
+        problem, rng = make_problem(dims=(6, 8), taps=(2, 2))
+        hp = problem.theta
+        A = Circulant(problem.A.grid, [[0.5, 0.25], [0.25, 0.0]])
+        b0 = np.array([-0.5, 2.0])
+        p = LowerProblem(A, rng.standard_normal((2, 6, 8)), hp, row_beta0=b0).majorizer()
+        for r in range(2):
+            own = LowerProblem(A, problem.y, HyperParams(b0[r], hp.betas, hp.filters,
+                                                          hp.potential))
+            np.testing.assert_array_equal(p[r], own.majorizer())
+
+    def test_identity_without_filters_is_sigma1_squared(self):
+        hp = HyperParams(0.0, [], [], CornerRounded1Norm(0.1))
+        assert LowerProblem(Identity(Grid((4,))), np.zeros(4), hp).majorizer() == 1.0
+
+
 class TestRegularityReport:
     def test_identity_strongly_convex(self):
         problem, _ = make_problem()

@@ -295,6 +295,27 @@ def test_shift_index_is_read_only():
             index[0, 0] = 1
 
 
+@pytest.mark.parametrize("grid, taps", [((7,), (2,)), ((4, 5), (2, 3))])
+def test_stack_index_is_a_contiguous_slice_of_the_largest(grid, taps):
+    """A stack's index under lifted taps is a contiguous, read-only copy of
+    the leading rows of the largest stack's index, equal to an index built
+    for its own shape; only a stack larger than any before builds one."""
+    signals._shift_index.cache_clear()
+    signals._stack_slot.cache_clear()
+    x = np.random.default_rng(14).standard_normal((5,) + grid)
+    c = np.ones((1,) + taps)
+    for sign in (1, -1):
+        for rows in (5, 3, 1, 4):
+            index = signals._shift_index(c.shape, (rows,) + grid, sign)
+            assert index.flags.c_contiguous and not index.flags.writeable
+            np.testing.assert_array_equal(index, signals._gather_index(
+                (rows,) + grid, [(0,) + tuple(sign * k for k in s) for s in np.ndindex(taps)]))
+        assert signals._stack_slot(c.shape, grid, sign)[0].shape[1] == 5 * int(np.prod(grid))
+    for rows in (5, 3, 1):
+        assert_bit_equal(circ_conv(x[:rows], c), roll_conv(x[:rows], c, 1))
+        assert_bit_equal(circ_conv_adjoint(x[:rows], c), roll_conv(x[:rows], c, -1))
+
+
 @pytest.mark.parametrize("dims, taps, message", [
     ((3,), (4,), "filter extents (4,) exceed grid extents (3,)"),
     ((3, 3), (2,), "filter rank 1 does not match grid rank 2"),

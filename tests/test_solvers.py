@@ -210,7 +210,7 @@ class TestCG:
 
 
 class PoisonedRows:
-    """grad_x = D x on each row, L = 2, with the gradient of row r made
+    """grad_x = D x on each row, L = 2 and the constant symbol P = 2, with the gradient of row r made
     infinite at iteration ``bad[r]`` of the solve; a stack has ``rows``, one
     signal is row 0."""
 
@@ -222,6 +222,9 @@ class PoisonedRows:
         self.calls = [0] if calls is None else calls
 
     def lipschitz_grad(self):
+        return 2.0
+
+    def majorizer(self):
         return 2.0
 
     def _rows(self, keep):
@@ -245,24 +248,33 @@ class TestAccelerated:
 
     def test_is_a_bare_restarted_ogm_loop(self):
         """Gradient points, count and result, bit for bit, of the rule
-        written out on one signal; the run restarts, at least once on the
-        gradient-sign test alone, and builds momentum again after a
-        restart."""
-        problem, rng = quadratic_problem(dims=(32,), k=2, lam=30.0, seed=3)
-        x0 = rng.standard_normal(32)
-        step = 1.0 / problem.lipschitz_grad()
-        x, y, t, g_prev = x0.copy(), x0.copy(), 1.0, np.zeros(32)
+        written out on one signal: steps ``d = P+ g`` by rfft, with
+        ``P = 1 + L_phi' sum_k w_k |c_k^|^2``; the run restarts, at least
+        once on the gradient-sign test alone, and builds momentum again
+        after a restart."""
+        rng = np.random.default_rng(0)
+        n = 32
+        hp = HyperParams(-1.0, [0.0, -0.5], [rng.standard_normal(2), rng.standard_normal(3)],
+                         CornerRounded1Norm(0.1))
+        problem = LowerProblem(Identity(Grid((n,))), rng.standard_normal(n), hp)
+        x0 = rng.standard_normal(n)
+        p = 1.0
+        for b, c in zip(hp.betas, hp.filters):
+            p = p + np.exp(hp.beta0 + b) * hp.potential.curvature_bound() * (
+                np.abs(np.fft.rfft(c, n)) ** 2)
+        p_inv = np.divide(1.0, p, out=np.zeros_like(p), where=p > 0.0)
+        x, y, t, g_prev = x0.copy(), x0.copy(), 1.0, np.zeros(n)
         path, restarts, sign_restarts = [x0.copy()], 0, 0
         momentum_after_restart = False
         while True:
             grad = problem.grad_x(y)
             if np.linalg.norm(grad) <= ACCELERATED.grad_tol:
                 break
-            sg = step * grad
-            x_next = y - sg
+            d = np.fft.irfft(np.fft.rfft(grad) * p_inv, n)
+            x_next = y - d
             t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
             descent_restart = np.vdot(grad, x_next - x) > 0.0
-            sign_restart = np.vdot(grad, g_prev) < 0.0
+            sign_restart = np.vdot(d, g_prev) < 0.0
             if descent_restart or sign_restart:
                 a = b = 0.0
                 t = 1.0
@@ -272,7 +284,7 @@ class TestAccelerated:
                 momentum_after_restart |= restarts > 0 and t > 1.0
                 a, b = (t - 1.0) / t_next, t / t_next
                 t = t_next
-            y = x_next + a * (x_next - x) - b * sg
+            y = x_next + a * (x_next - x) - b * d
             x, g_prev = x_next, grad
             path.append(y.copy())
         assert sign_restarts > 0 and momentum_after_restart
@@ -281,6 +293,22 @@ class TestAccelerated:
         assert res.iters_run == len(path) - 1
         np.testing.assert_array_equal(np.array(res.trajectory), np.array(path))
         np.testing.assert_array_equal(res.x, path[-1])
+
+    @pytest.mark.parametrize("filters", [[], [np.array([1.0, 1.0])]])
+    def test_steps_by_the_pseudo_inverse_where_p_vanishes(self, filters):
+        """A blur and a filter that both vanish at Nyquist make P exactly 0
+        there, where the Hessian and the gradient vanish too: 1/P would
+        step by inf, P+ steps by 0 and the solve converges."""
+        grid = Grid((8,))
+        A = Circulant(grid, [0.5, 0.5])
+        hp = HyperParams(0.0, [0.0] * len(filters), filters, CornerRounded1Norm(0.1))
+        y = np.random.default_rng(0).standard_normal(8)
+        problem = LowerProblem(A, y, hp)
+        p = problem.majorizer()
+        assert p[-1] == 0.0 and np.all(p[:-1] > 0.0)
+        res = gd_minimize(problem, A.adjoint(y), ACCELERATED)
+        assert res.final_grad_norm <= ACCELERATED.grad_tol
+        assert res.iters_run <= 60
 
     @pytest.mark.parametrize("b0", [-1.0, -0.5, 0.3, 1.0])
     @pytest.mark.parametrize("start", [0.0, 0.5, 1.3, 2.0])

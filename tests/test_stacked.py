@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bilevelreg.signals as signals
 import bilevelreg.upper as upper
 from bilevelreg.errors import DimensionError, DivergenceError, SpdViolationError
 from bilevelreg.forward import Circulant, Identity, Mask
@@ -479,6 +480,37 @@ def test_grid_search_solves_each_point_once(monkeypatch):
     assert grad_calls[0] == len(grid) * S
     assert all(a >= b for a, b in zip(grad_calls, grad_calls[1:]))
     assert grad_calls[-1] < grad_calls[0]  # stopped rows left the stack
+
+
+@pytest.mark.parametrize("dims", DIMS)
+def test_shrinking_stack_builds_each_gather_index_once(monkeypatch, dims):
+    """A solve whose live rows shrink builds at most one tap-shift index per
+    (filter shape, grid, sign) key, however many row counts it visits."""
+    A = make_model("circulant", dims)
+    theta = make_theta(len(dims))
+    Y = np.concatenate([make_stack(dims), make_stack(dims, seed=1)])
+    b0 = np.linspace(-3.0, 1.0, len(Y))
+    problem = LowerProblem(A, Y, theta, row_beta0=b0)
+    builds, rows = [], []
+    build, grad_x = signals._gather_index, LowerProblem.grad_x
+
+    def counting_build(shape, offsets):
+        builds.append(shape)
+        return build(shape, offsets)
+
+    def counting_grad(self, x):
+        rows.append(len(x))
+        return grad_x(self, x)
+
+    monkeypatch.setattr(signals, "_gather_index", counting_build)
+    monkeypatch.setattr(LowerProblem, "grad_x", counting_grad)
+    signals._shift_index.cache_clear()
+    signals._stack_slot.cache_clear()
+    res = gd_minimize(problem, A.adjoint(Y), GDConfig(max_iters=5000, grad_tol=1e-8))
+    assert res.final_grad_norm <= 1e-8
+    assert len(set(rows)) >= 4  # the stack shrank through several sizes
+    keys = {(c.shape, sign) for c in [A.taps, *theta.filters] for sign in (1, -1)}
+    assert len(builds) <= len(keys)
 
 
 @pytest.mark.parametrize("spec", [MSELoss(), SureMCLoss(sigma=0.1, n_probes=2, seed=3)])
