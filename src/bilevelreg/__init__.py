@@ -45,7 +45,6 @@ from .signals import (
     circ_conv,
     circ_conv_adjoint,
     circshift,
-    filter_spectrum,
     shifted,
 )
 from .solvers import CGResult, GDConfig, GDResult, cg_solve, gd_minimize

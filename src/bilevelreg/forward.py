@@ -17,7 +17,6 @@ from .signals import (
     circ_conv,
     circ_conv_adjoint,
     filter_power,
-    filter_spectrum,
     pair_index,
 )
 
@@ -34,7 +33,9 @@ class ForwardModel:
         raise NotImplementedError
 
     def spectral_bounds(self) -> tuple[float, float]:
-        """Return (sigma1^2, sigmaN^2) of A."""
+        """Return (sigma1^2, sigmaN^2) of A: the largest and the smallest
+        eigenvalue of A'A.  A sigmaN^2 of 0 means A has a null direction,
+        and the lower cost need not be strongly convex in x."""
         raise NotImplementedError
 
     def gram_symbol(self):
@@ -120,8 +121,8 @@ class Circulant(ForwardModel):
         return circ_conv_adjoint(u, self.grid.lift(u, self.taps))
 
     def spectral_bounds(self):
-        mags = filter_spectrum(self.taps, self.grid)
-        return (float(np.max(mags) ** 2), float(np.min(mags) ** 2))
+        power = filter_power(self.taps, self.grid)  # |A^|^2
+        return (float(np.max(power)), float(np.min(power)))
 
     def gram_symbol(self):
         # A'A is circulant: its own symbol |A^|^2

@@ -37,7 +37,6 @@ from .signals import (
     circ_conv,
     circ_conv_adjoint,
     filter_power,
-    filter_spectrum,
     pair_index,
     shifted,
 )
@@ -236,16 +235,15 @@ class LowerProblem:
         return self._plan
 
     def lipschitz_grad(self) -> float | np.ndarray:
-        """L = sigma1^2(A) + e^{b0} L_phi' sum_k e^{bk} sigma1^2(C_k).
+        """L, the largest value of the majorizer's symbol P: as P >= H(x)
+        at every x (see ``majorizer``), grad_x is L-Lipschitz.
 
         One float, or one L per row, shaped ``(S,)``, for ``row_beta0``.
         """
-        sigma1_sq, _ = self.A.spectral_bounds()
-        l_dphi = self.theta.potential.curvature_bound()
-        total = sigma1_sq
-        for w, c in zip(self._weights, self.theta.filters):
-            total += w * l_dphi * float(np.max(filter_spectrum(c, self.A.grid))) ** 2
-        return np.reshape(total, -1) if np.ndim(total) else float(total)
+        p = self.majorizer()
+        if np.ndim(p) > self.A.grid.rank:  # one symbol per row
+            return np.max(p.reshape(len(p), -1), axis=1)
+        return float(np.max(p))
 
     def majorizer(self):
         """P = |A^|^2 + L_phi' sum_k w_k |C_k^|^2, the DFT symbol of a
@@ -264,24 +262,24 @@ class LowerProblem:
         return total
 
     def regularity_report(self, x_norm_bound: float) -> dict:
-        """Named regularity constants for the current hyperparameters."""
+        """Named regularity constants for the current hyperparameters:
+        ``mu = sigmaN^2(A)``, 0 where A has a null direction, ``L_grad_x =
+        lipschitz_grad()``, and per filter constants from max |C_k^|^2."""
         self._shared_beta0("regularity_report")
-        pot = self.theta.potential
-        sigma1_sq, sigman_sq = self.A.spectral_bounds()
-        l_dphi = pot.curvature_bound()
-        l_ddphi = pot.curvature_lipschitz()
-        sig1 = [float(np.max(filter_spectrum(c, self.A.grid))) for c in self.theta.filters]
-        pairs = list(zip(self._weights, sig1))  # (w_k, sigma1(C_k))
-        reg_curv = float(sum(w * l_dphi * s**2 for w, s in pairs))
+        mu = float(self.A.spectral_bounds()[1])
+        l_dphi = self.theta.potential.curvature_bound()
+        l_ddphi = self.theta.potential.curvature_lipschitz()
+        pairs = [(w, float(np.max(filter_power(c, self.A.grid))))  # (w_k, s_k^2)
+                 for w, c in zip(self._weights, self.theta.filters)]
         return {
-            "mu": float(sigman_sq),
-            "strongly_convex": bool(sigman_sq > 0.0),
-            "L_grad_x": float(sigma1_sq + reg_curv),
-            "L_hess_x": reg_curv,
-            "L_mixed_beta": [float(w * l_dphi * s**2) for w, s in pairs],
+            "mu": mu,
+            "strongly_convex": mu > 0.0,
+            "L_grad_x": self.lipschitz_grad(),
+            "L_hess_x": float(sum(w * l_dphi * p for w, p in pairs)),
+            "L_mixed_beta": [float(w * l_dphi * p) for w, p in pairs],
             "L_mixed_tap": [
-                float(w * s * (2.0 * l_dphi + s * l_ddphi * x_norm_bound))
-                for w, s in pairs
+                float(w * (2.0 * l_dphi * np.sqrt(p) + p * l_ddphi * x_norm_bound))
+                for w, p in pairs
             ],
         }
 

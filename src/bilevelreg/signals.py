@@ -257,25 +257,11 @@ def circshift(x: np.ndarray, offset) -> np.ndarray:
     return np.roll(x, tuple(offset), axis=tuple(range(x.ndim)))
 
 
-def filter_spectrum(c: np.ndarray, grid: Grid) -> np.ndarray:
-    """DFT magnitudes |sum_s c_s exp(-2i*pi*<s,m>/N)| over all grid frequencies.
-
-    Evaluated directly over the filter's taps, O(N * taps).
-    """
-    c = np.asarray(c, dtype=np.float64)
-    _check_filter_fits(grid.dims, c.shape)
-    freq = np.zeros(grid.dims, dtype=np.complex128)
-    axes_freqs = [np.arange(d) for d in grid.dims]
-    mesh = np.meshgrid(*axes_freqs, indexing="ij")
-    for s in np.ndindex(c.shape):
-        phase = sum(sk * mk / dk for sk, mk, dk in zip(s, mesh, grid.dims))
-        freq += c[s] * np.exp(-2j * np.pi * phase)
-    return np.abs(freq)
-
-
 def filter_power(c: np.ndarray, grid: Grid) -> np.ndarray:
     """|c^|^2 on the rfft grid of ``grid`` (the last axis halved): the DFT
-    symbol of C'C, by one FFT of the zero-padded taps.
+    symbol of C'C, by one FFT of the zero-padded taps.  Every spectrum the
+    library reads comes from here; real taps give |c^(-m)| = |c^(m)|, so
+    the half grid holds every value of the full one.
 
     A kernel that vanishes at a frequency by symmetry, such as ``[0.5, 0.5]``
     at Nyquist, gives an exact 0 there.

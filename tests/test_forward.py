@@ -78,6 +78,10 @@ class TestSpectralBounds:
         assert hi == pytest.approx(4.0, abs=1e-12)
         assert lo == pytest.approx(0.0, abs=1e-12)
 
+    def test_vanishing_blur_has_an_exact_zero(self):
+        # [0.5, 0.5] vanishes at Nyquist by symmetry: sigmaN^2 is 0, not tiny
+        assert Circulant(Grid((8,)), [0.5, 0.5]).spectral_bounds()[1] == 0.0
+
     @pytest.mark.parametrize("dims", [(8,), (4, 4)])
     def test_bounds_sandwich_norms(self, dims):
         grid = Grid(dims)

@@ -552,6 +552,49 @@ class TestLipschitz:
             lhs = np.linalg.norm(problem.grad_x(x1) - problem.grad_x(x2))
             assert lhs <= lip * np.linalg.norm(x1 - x2) + 1e-12
 
+    @pytest.mark.parametrize("kind", ["identity", "mask", "circulant"])
+    @pytest.mark.parametrize("dims", [(12,), (6, 8)])
+    @pytest.mark.parametrize("row_beta0", [None, [-1.0, 0.5, 1.5]])
+    def test_is_the_majorizer_peak(self, kind, dims, row_beta0):
+        """L is the largest value of P, per row under ``row_beta0``, and at
+        most the sum of each term's own peak."""
+        rng = np.random.default_rng(len(dims) + 3 * len(kind))
+        grid = Grid(dims)
+        A = _forward(kind, grid, rng)
+        taps = (2,) if grid.rank == 1 else (2, 2)
+        hp = HyperParams(0.5, [0.0, -1.0], [rng.standard_normal(taps) for _ in range(2)],
+                         CornerRounded1Norm(0.1))
+        y = rng.standard_normal((3,) + dims)
+        problem = LowerProblem(A, y, hp, row_beta0=row_beta0)
+        lip, p = problem.lipschitz_grad(), problem.majorizer()
+        if row_beta0 is None:
+            assert isinstance(lip, float) and lip == np.max(p)
+        else:
+            assert lip.shape == (3,)
+            assert list(lip) == [np.max(row) for row in p]
+        b0 = hp.beta0 if row_beta0 is None else np.asarray(row_beta0)
+        assert np.all(lip <= summed_peaks(A, hp, b0) * (1.0 + 1e-12))
+
+    def test_tighter_than_summed_peaks(self):
+        """The three filters of ``TestRegularityReport`` peak at different
+        frequencies, so L = max P is strictly below the sum of the peaks."""
+        problem, _ = make_problem(k=3)
+        old = summed_peaks(problem.A, problem.theta, problem.theta.beta0)
+        assert old == pytest.approx(88.497, abs=1e-3)
+        assert problem.lipschitz_grad() == pytest.approx(75.236, abs=1e-3)
+
+
+def summed_peaks(A, hp, b0):
+    """sigma1^2(A) + L_phi' sum_k w_k max|C_k^|^2, with w_k = e^{b0 + b_k}
+    and each peak from a full-grid FFT: a Lipschitz constant of grad_x that
+    adds up the peak of every term wherever it falls."""
+    dims = A.grid.dims
+    total = A.spectral_bounds()[0]
+    for b, c in zip(hp.betas, hp.filters):
+        peak = np.max(np.abs(np.fft.fftn(c, s=dims, axes=tuple(range(len(dims))))) ** 2)
+        total = total + np.exp(b0 + b) * hp.potential.curvature_bound() * peak
+    return total
+
 
 def _forward(kind, grid, rng):
     if kind == "identity":
@@ -627,6 +670,15 @@ class TestRegularityReport:
         grid = Grid((4,))
         hp = HyperParams(0.0, [0.0], [np.array([1.0, -1.0])], CornerRounded1Norm(0.1))
         problem = LowerProblem(Mask(grid, [1, 0, 1, 1]), np.zeros(4), hp)
+        report = problem.regularity_report(1.0)
+        assert report["mu"] == 0.0
+        assert not report["strongly_convex"]
+
+    def test_vanishing_blur_is_not_strongly_convex(self):
+        # the blur [0.5, 0.5] vanishes at Nyquist, so A has a null direction
+        grid = Grid((8,))
+        hp = HyperParams(0.0, [0.0], [np.array([1.0, -1.0])], CornerRounded1Norm(0.1))
+        problem = LowerProblem(Circulant(grid, [0.5, 0.5]), np.zeros(8), hp)
         report = problem.regularity_report(1.0)
         assert report["mu"] == 0.0
         assert not report["strongly_convex"]

@@ -14,7 +14,7 @@ from bilevelreg.signals import (
     circ_conv,
     circ_conv_adjoint,
     circshift,
-    filter_spectrum,
+    filter_power,
     shifted,
 )
 
@@ -172,28 +172,29 @@ class TestCircshift:
             circshift(np.zeros((2, 2)), 1)
 
 
-def spectrum_max(c, grid):
-    """The largest singular value of c's convolution matrix, as ``lower`` takes it."""
-    return float(np.max(filter_spectrum(c, grid)))
+def power_max(c, grid):
+    """sigma1^2, the top eigenvalue of C'C for c's convolution matrix C, as
+    ``lower`` and ``forward`` take it."""
+    return float(np.max(filter_power(c, grid)))
 
 
 class TestSpectrum:
     def test_two_tap_on_four_grid(self):
-        # direct DFT over the 4 frequencies: |1 - e^{-i pi m / 2}| peaks at m=2
-        assert spectrum_max(np.array([1.0, -1.0]), Grid((4,))) == pytest.approx(
-            2.0, abs=1e-14
+        # |1 - e^{-i pi m / 2}| peaks at m=2, where it is 2
+        assert power_max(np.array([1.0, -1.0]), Grid((4,))) == pytest.approx(
+            4.0, abs=1e-14
         )
 
     def test_delta_all_pass(self):
-        assert spectrum_max(np.array([1.0]), Grid((9,))) == pytest.approx(1.0)
-        assert spectrum_max(np.array([[1.0]]), Grid((3, 4))) == pytest.approx(1.0)
+        assert power_max(np.array([1.0]), Grid((9,))) == pytest.approx(1.0)
+        assert power_max(np.array([[1.0]]), Grid((3, 4))) == pytest.approx(1.0)
 
     def test_filter_that_does_not_fit_is_rejected(self):
         # the same check, and message, as the convolution's
         with pytest.raises(DimensionError, match="exceed grid extents"):
-            filter_spectrum(np.ones(5), Grid((4,)))
+            filter_power(np.ones(5), Grid((4,)))
         with pytest.raises(DimensionError, match="does not match grid rank"):
-            filter_spectrum(np.ones(2), Grid((4, 4)))
+            filter_power(np.ones(2), Grid((4, 4)))
         with pytest.raises(DimensionError, match="does not match grid rank"):
             circ_conv(np.zeros((3, 3)), np.ones(2))
 
@@ -202,7 +203,7 @@ class TestSpectrum:
         for _ in range(25):
             c = rng.standard_normal(rng.integers(1, 5))
             grid = Grid((rng.integers(c.size, 17),))
-            assert spectrum_max(c, grid) <= np.sum(np.abs(c)) + 1e-12
+            assert power_max(c, grid) <= np.sum(np.abs(c)) ** 2 * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("dims,taps", [((6,), (2,)), ((12,), (3,)), ((4, 4), (2, 2))])
     def test_matches_dense_gram_eigenvalue(self, dims, taps):
@@ -211,19 +212,23 @@ class TestSpectrum:
         c = rng.standard_normal(taps)
         dense = dense_conv_matrix(c, grid)
         top = np.max(np.linalg.eigvalsh(dense.T @ dense))
-        assert spectrum_max(c, grid) ** 2 == pytest.approx(top, abs=1e-10)
+        assert power_max(c, grid) == pytest.approx(top, abs=1e-10)
 
-    def test_full_spectrum_matches_fft(self):
-        rng = np.random.default_rng(10)
-        grid = Grid((16,))
-        c = rng.standard_normal(4)
-        padded = np.zeros(16)
-        padded[:4] = c
-        np.testing.assert_allclose(
-            np.sort(filter_spectrum(c, grid)),
-            np.sort(np.abs(np.fft.fft(padded))),
-            rtol=1e-12,
-        )
+    @pytest.mark.parametrize("dims,taps", [((16,), (4,)), ((15,), (4,)),
+                                           ((6, 8), (2, 3)), ((5, 7), (3, 2))])
+    def test_half_grid_holds_the_full_grid_extremes(self, dims, taps):
+        """The rfft half grid holds the largest and the smallest value of
+        |c^|^2 over every grid frequency, for odd and even extents."""
+        c = np.random.default_rng(10).standard_normal(taps)
+        padded = np.zeros(dims)
+        padded[tuple(slice(0, t) for t in taps)] = c
+        full = np.abs(np.fft.fftn(padded)) ** 2
+        power = filter_power(c, Grid(dims))
+        assert power.shape == dims[:-1] + (dims[-1] // 2 + 1,)
+        # equal up to the FFTs' rounding, which differs between rfftn and fftn
+        tol = 1e-13 * np.max(full)
+        assert np.max(power) == pytest.approx(np.max(full), abs=tol)
+        assert np.min(power) == pytest.approx(np.min(full), abs=tol)
 
 
 @settings(max_examples=50, deadline=None)
@@ -376,3 +381,44 @@ def test_shift_convention_is_coded_only_in_signals():
     )
     elsewhere = {name: lines for name, lines in found.items() if lines}
     assert not elsewhere, f"np.roll outside signals.py: {elsewhere}"
+
+
+SPECTRUM_HOMES = {("signals.py", "Grid.fourier_multiply"), ("signals.py", "filter_power")}
+
+
+def _is_dft(node) -> bool:
+    """A use of ``np.fft``/``numpy.fft``, an import of it, or an imaginary
+    literal, which a DFT written out as a sum of exponentials needs."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "fft" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "numpy.fft" or (
+            node.module == "numpy" and any(alias.name == "fft" for alias in node.names))
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.fft") for alias in node.names)
+    return isinstance(node, ast.Constant) and isinstance(node.value, complex)
+
+
+def _dft_uses(node, scope=""):
+    """(enclosing qualified name, line) of every ``_is_dft`` node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _dft_uses(child, f"{scope}.{child.name}" if scope else child.name)
+            continue
+        if _is_dft(child):
+            yield scope, child.lineno
+        yield from _dft_uses(child, scope)
+
+
+def test_filter_dft_is_coded_only_in_filter_power():
+    """A filter's DFT is taken in ``filter_power`` alone, and the only other
+    FFT is ``Grid.fourier_multiply``, which applies such a symbol."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for scope, line in _dft_uses(ast.parse(path.read_text())):
+            found.setdefault((path.name, scope), []).append(line)
+    missing = SPECTRUM_HOMES - set(found)
+    assert not missing, f"the check no longer sees these FFTs: {missing}"
+    elsewhere = {key: lines for key, lines in found.items() if key not in SPECTRUM_HOMES}
+    assert not elsewhere, f"a DFT outside filter_power and fourier_multiply: {elsewhere}"

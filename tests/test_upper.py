@@ -18,7 +18,7 @@ from bilevelreg.errors import (
     SpdViolationError,
     StepTooLargeError,
 )
-from bilevelreg.forward import Identity, Mask
+from bilevelreg.forward import Circulant, Identity, Mask
 from bilevelreg.hypergrad import grad_compare, hypergrad_minimizer
 from bilevelreg.losses import MSELoss, SureMCLoss, bind_loss, sure_mc
 from bilevelreg.lower import (
@@ -73,6 +73,15 @@ def filter_train_set(n_samples=3, n=32, sigma=0.05, seed0=100):
         xs.append(x)
         ys.append(add_noise(x, A, sigma, seed=seed0 + 50 + s))
     return TrainSet(x_true=xs, y=ys, A=A)
+
+
+def vanishing_blur_toy():
+    """Two signals blurred by [0.5, 0.5], which vanishes at Nyquist, and a
+    difference filter: a problem whose A has a null direction (mu = 0)."""
+    A = Circulant(Grid((8,)), [0.5, 0.5])
+    xs = [np.array([0.0, 0, 1, 1, 1, 0, 0, 0]), np.array([1.0, 1, 1, 0, 0, 0, 0, 1])]
+    hp = HyperParams(0.0, [0.0], [np.array([1.0, -1.0])], CornerRounded1Norm(0.1))
+    return hp, TrainSet(x_true=xs, y=[A.apply(x) for x in xs], A=A)
 
 
 class TestEvaluateUpper:
@@ -207,6 +216,15 @@ class TestHoag:
             totals[warm] = sum(r.lower_iters for r in trace.records)
         assert totals[True] <= 1.1 * totals[False]
 
+    def test_vanishing_blur_solves_stop_at_tolerance(self):
+        """With mu = 0 each lower solve stops at its eps_i, not at a
+        vanishing eps_i * mu after its whole budget."""
+        hp, train = vanishing_blur_toy()
+        _, trace = hoag(hp, None, train, MSELoss(), max_upper=2,
+                        solver_cfg=GDConfig(max_iters=3000), theta_rel_tol=0.0)
+        assert len(trace) == 2
+        assert all(r.lower_iters < 3000 for r in trace.records)
+
 
 class TestStepController:
     def test_constant_streak_detector(self):
@@ -272,6 +290,11 @@ class TestBa:
         train = TrainSet(x_true=[np.ones(4)], y=[A.apply(np.ones(4))], A=A)
         hp = HyperParams(0.0, [0.0], [np.array([1.0, -1.0])],
                          CornerRounded1Norm(0.1))
+        with pytest.raises(ConfigError):
+            ba(hp, None, 0.1, "paper-default", 5, train, MSELoss(), max_upper=2)
+
+    def test_paper_default_step_requires_mu_of_a_vanishing_blur(self):
+        hp, train = vanishing_blur_toy()
         with pytest.raises(ConfigError):
             ba(hp, None, 0.1, "paper-default", 5, train, MSELoss(), max_upper=2)
 
