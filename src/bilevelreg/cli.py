@@ -168,8 +168,7 @@ def _run_gradcheck(cfg: ExperimentConfig):
     lines = []
 
     # engine vs central finite differences of the fully solved pipeline
-    res = gd_minimize(problem, x0, tight)
-    engine = hypergrad_minimizer(problem, loss, res.x, cg_tol=1e-12)
+    engine = hypergrad_minimizer(problem, loss, x0, tight, 1e-12)
     fd = _fd_pipeline_gradient(problem, loss, x0, tight, gc["fd_step"])
     denom = max(float(np.max(np.abs(fd))), 1e-30)
     fd_err = float(np.max(np.abs(engine.grad - fd))) / denom
@@ -194,8 +193,7 @@ def _run_gradcheck(cfg: ExperimentConfig):
     estimates = []
     for tol in [*gc["tolerances"], 1e-12]:
         cfg_tol = GDConfig(step="one-over-L", max_iters=500_000, grad_tol=tol)
-        sol = gd_minimize(problem, x0, cfg_tol)
-        est = hypergrad_minimizer(problem, loss, sol.x, cg_tol=min(tol, 1e-8))
+        est = hypergrad_minimizer(problem, loss, x0, cfg_tol, min(tol, 1e-8))
         estimates.append((tol, est.grad))
     reference = estimates.pop()[1]
     angles = []

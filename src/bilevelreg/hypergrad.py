@@ -2,9 +2,9 @@
 
 All supported upper losses depend on the hyperparameters only through the
 reconstruction, so the explicit theta-partial of the loss is zero and every
-engine returns the chain-rule term alone.  The unrolled engines also run a
-stacked problem, ``(S, *grid)``, with one loss per row; the minimizer engine
-takes one signal.
+engine returns the chain-rule term alone.  Every engine takes a start and
+runs its own lower iterations from it, on one signal or on a stacked
+problem, ``(S, *grid)``, with one loss per row.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, SpdViolationError
 from .lower import Linearization, LowerProblem
 from .solvers import GDConfig, cg_solve, gd_minimize
 
@@ -31,14 +31,16 @@ class UpperLoss:
 class HypergradResult:
     """A hypergradient with the lower iterate it was taken at.
 
-    For a stacked run, ``grad`` and ``x_final`` hold one row per sample and
-    ``lower_iters`` counts the loop's steps, which every row takes.
+    For a stacked run every field holds one entry per sample: ``grad`` and
+    ``x_final`` one row each, and ``lower_iters``, ``cg_residual`` (None
+    from the unrolled engines, which solve no system) and ``warning`` one
+    list entry each.
     """
 
     grad: np.ndarray
-    lower_iters: int
-    cg_residual: float | None = None
-    warning: str | None = None
+    lower_iters: int | list[int]
+    cg_residual: float | list[float] | None = None
+    warning: str | list[str | None] | None = None
     x_final: np.ndarray | None = None
 
 
@@ -52,57 +54,84 @@ def _loss_grad(
     return loss.grad_x(x)
 
 
-def _step_warning(problem: LowerProblem, step: float) -> str | None:
-    """A warning when the unrolled step exceeds 2/L, past which gradient
-    descent on the lower cost need not converge."""
+def _unrolled_result(
+    problem: LowerProblem, grad: np.ndarray, x: np.ndarray, n_steps: int, step: float
+) -> HypergradResult:
+    """An unrolled engine's result, its ``n_steps`` and a warning when the
+    step exceeds 2/L, past which gradient descent on the lower cost need not
+    converge, given once per row of a stacked ``x``."""
     lip = problem.lipschitz_grad()
+    warning = None
     if step * lip > 2.0:
-        return (f"unrolled step {step:.3e} exceeds 2/L = {2.0 / lip:.3e}; "
-                "the unrolled iteration may diverge")
-    return None
+        warning = (f"unrolled step {step:.3e} exceeds 2/L = {2.0 / lip:.3e}; "
+                   "the unrolled iteration may diverge")
+    if problem.A.grid.is_stack(x):
+        return HypergradResult(grad, [n_steps] * len(x), warning=[warning] * len(x),
+                               x_final=x)
+    return HypergradResult(grad, n_steps, warning=warning, x_final=x)
 
 
 def hypergrad_minimizer(
     problem: LowerProblem,
-    loss: UpperLoss,
-    x_approx: np.ndarray,
+    loss: UpperLoss | Sequence[UpperLoss],
+    x0: np.ndarray,
+    solver_cfg: GDConfig,
     cg_tol: float,
     cg_max_iters: int | None = None,
-    lower_iters: int = 0,
-    grad_tol: float = 0.0,
 ) -> HypergradResult:
-    """Implicit-differentiation hypergradient at an (approximate) minimizer.
+    """Implicit-differentiation hypergradient at an approximate minimizer.
 
-    Solves H(x) q = grad_x loss by CG and returns -J(x)' q, where H is the
-    lower-level Hessian and J the mixed x-theta Jacobian, both evaluated at
-    ``x_approx``.  Accuracy degrades with the stationarity gap at x_approx
-    and with a CG solve stopped short of ``cg_tol``; ``warning`` names
-    either.  The gap is judged against the larger of ``grad_tol``, the
-    stationarity the caller's lower solve asked for, and
-    1e-4 (1 + ||grad_x loss||).
+    Solves the lower problem by ``gd_minimize(problem, x0, solver_cfg)``
+    (a budget of 0, ``GDConfig(max_iters=0)``, takes ``x0`` as it is), then
+    H(x) q = grad_x loss by CG, and returns -J(x)' q, where H is the
+    lower-level Hessian and J the mixed x-theta Jacobian, both at the
+    solve's x.  Accuracy degrades with the stationarity gap at x and with a
+    CG solve stopped short of ``cg_tol``; ``warning`` names either.  The gap
+    is the solve's final gradient norm, judged against the larger of
+    ``solver_cfg.grad_tol`` and 1e-4 (1 + ||grad_x loss||).
+
+    A stacked ``x0`` solves every row at once, ``loss`` holding one loss
+    per row: one linearization of the stack, one CG per row on its row
+    view, whose failure raises SpdViolationError with that ``row``, and one
+    Jacobian-adjoint product on the stacked q.  Each row's entries equal
+    its own run's bit for bit.
     """
-    grad_loss = loss.grad_x(x_approx)
-    lin = Linearization(problem, x_approx)
-    cg = cg_solve(lin.hess_vec, grad_loss, cg_tol, cg_max_iters)
-    grad = -lin.jac_adjoint_apply(cg.x)
-    gnorm = float(np.linalg.norm(problem.grad_x(x_approx)))
-    warnings = []
-    if gnorm > max(grad_tol, 1e-4 * (1.0 + float(np.linalg.norm(grad_loss)))):
-        warnings.append(
-            f"lower-level gradient norm {gnorm:.3e} is large; "
-            "hypergradient may be inaccurate"
-        )
-    if not cg.residual_norm <= cg_tol:  # a NaN residual fails too
-        warnings.append(
-            f"CG stopped after {cg.iters_run} iterations at residual "
-            f"{cg.residual_norm:.3e} above its tolerance {cg_tol:.3e}"
-        )
+    run = gd_minimize(problem, x0, solver_cfg)
+    lin = Linearization(problem, run.x)
+    grad_loss = _loss_grad(problem, loss, run.x)
+    stacked = problem.A.grid.is_stack(run.x)
+    views = [lin._rows(j) for j in range(len(run.x))] if stacked else [lin]
+    rhs = grad_loss if stacked else [grad_loss]
+    q, residuals, warnings = [], [], []
+    for j, (view, b, gnorm) in enumerate(zip(views, rhs, run.row_grad_norms)):
+        try:
+            cg = cg_solve(view.hess_vec, b, cg_tol, cg_max_iters)
+        except SpdViolationError as exc:
+            raise SpdViolationError(str(exc), row=j if stacked else None) from exc
+        found = []
+        if gnorm > max(solver_cfg.grad_tol, 1e-4 * (1.0 + float(np.linalg.norm(b)))):
+            found.append(
+                f"lower-level gradient norm {gnorm:.3e} is large; "
+                "hypergradient may be inaccurate"
+            )
+        if not cg.residual_norm <= cg_tol:  # a NaN residual fails too
+            found.append(
+                f"CG stopped after {cg.iters_run} iterations at residual "
+                f"{cg.residual_norm:.3e} above its tolerance {cg_tol:.3e}"
+            )
+        q.append(cg.x)
+        residuals.append(cg.residual_norm)
+        warnings.append("; ".join(found) or None)
+
+    def per_row(values):  # a list for a stack, its one entry otherwise
+        return values if stacked else values[0]
+
     return HypergradResult(
-        grad=grad,
-        lower_iters=lower_iters,
-        cg_residual=cg.residual_norm,
-        warning="; ".join(warnings) or None,
-        x_final=x_approx,
+        grad=-lin.jac_adjoint_apply(np.stack(q) if stacked else q[0]),
+        lower_iters=per_row(run.row_iters),
+        cg_residual=per_row(residuals),
+        warning=per_row(warnings),
+        x_final=run.x,
     )
 
 
@@ -136,12 +165,7 @@ def hypergrad_unrolled_reverse(
         lin = path._rows(slice((t - 1) * lead[0], t * lead[0]) if lead else t - 1)
         grad -= step * lin.jac_adjoint_apply(delta)
         delta = delta - step * lin.hess_vec(delta)
-    return HypergradResult(
-        grad=grad,
-        lower_iters=run.iters_run,
-        warning=_step_warning(problem, step),
-        x_final=run.x,
-    )
+    return _unrolled_result(problem, grad, run.x, n_steps, step)
 
 
 def hypergrad_unrolled_forward(
@@ -189,12 +213,7 @@ def hypergrad_unrolled_forward(
     grad = problem.A.grid.dots(z, _loss_grad(problem, loss, x))
     if stacked:  # (P, S): one row per sample
         grad = np.ascontiguousarray(grad.T)
-    return HypergradResult(
-        grad=grad,
-        lower_iters=n_steps,
-        warning=_step_warning(problem, step),
-        x_final=x,
-    )
+    return _unrolled_result(problem, grad, x, n_steps, step)
 
 
 def grad_compare(g_est: np.ndarray, g_ref: np.ndarray) -> tuple[float, float]:

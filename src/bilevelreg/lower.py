@@ -264,7 +264,11 @@ class LowerProblem:
     def regularity_report(self, x_norm_bound: float) -> dict:
         """Named regularity constants for the current hyperparameters:
         ``mu = sigmaN^2(A)``, 0 where A has a null direction, ``L_grad_x =
-        lipschitz_grad()``, and per filter constants from max |C_k^|^2."""
+        lipschitz_grad()``, and constants from each filter's
+        ``s_k^2 = max |C_k^|^2``.  ``L_hess_x = sum_k w_k L_phi'' s_k^3``
+        bounds ||H(x) - H(x')|| / ||x - x'||: the Hessians differ by
+        ``sum_k w_k C_k' diag(phi''(C_k x) - phi''(C_k x')) C_k``, and each
+        entry of that diagonal by at most ``L_phi'' s_k ||x - x'||``."""
         self._shared_beta0("regularity_report")
         mu = float(self.A.spectral_bounds()[1])
         l_dphi = self.theta.potential.curvature_bound()
@@ -275,7 +279,7 @@ class LowerProblem:
             "mu": mu,
             "strongly_convex": mu > 0.0,
             "L_grad_x": self.lipschitz_grad(),
-            "L_hess_x": float(sum(w * l_dphi * p for w, p in pairs)),
+            "L_hess_x": float(sum(w * l_ddphi * p * np.sqrt(p) for w, p in pairs)),
             "L_mixed_beta": [float(w * l_dphi * p) for w, p in pairs],
             "L_mixed_tap": [
                 float(w * (2.0 * l_dphi * np.sqrt(p) + p * l_ddphi * x_norm_bound))

@@ -65,17 +65,19 @@ def _ogm_factors(n: int) -> np.ndarray:
 
 @dataclass
 class GDResult:
-    """A lower solve's iterate, loop count and largest final gradient norm.
+    """A lower solve's iterate, loop count and final gradient norms.
 
     For a stacked problem ``x`` holds one row per sample, ``iters_run``
     counts the loop's iterations (those of its slowest row), ``row_iters``
-    each row's own count and ``final_grad_norm`` is the largest row's final
-    norm.  One signal has one entry in ``row_iters``.
+    each row's own count, ``row_grad_norms`` each row's final gradient norm
+    at its row of ``x`` and ``final_grad_norm`` the largest of them.  One
+    signal has one entry in each list.
     """
 
     x: np.ndarray
     iters_run: int
     row_iters: list[int]
+    row_grad_norms: list[float]
     final_grad_norm: float
     trajectory: list[np.ndarray] | None = None
 
@@ -199,8 +201,8 @@ def gd_minimize(problem: LowerProblem, x0: np.ndarray, cfg: GDConfig) -> GDResul
             row=row if stacked else None,
         )
     return GDResult(
-        x=out, iters_run=iters, row_iters=row_iters, final_grad_norm=max(final),
-        trajectory=trajectory,
+        x=out, iters_run=iters, row_iters=row_iters, row_grad_norms=final,
+        final_grad_norm=max(final), trajectory=trajectory,
     )
 
 

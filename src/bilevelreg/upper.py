@@ -265,9 +265,7 @@ def _theta_converged(theta_old: np.ndarray, theta_new: np.ndarray, rel_tol: floa
     return float(np.linalg.norm(theta_new - theta_old)) / denom <= rel_tol
 
 
-_Engine = Callable[
-    [int, LowerProblem, list[UpperLoss], np.ndarray], list[HypergradResult]
-]
+_Engine = Callable[[int, LowerProblem, list[UpperLoss], np.ndarray], HypergradResult]
 
 
 def _double_loop(
@@ -285,15 +283,16 @@ def _double_loop(
     """The double loop shared by HOAG, BA and GD/Adam.
 
     Upper iteration i builds one problem on the stack of all samples and
-    asks ``engine(i, problem, losses, start)`` for every sample's
-    hypergradient, one result per row in index order.  ``start`` is the
-    previous stacked ``x_final`` when ``warm_start`` is set and the cold
-    start otherwise.  The loop averages the gradients and the losses at
-    ``x_final`` in row order, applies the learn mask, and takes the new flat
-    theta and the record's extras from ``update(i, theta_vec, g, mean_loss)``.
-    Each record also counts the samples whose hypergradient came with a
-    warning (``warnings``) and, for engines that solve by CG, keeps the
-    largest final CG residual over the samples (``cg_residual``).
+    asks ``engine(i, problem, losses, start)`` for one stacked result, with
+    one entry per sample in every field.  ``start`` is the previous
+    ``x_final`` when ``warm_start`` is set and the cold start otherwise.
+    The loop averages the gradients and the losses at ``x_final`` in row
+    order, applies the learn mask, and takes the new flat theta and the
+    record's extras from ``update(i, theta_vec, g, mean_loss)``.  Each
+    record sums the samples' lower iterations, counts the samples whose
+    hypergradient came with a warning (``warnings``) and, for engines that
+    solve by CG, keeps the largest final CG residual over the samples
+    (``cg_residual``).
     """
     losses = _bind_losses(train, loss_spec)
     Y = np.stack(train.y)
@@ -305,56 +304,24 @@ def _double_loop(
         t_start = time.perf_counter()
         problem = LowerProblem(train.A, Y, theta)
         with _located(f"upper iteration {i}, sample {{row}}"):
-            results = engine(i, problem, losses, start)
+            res = engine(i, problem, losses, start)
         if warm_start:
-            start = np.stack([r.x_final for r in results])
-        g = np.mean([r.grad for r in results], axis=0)
+            start = res.x_final
+        g = np.mean(res.grad, axis=0)
         if learn_mask is not None:
             g = g * learn_mask
-        value = float(np.mean([
-            loss.value(r.x_final) for loss, r in zip(losses, results)
-        ]))
+        value = float(np.mean([loss.value(x) for loss, x in zip(losses, res.x_final)]))
         theta_vec = pack_theta(theta)
         theta_new_vec, extra = update(i, theta_vec, g, value)
-        extra["warnings"] = float(sum(r.warning is not None for r in results))
-        cg_residuals = [r.cg_residual for r in results if r.cg_residual is not None]
-        if cg_residuals:
-            extra["cg_residual"] = max(cg_residuals)
+        extra["warnings"] = float(sum(w is not None for w in res.warning))
+        if res.cg_residual is not None:
+            extra["cg_residual"] = max(res.cg_residual)
         theta = unpack_theta(theta, theta_new_vec)
         trace._record(i, t_start, value, float(np.linalg.norm(g)),
-                      sum(r.lower_iters for r in results), theta_new_vec, extra)
+                      sum(res.lower_iters), theta_new_vec, extra)
         if _theta_converged(theta_vec, theta_new_vec, theta_rel_tol):
             break
     return theta, trace
-
-
-def _implicit_engine(
-    accuracy: Callable[[int, LowerProblem], tuple[GDConfig, float]],
-    cg_max_iters: int | None = None,
-) -> _Engine:
-    """Implicit hypergradients under an inner-accuracy policy.
-
-    ``accuracy(i, problem)`` gives the lower GD settings and the CG tolerance
-    of upper iteration i.  One stacked lower solve serves every sample; each
-    row then gets its own linearization and CG solve, which stops after
-    ``cg_max_iters`` iterations, by default ``cg_solve``'s cap.
-    """
-
-    def engine(i, problem, losses, start):
-        cfg, cg_tol = accuracy(i, problem)
-        res = gd_minimize(problem, start, cfg)
-        results = []
-        for j, (loss, x, iters) in enumerate(zip(losses, res.x, res.row_iters)):
-            try:
-                results.append(hypergrad_minimizer(
-                    problem._rows(j), loss, x, cg_tol=cg_tol, cg_max_iters=cg_max_iters,
-                    lower_iters=iters, grad_tol=cfg.grad_tol,
-                ))
-            except SpdViolationError as exc:
-                raise SpdViolationError(str(exc), row=j) from exc
-        return results
-
-    return engine
 
 
 def hoag(
@@ -383,10 +350,11 @@ def hoag(
     solver_cfg = solver_cfg or GDConfig(max_iters=5000, warm_start=True)
     mu = train.A.spectral_bounds()[1]
 
-    def accuracy(i, problem):
+    def engine(i, problem, losses, start):
         eps_i = eps_at(i)
-        grad_tol = eps_i * mu if mu > 0 else eps_i
-        return replace(solver_cfg, grad_tol=grad_tol, record_trajectory=False), eps_i
+        cfg = replace(solver_cfg, grad_tol=eps_i * mu if mu > 0 else eps_i,
+                      record_trajectory=False)
+        return hypergrad_minimizer(problem, losses, start, cfg, eps_i)
 
     controller = _StepController(step)
 
@@ -396,7 +364,7 @@ def hoag(
 
     return _double_loop(
         theta0, x0, train, loss_spec, max_upper, theta_rel_tol, learn_mask,
-        solver_cfg.warm_start, _implicit_engine(accuracy), update,
+        solver_cfg.warm_start, engine, update,
     )
 
 
@@ -430,12 +398,13 @@ def ba(
             "ss_lower='paper-default' needs a strongly convex problem (mu > 0)"
         )
 
-    def accuracy(i, problem):
+    def engine(i, problem, losses, start):
         if ss_lower == "paper-default":
             step_low = 2.0 / (problem.lipschitz_grad() + mu)
         else:
             step_low = float(ss_lower)
-        return GDConfig(step=step_low, max_iters=inner_at(i), grad_tol=0.0), cg_tol
+        cfg = GDConfig(step=step_low, max_iters=inner_at(i), grad_tol=0.0)
+        return hypergrad_minimizer(problem, losses, start, cfg, cg_tol, cg_max_iters)
 
     def update(i, theta_vec, g, value):
         theta_new_vec = theta_vec - ss_upper * g
@@ -445,7 +414,7 @@ def ba(
 
     return _double_loop(
         theta0, x0, train, loss_spec, max_upper, theta_rel_tol, learn_mask,
-        warm_start, _implicit_engine(accuracy, cg_max_iters), update,
+        warm_start, engine, update,
     )
 
 
@@ -701,18 +670,14 @@ def adam_or_gd_upper(
     solver_cfg = solver_cfg or GDConfig(
         max_iters=5000, grad_tol=1e-8, warm_start=True
     )
-    if engine == "minimizer":
-        stacked_grad = _implicit_engine(lambda i, problem: (solver_cfg, cg_tol))
-    else:
-        def stacked_grad(i, problem, losses, start):
-            fn = (
-                hypergrad_unrolled_reverse
-                if engine == "reverse"
-                else hypergrad_unrolled_forward
-            )
-            res = fn(problem, losses, start, unroll_steps, unroll_step)
-            return [HypergradResult(g, res.lower_iters, warning=res.warning, x_final=x)
-                    for g, x in zip(res.grad, res.x_final)]
+    fn, args = {
+        "minimizer": (hypergrad_minimizer, (solver_cfg, cg_tol)),
+        "reverse": (hypergrad_unrolled_reverse, (unroll_steps, unroll_step)),
+        "forward": (hypergrad_unrolled_forward, (unroll_steps, unroll_step)),
+    }[engine]
+
+    def stacked_grad(i, problem, losses, start):
+        return fn(problem, losses, start, *args)
 
     m = np.zeros(theta0.theta_size())
     v = np.zeros(theta0.theta_size())

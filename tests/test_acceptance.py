@@ -84,8 +84,7 @@ def test_criterion_1_minimizer_hypergradient_exactness():
     loss = bind_loss(MSELoss(), y, A, x_true)
     x0 = A.adjoint(y)
     cfg = GDConfig(step="one-over-L", max_iters=500_000, grad_tol=1e-10)
-    solved = gd_minimize(problem, x0, cfg)
-    engine = hypergrad_minimizer(problem, loss, solved.x, cg_tol=1e-12)
+    engine = hypergrad_minimizer(problem, loss, x0, cfg, 1e-12)
 
     theta_vec = pack_theta(hp)
     h = 1e-6
@@ -151,16 +150,15 @@ def test_criterion_3_engine_consistency():
     loss = bind_loss(MSELoss(), y, A, x_true)
     x0 = A.adjoint(y)
     step = 1.0 / problem.lipschitz_grad()
-    ref = gd_minimize(problem, x0, GDConfig(step="one-over-L",
-                                            max_iters=500_000, grad_tol=1e-13))
+    exact = hypergrad_minimizer(problem, loss, x0, GDConfig(
+        step="one-over-L", max_iters=500_000, grad_tol=1e-13), 1e-13)
     x = x0.copy()
     n_steps = 0
-    while np.linalg.norm(x - ref.x) > 1e-9:
+    while np.linalg.norm(x - exact.x_final) > 1e-9:
         x -= step * problem.grad_x(x)
         n_steps += 1
         assert n_steps < 10**6
     unrolled = hypergrad_unrolled_reverse(problem, loss, x0, n_steps, step)
-    exact = hypergrad_minimizer(problem, loss, ref.x, cg_tol=1e-13)
     rel = float(
         np.linalg.norm(unrolled.grad - exact.grad) / np.linalg.norm(exact.grad)
     )
@@ -182,10 +180,10 @@ def test_criterion_4_gradient_angle_vs_tolerance():
     mask = theta_mask(hp, betas=False)  # the learnable figure parameters: taps
     estimates = {}
     for tol in (1e-1, 1e-2, 1e-4, 1e-8, 1e-12):
-        sol = gd_minimize(problem, x0, GDConfig(step="one-over-L",
-                                                max_iters=500_000, grad_tol=tol))
         estimates[tol] = hypergrad_minimizer(
-            problem, loss, sol.x, cg_tol=min(tol, 1e-8)
+            problem, loss, x0,
+            GDConfig(step="one-over-L", max_iters=500_000, grad_tol=tol),
+            min(tol, 1e-8),
         ).grad * mask
     ref = estimates[1e-12]
     angles = [grad_compare(estimates[t], ref)[0]

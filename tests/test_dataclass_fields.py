@@ -1,5 +1,6 @@
 """AST checks that keep unused surface out of ``src/``: every dataclass field
-needs a reader, and every public method a caller."""
+needs a reader, every public method a caller, and every imported name a
+reader in its module."""
 
 import ast
 from pathlib import Path
@@ -88,3 +89,27 @@ def test_every_public_method_has_a_caller():
     stale = [f"{cls}.{name}" for cls, name in UNCALLED_API
              if (cls, name) not in methods or name in reads]
     assert not stale, f"allowlisted methods that are gone or now called: {stale}"
+
+
+def _unread_imports(tree):
+    """Names that ``tree`` imports and never reads, ``__future__`` aside."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # ``import a.b`` binds ``a``
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    reads = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - reads)
+
+
+def test_every_import_is_read():
+    probe = "from __future__ import annotations\nimport os, a.b\nfrom c import d as e\nos"
+    assert _unread_imports(ast.parse(probe)) == ["a", "e"], "the check sees no imports"
+    # the package's __init__ imports to re-export
+    unread = {path.name: names for path in sorted(SRC.glob("*.py"))
+              if path.name != "__init__.py"
+              and (names := _unread_imports(ast.parse(path.read_text())))}
+    assert not unread, f"imported names that nothing in their module reads: {unread}"

@@ -688,6 +688,37 @@ class TestRegularityReport:
         report = problem.regularity_report(2.0)
         assert report["L_grad_x"] == problem.lipschitz_grad()
 
+    @pytest.mark.parametrize("case", ["1d-difference", "2d-two-filters"])
+    def test_hessian_lipschitz_bounds_the_dense_ratio(self, case):
+        """``L_hess_x`` bounds ||H(x) - H(x')|| / ||x - x'|| over random
+        pairs near 0, where phi'' changes fastest; dense Hessians from
+        ``hess_vec`` columns."""
+        if case == "1d-difference":
+            hp = HyperParams(0.0, [0.0], [np.array([1.0, -1.0])],
+                             CornerRounded1Norm(0.01))
+            A = Identity(Grid((16,)))
+        else:
+            hp = HyperParams(-0.5, [0.0, 0.3],
+                             [np.array([[1.0, -1.0]]), np.array([[1.0], [-1.0]])],
+                             CornerRounded1Norm(0.05))
+            A = Circulant(Grid((6, 6)), [[0.6, 0.2], [0.2, 0.0]])
+        dims = A.grid.dims
+        problem = LowerProblem(A, np.zeros(dims), hp)
+        basis = np.eye(A.grid.n).reshape((A.grid.n,) + dims)
+
+        def dense(x):
+            lin = Linearization(problem, x)
+            return np.stack([lin.hess_vec(e).reshape(-1) for e in basis], axis=1)
+
+        rng = np.random.default_rng(21)
+        ratios = []
+        for _ in range(100):
+            x = 0.01 * rng.standard_normal(dims)
+            x2 = x + 0.001 * rng.standard_normal(dims)
+            diff = np.linalg.norm(dense(x) - dense(x2), 2)
+            ratios.append(diff / np.linalg.norm(x - x2))
+        assert max(ratios) <= problem.regularity_report(1.0)["L_hess_x"]
+
 
 SRC = Path(lower.__file__).resolve().parent
 LAYOUT_HOMES = {

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bilevelreg.hypergrad as hypergrad
 import bilevelreg.signals as signals
 import bilevelreg.upper as upper
 from bilevelreg.errors import DimensionError, DivergenceError, SpdViolationError
@@ -211,6 +212,54 @@ class TestRowsMatch:
                 for t in range(res.iters_run + 1)]
         np.testing.assert_array_equal(np.array(res.trajectory), np.array(held))
 
+    @pytest.mark.parametrize("per_row_b0", [False, True])
+    @pytest.mark.parametrize("cfg", [
+        GDConfig(max_iters=10_000, grad_tol=1e-5),
+        GDConfig(max_iters=40),
+        GDConfig(step=0.05, max_iters=3000, grad_tol=1e-5),
+    ], ids=["ogm-tol", "budget-one-over-L", "explicit-step-tol"])
+    def test_row_grad_norms_are_their_own(self, kind, dims, per_row_b0, cfg):
+        """Each row's final gradient norm is ``np.linalg.norm`` of its own
+        problem's gradient at its returned x, bit for bit."""
+        A = make_model(kind, dims)
+        hp = make_theta(len(dims))
+        Y = make_stack(dims)
+        b0 = np.array([-1.0, -2.5, 0.3, -1.7]) if per_row_b0 else None
+        own_hp = [hp] * S if b0 is None else [replace(hp, beta0=b) for b in b0]
+        res = gd_minimize(LowerProblem(A, Y, hp, b0), A.adjoint(Y), cfg)
+        norms = [float(np.linalg.norm(LowerProblem(A, y, h).grad_x(x)))
+                 for y, h, x in zip(Y, own_hp, res.x)]
+        assert res.row_grad_norms == norms
+        assert res.final_grad_norm == max(norms)
+
+    @pytest.mark.parametrize("learn_b0", [False, True])
+    def test_minimizer_engine(self, kind, dims, learn_b0):
+        """Row j of a stacked call equals the one-signal call on row j in
+        every field, where a row's lower solve stops at its budget above its
+        tolerance and where a row's CG stops at its cap."""
+        A = make_model(kind, dims)
+        hp = replace(make_theta(len(dims)), learn_beta0=learn_b0)
+        Y, x_true = make_stack(dims), make_stack(dims, seed=2)
+        losses = [bind_loss(MSELoss(), y, A, xt) for y, xt in zip(Y, x_true)]
+        cfg, cg_tol, cg_cap = GDConfig(max_iters=25, grad_tol=1e-6), 1e-8, 6
+        res = hypergrad_minimizer(LowerProblem(A, Y, hp), losses, A.adjoint(Y),
+                                  cfg, cg_tol, cg_cap)
+        assert res.grad.shape == (S, hp.theta_size())
+        stopped_above = []
+        for j in range(S):
+            problem = LowerProblem(A, Y[j], hp)
+            own = hypergrad_minimizer(problem, losses[j], A.adjoint(Y[j]), cfg,
+                                      cg_tol, cg_cap)
+            np.testing.assert_array_equal(res.grad[j], own.grad)
+            np.testing.assert_array_equal(res.x_final[j], own.x_final)
+            assert res.lower_iters[j] == own.lower_iters
+            assert res.cg_residual[j] == own.cg_residual
+            assert res.warning[j] == own.warning
+            stopped_above.append(
+                np.linalg.norm(problem.grad_x(own.x_final)) > cfg.grad_tol)
+        assert any(stopped_above)
+        assert max(res.cg_residual) > cg_tol
+
     def test_per_row_beta0(self, kind, dims):
         """A row with its own b0 gets the gradient and the Lipschitz
         constant of the problem that has that b0 as its scalar."""
@@ -256,7 +305,9 @@ class TestRowsMatch:
             own = fn(LowerProblem(A, Y[j], hp), losses[j], X0[j], 6, 0.01)
             np.testing.assert_array_equal(res.grad[j], own.grad)
             np.testing.assert_array_equal(res.x_final[j], own.x_final)
-            assert res.lower_iters == own.lower_iters
+            assert res.lower_iters[j] == own.lower_iters
+            assert res.warning[j] == own.warning
+        assert res.cg_residual is None
 
     def test_evaluate_upper_per_sample_values(self, kind, dims):
         A = make_model(kind, dims)
@@ -567,10 +618,7 @@ def implicit(accuracy, cg_max_iters=None):
     gives the lower solve's settings and the CG tolerance."""
     def grad(i, problem, loss, start):
         cfg, cg_tol = accuracy(i)
-        res = gd_minimize(problem, start, cfg)
-        return hypergrad_minimizer(
-            problem, loss, res.x, cg_tol=cg_tol, cg_max_iters=cg_max_iters,
-            lower_iters=res.iters_run, grad_tol=cfg.grad_tol)
+        return hypergrad_minimizer(problem, loss, start, cfg, cg_tol, cg_max_iters)
     return grad
 
 
@@ -692,20 +740,64 @@ class TestStackedDrivers:
         ("forward", "hypergrad_unrolled_forward"),
     ])
     def test_one_engine_call_per_upper_iteration(self, engine, entry, monkeypatch):
+        # the minimizer engine runs its own lower solve
+        module = hypergrad if engine == "minimizer" else upper
         calls = []
-        original = getattr(upper, entry)
+        original = getattr(module, entry)
 
         def counting(problem, *args):
             calls.append(problem.y.shape)
             return original(problem, *args)
 
-        monkeypatch.setattr(upper, entry, counting)
+        monkeypatch.setattr(module, entry, counting)
         train = driver_train()
         _, trace = adam_or_gd_upper(
             make_theta(1), None, train, MSELoss(), engine=engine, max_upper=3,
             solver_cfg=TIGHT, theta_rel_tol=0.0, **UNROLL)
         assert len(trace) == 3
         assert calls == [(3, 12)] * 3  # one (S, N) stack per upper iteration
+
+    @pytest.mark.parametrize("run", [
+        lambda train: hoag(make_theta(1), None, train, MSELoss(), 0.1,
+                           Constant(0.05), 3, TIGHT, 0.0),
+        lambda train: ba(make_theta(1), None, 1e-3, 0.05, 25, train, MSELoss(),
+                         max_upper=3, cg_max_iters=4, theta_rel_tol=0.0),
+    ], ids=["hoag", "ba"])
+    def test_implicit_work_per_upper_iteration(self, run, monkeypatch):
+        """Each upper iteration makes one stacked lower solve, one full
+        linearization (row views aside) and one Jacobian-adjoint product,
+        and every ``grad_x`` call is one of the solves' ``iters_run + 1``:
+        the stationarity check reads the solve's own norms."""
+        counts = {"grad_x": 0, "linearizations": 0, "jac_adjoint": 0}
+        solves = []
+        solve, grad_x = hypergrad.gd_minimize, LowerProblem.grad_x
+        init, jac = Linearization.__init__, Linearization.jac_adjoint_apply
+
+        def counting_solve(problem, x0, cfg):
+            res = solve(problem, x0, cfg)
+            solves.append(res.iters_run)
+            return res
+
+        def counting_grad(self, x):
+            counts["grad_x"] += 1
+            return grad_x(self, x)
+
+        def counting_init(self, problem, x, _terms=None):
+            counts["linearizations"] += _terms is None
+            init(self, problem, x, _terms)
+
+        def counting_jac(self, u):
+            counts["jac_adjoint"] += 1
+            return jac(self, u)
+
+        monkeypatch.setattr(hypergrad, "gd_minimize", counting_solve)
+        monkeypatch.setattr(LowerProblem, "grad_x", counting_grad)
+        monkeypatch.setattr(Linearization, "__init__", counting_init)
+        monkeypatch.setattr(Linearization, "jac_adjoint_apply", counting_jac)
+        _, trace = run(driver_train())
+        assert len(trace) == len(solves) == 3
+        assert counts == {"grad_x": sum(n + 1 for n in solves),
+                          "linearizations": 3, "jac_adjoint": 3}
 
     @pytest.mark.parametrize("run", [
         lambda hp, train: ba(hp, None, 0.1, 10.0, 2_000, train, MSELoss(),

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bilevelreg.hypergrad as hypergrad
 import bilevelreg.upper as upper
 from bilevelreg.data import (
     add_noise,
@@ -183,7 +184,7 @@ class TestHoag:
         cfg = load_config(CONFIGS / "toy_train.json")
         train = build_train_set(cfg.dataset, cfg.grid, cfg.forward)
         met = {}  # grad_tol of a solve -> whether each solve met it
-        solve = upper.gd_minimize
+        solve = hypergrad.gd_minimize
 
         def recording(problem, x0, solver_cfg):
             res = solve(problem, x0, solver_cfg)
@@ -192,7 +193,7 @@ class TestHoag:
             )
             return res
 
-        monkeypatch.setattr(upper, "gd_minimize", recording)
+        monkeypatch.setattr(hypergrad, "gd_minimize", recording)
         _, trace = hoag(build_theta(cfg, train), None, train, MSELoss(),
                         eps_schedule=0.1, step=DecreaseAdaptive(0.05),
                         max_upper=6, solver_cfg=cfg.solver, theta_rel_tol=0.0)
@@ -315,13 +316,10 @@ class TestBa:
                 prob = LowerProblem(train.A, train.y[j], theta)
                 loss = bind_loss(MSELoss(), train.y[j], train.A, train.x_true[j])
                 step_low = 2.0 / (prob.lipschitz_grad() + mu)
-                xa = gd_minimize(
-                    prob, train.A.adjoint(train.y[j]),
-                    GDConfig(step=step_low, max_iters=t_last, grad_tol=0.0),
-                ).x
-                grads.append(hypergrad_minimizer(prob, loss, xa, 1e-10).grad)
-                xr = gd_minimize(prob, train.A.adjoint(train.y[j]), tight).x
-                refs.append(hypergrad_minimizer(prob, loss, xr, 1e-12).grad)
+                x0 = train.A.adjoint(train.y[j])
+                budget = GDConfig(step=step_low, max_iters=t_last, grad_tol=0.0)
+                grads.append(hypergrad_minimizer(prob, loss, x0, budget, 1e-10).grad)
+                refs.append(hypergrad_minimizer(prob, loss, x0, tight, 1e-12).grad)
             return grad_compare(np.mean(grads, axis=0) * mask,
                                 np.mean(refs, axis=0) * mask)[0]
 
@@ -707,6 +705,7 @@ class TestUpperFailures:
             raise AssertionError("lower solve started")
 
         monkeypatch.setattr(upper, "gd_minimize", no_solve)
+        monkeypatch.setattr(upper, "hypergrad_minimizer", no_solve)
         monkeypatch.setattr(upper, "hypergrad_unrolled_reverse", no_solve)
         monkeypatch.setattr(upper, "hypergrad_unrolled_forward", no_solve)
         hp = _two_filter_theta()
@@ -755,10 +754,9 @@ class TestTraceExtras:
         residuals, warned = [], 0
         for j in range(train.n_samples):
             problem = LowerProblem(train.A, train.y[j], hp)
-            res = gd_minimize(problem, train.A.adjoint(train.y[j]),
-                              GDConfig(step=0.05, max_iters=2))
             loss = bind_loss(MSELoss(), train.y[j], train.A, train.x_true[j])
-            hg = hypergrad_minimizer(problem, loss, res.x, cg_tol=1e-10,
+            hg = hypergrad_minimizer(problem, loss, train.A.adjoint(train.y[j]),
+                                     GDConfig(step=0.05, max_iters=2), 1e-10,
                                      cg_max_iters=2)
             residuals.append(hg.cg_residual)
             warned += hg.warning is not None
