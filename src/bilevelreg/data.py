@@ -175,14 +175,11 @@ def load_params(path) -> HyperParams:
         raise FormatError(
             f"unsupported theta layout {layout!r} (expected {THETA_LAYOUT!r})"
         )
-    kind = sec.take("potential")
-    if kind == "cr1n":
+    if sec.kind("potential", ("cr1n", "quadratic")) == "cr1n":
         potential = CornerRounded1Norm(sec.number("epsilon"))
-    elif kind == "quadratic":
+    else:
         sec.take("epsilon", None)  # saved as null, unused
         potential = Quadratic()
-    else:
-        sec.reject("potential", '"cr1n" or "quadratic"', kind)
     beta0 = sec.number("beta0")
     learn_beta0 = sec.flag("learn_beta0")
     entries = sec.take("filters")
@@ -299,6 +296,15 @@ class _Section:
         except (ValueError, DimensionError) as exc:
             raise self.error(f"{self.doc} key '{self._where(key)}': {exc}") from None
 
+    def kind(self, key, choices, default=_REQUIRED) -> str:
+        """One of the strings ``choices``; anything else is an error naming
+        the key and every choice."""
+        value = self.take(key, default)
+        if value not in choices:
+            *rest, last = map(json.dumps, choices)
+            self.reject(key, f"{', '.join(rest)} or {last}" if rest else last, value)
+        return value
+
     def flag(self, key, default=_REQUIRED) -> bool:
         """true or false; anything else is an error naming the key."""
         value = self.take(key, default)
@@ -360,7 +366,7 @@ class _Section:
 
 def build_forward(grid: Grid, spec: dict) -> ForwardModel:
     sec = _Section("forward", spec)
-    kind = sec.take("kind")
+    kind = sec.kind("kind", ("identity", "mask", "circulant"))
     if kind == "identity":
         sec.finish()
         return Identity(grid)
@@ -370,29 +376,24 @@ def build_forward(grid: Grid, spec: dict) -> ForwardModel:
             sec.reject("values", f"{grid.n} numbers, flat or nested", values.tolist())
         sec.finish()
         return sec.build("values", Mask, grid, values)
-    if kind == "circulant":
-        taps = sec.array("taps")
-        sec.finish()
-        return sec.build("taps", Circulant, grid, taps)
-    raise ConfigError(f"unknown config value 'forward.kind' = {kind!r}")
+    taps = sec.array("taps")  # circulant
+    sec.finish()
+    return sec.build("taps", Circulant, grid, taps)
 
 
 def build_potential(spec: dict) -> Potential:
     sec = _Section("potential", spec)
-    kind = sec.take("kind")
-    if kind == "cr1n":
+    if sec.kind("kind", ("cr1n", "quadratic")) == "cr1n":
         eps = sec.number("epsilon", 0.01, positive=True)
         sec.finish()
         return CornerRounded1Norm(eps)
-    if kind == "quadratic":
-        sec.finish()
-        return Quadratic()
-    raise ConfigError(f"unknown config value 'potential.kind' = {kind!r}")
+    sec.finish()
+    return Quadratic()
 
 
 def build_loss(spec: dict) -> LossSpec:
     sec = _Section("loss", spec)
-    kind = sec.take("kind")
+    kind = sec.kind("kind", ("mse", "huber", "discrepancy", "noise-corridor", "sure-mc"))
     if kind == "mse":
         sec.finish()
         return MSELoss()
@@ -412,14 +413,12 @@ def build_loss(spec: dict) -> LossSpec:
         weights = sec.array("weights", None, scalar=True)
         sec.finish()
         return sec.build("weights", NoiseCorridorLoss, low, high, weights)
-    if kind == "sure-mc":
-        sigma = sec.number("sigma", positive=True)
-        probe_eps = sec.number("probe_eps", None, positive=True)
-        n_probes = sec.number("n_probes", 1, integer=True, positive=True)
-        seed = sec.number("seed", 0, integer=True)
-        sec.finish()
-        return SureMCLoss(sigma, probe_eps, n_probes, seed)
-    raise ConfigError(f"unknown config value 'loss.kind' = {kind!r}")
+    sigma = sec.number("sigma", positive=True)  # sure-mc
+    probe_eps = sec.number("probe_eps", None, positive=True)
+    n_probes = sec.number("n_probes", 1, integer=True, positive=True)
+    seed = sec.number("seed", 0, integer=True)
+    sec.finish()
+    return SureMCLoss(sigma, probe_eps, n_probes, seed)
 
 
 def build_solver(spec: dict, grid: Grid) -> GDConfig:
@@ -448,11 +447,7 @@ class DatasetSpec:
 
 def build_dataset_spec(spec: dict) -> DatasetSpec:
     sec = _Section("dataset", spec)
-    generator = sec.take("generator", "piecewise-constant")
-    if generator != "piecewise-constant":
-        raise ConfigError(
-            f"unknown config value 'dataset.generator' = {generator!r}"
-        )
+    sec.kind("generator", ("piecewise-constant",), "piecewise-constant")
     count = sec.number("count", integer=True, positive=True)
     n_jumps = sec.number("n_jumps", 4, integer=True, nonneg=True)
     amplitude = sec.numbers("amplitude", [0.0, 1.0], lengths=(2,))
@@ -488,15 +483,13 @@ def build_train_set(ds: DatasetSpec, grid: Grid, A: ForwardModel) -> TrainSet:
 
 def build_engine(spec: dict) -> dict:
     sec = _Section("engine", spec)
-    kind = sec.take("kind", "minimizer")
+    kind = sec.kind("kind", ("minimizer", "reverse", "forward"), "minimizer")
     out = {"kind": kind}
     if kind == "minimizer":
         out["cg_tol"] = sec.number("cg_tol", 1e-10, positive=True)
-    elif kind in ("reverse", "forward"):
+    else:  # reverse or forward
         out["unroll_steps"] = sec.number("unroll_steps", integer=True, positive=True)
         out["unroll_step"] = sec.number("unroll_step", positive=True)
-    else:
-        raise ConfigError(f"unknown config value 'engine.kind' = {kind!r}")
     sec.finish()
     return out
 
@@ -506,24 +499,22 @@ def _step_schedule(spec) -> StepSchedule:
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         return Constant(float(spec))
     sec = _Section("optimizer.step", spec)
-    kind = sec.take("kind")
+    kind = sec.kind("kind", ("constant", "decrease-adaptive", "power-law"))
     if kind == "constant":
         step = Constant(sec.number("alpha"))
     elif kind == "decrease-adaptive":
         step = DecreaseAdaptive(
             sec.number("alpha0"), sec.number("shrink", 0.5), sec.number("grow", 1.05)
         )
-    elif kind == "power-law":
+    else:  # power-law
         step = PowerLaw(sec.number("a"), sec.number("exponent"))
-    else:
-        raise ConfigError(f"unknown config value 'optimizer.step.kind' = {kind!r}")
     sec.finish()
     return step
 
 
 def build_optimizer(spec: dict) -> dict:
     sec = _Section("optimizer", spec)
-    kind = sec.take("kind")
+    kind = sec.kind("kind", ("adam", "gd", "hoag", "ba", "ttsa"))
     out = {
         "kind": kind,
         "max_upper": sec.number("max_upper", 100, integer=True, positive=True),
@@ -541,7 +532,7 @@ def build_optimizer(spec: dict) -> dict:
         out["inner_iters"] = sec.number("inner_iters", 10, integer=True, nonneg=True)
         out["warm_start"] = sec.flag("warm_start", False)
         out["theta_rel_tol"] = sec.number("theta_rel_tol", 0.01)
-    elif kind == "ttsa":
+    else:  # ttsa
         out["up_a"] = sec.number("up_a", 0.1)
         out["up_exponent"] = sec.number("up_exponent", 0.75)
         out["low_a"] = sec.number("low_a", 0.5)
@@ -550,8 +541,6 @@ def build_optimizer(spec: dict) -> dict:
             sec.reject("up_exponent", f"a finite number > low_exponent "
                        f"{out['low_exponent']!r} when up_a != 0", out["up_exponent"])
         out["batch"] = sec.number("batch", 4, integer=True, positive=True)
-    else:
-        raise ConfigError(f"unknown config value 'optimizer.kind' = {kind!r}")
     sec.finish()
     return out
 

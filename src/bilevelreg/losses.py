@@ -6,7 +6,7 @@ unsupervised ones use only the measurements and the known noise level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -19,7 +19,7 @@ from .potentials import CornerRounded1Norm
 
 @dataclass(frozen=True)
 class MSELoss:
-    kind: str = field(default="mse", init=False)
+    """Half the squared error against the reference image."""
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,6 @@ class HuberLoss:
     """Smoothed absolute-error loss: sum of sqrt(d_i^2 + eps^2) over residuals."""
 
     epsilon: float
-
-    kind: str = field(default="huber", init=False)
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -40,8 +38,6 @@ class DiscrepancyLoss:
     """Squared gap between measurement-residual power and the noise variance."""
 
     sigma: float
-
-    kind: str = field(default="discrepancy", init=False)
 
     def __post_init__(self):
         if not self.sigma > 0:
@@ -55,8 +51,6 @@ class NoiseCorridorLoss:
     var_low: float
     var_high: float
     weights: np.ndarray | None = None
-
-    kind: str = field(default="noise-corridor", init=False)
 
     def __post_init__(self):
         if not 0 <= self.var_low <= self.var_high:
@@ -76,8 +70,6 @@ class SureMCLoss:
     probe_eps: float | None = None
     n_probes: int = 1
     seed: int = 0
-
-    kind: str = field(default="sure-mc", init=False)
 
     def __post_init__(self):
         if not self.sigma > 0:
@@ -146,7 +138,7 @@ def bind_loss(
     """
     if isinstance(spec, SureMCLoss):
         raise ConfigError(
-            f"loss kind {spec.kind!r} is value-only and cannot drive "
+            "loss kind 'sure-mc' is value-only and cannot drive "
             "hypergradient steps; use it with evaluate_upper or a grid search"
         )
 

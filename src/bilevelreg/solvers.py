@@ -117,17 +117,12 @@ def gd_minimize(problem: LowerProblem, x0: np.ndarray, cfg: GDConfig) -> GDResul
     steps of its own unstacked solve.  One signal on the grid runs as one
     row.  A row whose gradient is not finite stops too; after the loop the
     lowest such row raises DivergenceError with its iteration (and ``row``
-    when stacked).
+    when stacked).  The step is built at the loop's first step, for the
+    rows live then, so a zero budget computes no spectrum.
     """
     grid = problem.A.grid
     momentum = cfg.step == "one-over-L" and cfg.grad_tol > 0
-    if momentum:  # P+, the pseudo-inverse of the majorizer's symbol
-        symbol = problem.majorizer()
-        step = np.divide(1.0, symbol, out=np.zeros(np.shape(symbol)), where=symbol > 0.0)
-    elif cfg.step == "one-over-L":
-        step = grid.per_row(1.0 / problem.lipschitz_grad())
-    else:
-        step = float(cfg.step)
+    step = None if cfg.step == "one-over-L" else float(cfg.step)
     out = np.array(x0, dtype=np.float64, copy=True)
     stacked = grid.is_stack(out)
     rows = len(out) if stacked else 1
@@ -171,6 +166,13 @@ def gd_minimize(problem: LowerProblem, x0: np.ndarray, cfg: GDConfig) -> GDResul
             if np.ndim(step) > grid.rank:  # one step per row
                 step = step[keep]
             problem = problem._rows(keep)
+        if step is None:  # built at the first step, for the live rows
+            if momentum:  # P+, the pseudo-inverse of the majorizer's symbol
+                symbol = problem.majorizer()
+                step = np.divide(1.0, symbol, out=np.zeros(np.shape(symbol)),
+                                 where=symbol > 0.0)
+            else:
+                step = grid.per_row(1.0 / problem.lipschitz_grad())
         if momentum:
             g, y = grad.reshape(len(idx), -1), x.reshape(len(idx), -1)
             d = grid.fourier_multiply(grad, step).reshape(len(idx), -1)

@@ -549,7 +549,8 @@ def stable_step(
     """One STABLE update: recursive curvature estimates, theta step, corrected x step.
 
     Dense mode only (N <= 64): the eigenvalue truncation and norm projection
-    need explicit matrices.  The recursion differences the curvature at the
+    need explicit matrices.  A non-finite curvature estimate or new iterate
+    raises DivergenceError.  The recursion differences the curvature at the
     previous and current iterates.  Neither the Hessian nor the mixed
     Jacobian depends on the sample, so the previous iterate's matrices are
     the ones the previous step built; tau = 1 discards the memory entirely.
@@ -572,6 +573,8 @@ def stable_step(
         m_raw = (1.0 - tau) * (state.mixed_est - state.prev_mixed) + m_new
     else:
         h_raw, m_raw = h_new, m_new
+    if not (np.all(np.isfinite(h_raw)) and np.all(np.isfinite(m_raw))):
+        raise DivergenceError("non-finite curvature estimate")
     h_bar = truncate_eigenvalues(h_raw, mu)
     m_bar = clip_matrix_norm(m_raw, c_mix)
 
@@ -585,6 +588,8 @@ def stable_step(
         - state.step_lower * problem.grad_x(state.x)
         - correction.reshape(state.x.shape)
     )
+    if not (np.all(np.isfinite(theta_new_vec)) and np.all(np.isfinite(x_new))):
+        raise DivergenceError("non-finite iterate")
     return StableState(
         theta=unpack_theta(state.theta, theta_new_vec),
         x=x_new,
@@ -626,9 +631,10 @@ def stable_run(
         j = int(rng.integers(train.n_samples))
         sample = (train.x_true[j], train.y[j])
         prev_vec = pack_theta(state.theta)
-        state = stable_step(
-            state, sample, train.A, loss_spec, tau_at(i), c_mix, mu
-        )
+        with _located(f"upper iteration {i}"):
+            state = stable_step(
+                state, sample, train.A, loss_spec, tau_at(i), c_mix, mu
+            )
         new_vec = pack_theta(state.theta)
         trace._record(i, t_start, losses[j].value(state.x),
                       float(np.linalg.norm((new_vec - prev_vec) / state.step_upper)),

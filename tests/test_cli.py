@@ -314,6 +314,17 @@ class TestErrors:
         assert not recwarn.list  # no numpy warning from a run that started
         assert not (tmp_path / "params.json").exists()
 
+    def test_unknown_kind_is_one_line_error(self, tmp_path, monkeypatch, capsys):
+        doc = json.loads((CONFIGS / "toy_train.json").read_text())
+        doc["optimizer"]["kind"] = "sgd"
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_in(tmp_path, monkeypatch, ["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: config key 'optimizer.kind' must be \"adam\", \"gd\", \"hoag\", "
+            "\"ba\" or \"ttsa\", got 'sgd'\n")
+        assert not (tmp_path / "params.json").exists()
+
     def test_long_value_is_cut_in_a_one_line_error(self, tmp_path, monkeypatch, capsys):
         """A 1,023-number mask on a 32x32 grid is named by its length, not
         printed whole."""

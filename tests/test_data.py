@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,6 +273,17 @@ class TestParamsFile:
         with pytest.raises(FormatError, match=re.escape("unknown params key 'filters[1].origin'")):
             load_params(path)
 
+    def test_unknown_potential_names_both(self, tmp_path):
+        path = tmp_path / "params.json"
+        save_params(path, self.make_params())
+        doc = json.loads(path.read_text())
+        doc["potential"] = "tv"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError) as info:
+            load_params(path)
+        assert str(info.value) == ("params key 'potential' must be \"cr1n\" or "
+                                   "\"quadratic\", got 'tv'")
+
     def test_quadratic_needs_no_epsilon(self, tmp_path):
         path = tmp_path / "params.json"
         save_params(path, HyperParams(0.0, [0.0], [np.array([1.0])], Quadratic()))
@@ -399,6 +411,19 @@ class TestBuilders:
         np.testing.assert_array_equal(train2.x_true[0], train2.x_true[1])
         assert np.any(train2.y[0] != train2.y[1])
 
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# every kind key of a config: its section path in the config and its choices
+KIND_KEYS = {
+    "forward.kind": '"identity", "mask" or "circulant"',
+    "potential.kind": '"cr1n" or "quadratic"',
+    "loss.kind": '"mse", "huber", "discrepancy", "noise-corridor" or "sure-mc"',
+    "dataset.generator": '"piecewise-constant"',
+    "engine.kind": '"minimizer", "reverse" or "forward"',
+    "optimizer.kind": '"adam", "gd", "hoag", "ba" or "ttsa"',
+    "optimizer.step.kind": '"constant", "decrease-adaptive" or "power-law"',
+}
 
 ARRAY_WANTED = "a list of numbers or of equal-length lists of numbers"
 FILTERS_WANTED = re.escape("a list of filters, each " + ARRAY_WANTED)
@@ -697,6 +722,23 @@ class TestConfig:
             theta_init={"n_filters": 2, "tap_extents": tap_extents, "seed": 2}))
         for c in build_theta(cfg, build_train_set(cfg.dataset, cfg.grid, cfg.forward)).filters:
             np.testing.assert_array_equal(c, np.ones(tap_extents))
+
+    @pytest.mark.parametrize("key", sorted(KIND_KEYS))
+    def test_unknown_kind_names_every_choice(self, tmp_path, key):
+        doc = json.loads((CONFIGS / "toy_train.json").read_text())
+        if key == "optimizer.step.kind":  # HOAG reads a step object
+            doc["optimizer"] = {"kind": "hoag", "step": {}}
+        *sections, last = key.split(".")
+        section = doc
+        for name in sections:
+            section = section.setdefault(name, {})
+        section[last] = "sgd"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == (f"config key '{key}' must be {KIND_KEYS[key]}, "
+                                   "got 'sgd'")
 
     def test_seed_mandatory(self, tmp_path):
         doc = json.loads(self.write_config(tmp_path).read_text())

@@ -4,9 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bilevelreg.lower as lower
 from bilevelreg.data import build_theta, build_train_set, load_config
 from bilevelreg.errors import DivergenceError, SpdViolationError
 from bilevelreg.forward import Circulant, Identity, Mask
+from bilevelreg.hypergrad import hypergrad_minimizer
+from bilevelreg.losses import MSELoss, bind_loss
 from bilevelreg.lower import HyperParams, Linearization, LowerProblem
 from bilevelreg.potentials import CornerRounded1Norm, Quadratic
 from bilevelreg.signals import Grid
@@ -128,6 +131,28 @@ class TestGD:
                 gd_minimize(CountingProblem(bad_call), np.ones(3),
                             GDConfig(step=1.0, max_iters=max_iters))
             assert err.value.iteration == iteration
+
+    def test_step_is_built_at_the_first_step(self, monkeypatch):
+        """The step (1/L, or the majorizer's P+) takes one filter spectrum
+        per filter, and a budget of 0, which takes no step, takes none."""
+        grid = Grid((16,))
+        A = Identity(grid)
+        rng = np.random.default_rng(0)
+        y, x_true = rng.standard_normal(16), rng.standard_normal(16)
+        hp = HyperParams(-1.0, [0.0, -0.5], [np.array([1.0, -1.0]),
+                                             np.array([0.5, 0.1, -0.6])],
+                         CornerRounded1Norm(0.1))
+        calls = []
+        monkeypatch.setattr(lower, "filter_power",
+                            lambda c, g, _f=lower.filter_power: calls.append(c) or _f(c, g))
+        spectra = []
+        for cfg in [GDConfig(max_iters=0), GDConfig(max_iters=5),
+                    GDConfig(max_iters=500, grad_tol=1e-6), GDConfig(step=0.1, max_iters=5)]:
+            calls.clear()
+            hypergrad_minimizer(LowerProblem(A, y, hp),
+                                bind_loss(MSELoss(), y, A, x_true), y, cfg, 1e-10)
+            spectra.append(len(calls))
+        assert spectra == [0, 2, 2, 0]  # zero budget, budget, tolerance, explicit step
 
 
 class TestCG:

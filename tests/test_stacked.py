@@ -180,6 +180,27 @@ class TestRowsMatch:
         assert max(norms) <= cfg.grad_tol
         assert res.final_grad_norm == max(norms)
 
+    @pytest.mark.parametrize("per_row_b0", [False, True])
+    def test_row_stopped_at_its_start_takes_no_step(self, kind, dims, per_row_b0):
+        """A row that starts within grad_tol stops before the first step,
+        which is then built for the live rows alone: every row still gets
+        its own solve's x and iteration count, bit for bit."""
+        A = make_model(kind, dims)
+        hp = make_theta(len(dims))
+        Y = make_stack(dims)
+        b0 = np.array([-1.0, -2.5, 0.3, -1.7]) if per_row_b0 else None
+        own_hp = [hp] * S if b0 is None else [replace(hp, beta0=b) for b in b0]
+        cfg = GDConfig(max_iters=2000, grad_tol=1e-5)
+        X0 = A.adjoint(Y)
+        X0[1] = gd_minimize(LowerProblem(A, Y[1], own_hp[1]), X0[1],
+                            GDConfig(max_iters=2000, grad_tol=1e-9)).x
+        res = gd_minimize(LowerProblem(A, Y, hp, b0), X0, cfg)
+        own = [gd_minimize(LowerProblem(A, y, h), x0, cfg)
+               for y, h, x0 in zip(Y, own_hp, X0)]
+        assert res.row_iters == [r.iters_run for r in own] and res.row_iters[1] == 0
+        for j, row in enumerate(own):
+            np.testing.assert_array_equal(res.x[j], row.x)
+
     @pytest.mark.parametrize("cfg", [
         GDConfig(max_iters=40, record_trajectory=True),
         GDConfig(step=0.05, max_iters=3000, grad_tol=1e-5, record_trajectory=True),

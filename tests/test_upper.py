@@ -7,6 +7,7 @@ import pytest
 import bilevelreg.hypergrad as hypergrad
 import bilevelreg.upper as upper
 from bilevelreg.data import (
+    DatasetSpec,
     add_noise,
     build_theta,
     build_train_set,
@@ -514,6 +515,29 @@ class TestStable:
         stable_run(hp, np.array([0.0]), train, MSELoss(), step_upper=0.3,
                    step_lower=0.4, tau=0.5, c_mix=10.0, mu=1.0, max_iter=5, seed=0)
         assert len(built) == 5
+
+    def test_divergence_is_located(self):
+        """A lower step far too large drives theta and x off to 1e47 within
+        four steps; the fifth step's curvature is not finite, and the run
+        raises at that upper iteration, not in the eigenvalue truncation."""
+        grid = Grid((16,))
+        train = build_train_set(DatasetSpec(3, 3, (0.0, 1.0), 0.1, 5), grid,
+                                Identity(grid))
+        hp = HyperParams(-1.0, [0.0], [np.array([1.0, -1.0])],
+                         CornerRounded1Norm(0.01))
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            stable_run(hp, np.zeros(16), train, MSELoss(), step_upper=0.1,
+                       step_lower=1e3, tau=1.0, c_mix=10.0, mu=1.0, max_iter=10)
+        assert str(err.value) == "upper iteration 5: non-finite curvature estimate"
+
+    def test_non_finite_iterate_raises(self):
+        hp, train, _, _ = scalar_toy()
+        state = StableState(theta=hp, x=np.array([0.0]), step_upper=0.3,
+                            step_lower=1e308)
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError,
+                                                      match="non-finite iterate"):
+            stable_step(state, (train.x_true[0], train.y[0]), train.A, MSELoss(),
+                        1.0, 10.0, 1.0)
 
     def test_run_converges_on_toy(self):
         hp, train, _, cfg = scalar_toy()
