@@ -60,10 +60,9 @@ def _run_train(cfg: ExperimentConfig):
             step=opt["step"],
             max_upper=opt["max_upper"],
             solver_cfg=cfg.solver,
-            unroll_steps=engine.get("unroll_steps"),
-            unroll_step=engine.get("unroll_step"),
-            cg_tol=engine.get("cg_tol", 1e-10),
             theta_rel_tol=opt["theta_rel_tol"],
+            # cg_tol, or unroll_steps and unroll_step, as the engine section holds
+            **{k: v for k, v in engine.items() if k != "kind"},
         )
     elif kind == "hoag":
         theta, trace = hoag(
@@ -247,63 +246,44 @@ def _run_gen_data(cfg: ExperimentConfig, output_dir):
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each subcommand: its help, its required options and its run, a lambda so
+# that the library functions it calls are looked up when it runs
+_COMMANDS = {
+    "train": ("run the configured upper-level optimizer", ["--config"],
+              lambda a: _run_train(load_config(a.config))),
+    "reconstruct": ("solve the lower level for given data",
+                    ["--config", "--params", "--input", "--output"],
+                    lambda a: _run_reconstruct(load_config(a.config), a.params,
+                                               a.input, a.output)),
+    "eval": ("full-reference metrics for a reconstruction",
+             ["--estimate", "--reference", "--output"],
+             lambda a: _run_eval(a.estimate, a.reference, a.output)),
+    "gradcheck": ("engine-vs-FD and engine-vs-engine checks", ["--config"],
+                  lambda a: _run_gradcheck(load_config(a.config))),
+    "sweep": ("grid search over the overall log weight", ["--config"],
+              lambda a: _run_sweep(load_config(a.config))),
+    "gen-data": ("emit the seeded training dataset", ["--config", "--output-dir"],
+                 lambda a: _run_gen_data(load_config(a.config), a.output_dir)),
+}
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="bilevelreg",
         description="Learn sparsifying-filter regularizers by bilevel optimization.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="run the configured upper-level optimizer")
-    p_train.add_argument("--config", required=True)
-
-    p_rec = sub.add_parser("reconstruct", help="solve the lower level for given data")
-    p_rec.add_argument("--config", required=True)
-    p_rec.add_argument("--params", required=True)
-    p_rec.add_argument("--input", required=True)
-    p_rec.add_argument("--output", required=True)
-
-    p_eval = sub.add_parser("eval", help="full-reference metrics for a reconstruction")
-    p_eval.add_argument("--estimate", required=True)
-    p_eval.add_argument("--reference", required=True)
-    p_eval.add_argument("--output", required=True)
-
-    p_gc = sub.add_parser("gradcheck", help="engine-vs-FD and engine-vs-engine checks")
-    p_gc.add_argument("--config", required=True)
-
-    p_sweep = sub.add_parser("sweep", help="grid search over the overall log weight")
-    p_sweep.add_argument("--config", required=True)
-
-    p_gen = sub.add_parser("gen-data", help="emit the seeded training dataset")
-    p_gen.add_argument("--config", required=True)
-    p_gen.add_argument("--output-dir", required=True)
-
-    return parser
-
-
-def main(argv=None) -> int:
-    parser = build_parser()
+    for name, (help_text, options, run) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            p.add_argument(option, required=True)
+        p.set_defaults(run=run)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        if args.command == "train":
-            return _run_train(load_config(args.config))
-        if args.command == "reconstruct":
-            return _run_reconstruct(
-                load_config(args.config), args.params, args.input, args.output
-            )
-        if args.command == "eval":
-            return _run_eval(args.estimate, args.reference, args.output)
-        if args.command == "gradcheck":
-            return _run_gradcheck(load_config(args.config))
-        if args.command == "sweep":
-            return _run_sweep(load_config(args.config))
-        if args.command == "gen-data":
-            return _run_gen_data(load_config(args.config), args.output_dir)
-        parser.print_usage(sys.stderr)
-        return 2
+        return args.run(args)
     except (BilevelError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

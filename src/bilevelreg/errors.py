@@ -10,7 +10,7 @@ class DimensionError(BilevelError):
 
 
 class DivergenceError(BilevelError):
-    """Lower-level iteration produced a non-finite cost.
+    """A lower-level iteration, or a tuning weight, became non-finite.
 
     ``row`` is the stacked sample that diverged, or None for an unstacked
     solve.

@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import DivergenceError
 from .forward import ForwardModel
 from .potentials import Potential
 from .signals import (
@@ -168,10 +169,18 @@ class LowerProblem:
             if not np.all(np.isfinite(b0)):
                 raise ValueError("tuning parameters must be finite")
         # w_k = e^{b0 + b_k} per filter: a scalar, or a column scaling each row
-        self._weights = [
-            self.A.grid.per_row(w)
-            for w in np.exp(np.add.outer(self.theta.betas, b0))
-        ]
+        with np.errstate(over="ignore"):
+            logw = np.add.outer(self.theta.betas, b0)
+            w = np.exp(logw)
+        if not np.all(np.isfinite(w)):
+            # name the lowest row with a non-finite weight, and its lowest filter
+            row, k = np.argwhere(~np.isfinite(w.reshape(len(w), -1).T))[0]
+            raise DivergenceError(
+                f"tuning weight exp(b0 + b_k) of filter {k} is not finite "
+                f"(b0 + b_k = {logw.reshape(len(w), -1)[k, row]:.6g})",
+                row=int(row) if self.row_beta0 is not None else None,
+            )
+        self._weights = [self.A.grid.per_row(wk) for wk in w]
         self._plan = None  # see _stencil_plan
 
     def _rows(self, keep) -> "LowerProblem":

@@ -152,21 +152,20 @@ def _bind_losses(train: TrainSet, loss_spec: LossSpec) -> list[UpperLoss]:
 
 
 @contextmanager
-def _located(where: str | Callable[[int], str]):
+def _located(where: str, row_name: Callable[[int], str] | None = None):
     """Prefix a DivergenceError or SpdViolationError raised in the block with
-    ``where``: a string, in which ``{row}`` names the failed row of a stacked
-    solve, or a function of that row."""
-    def prefix(row):
-        return where(row) if callable(where) else where.format(row=row)
-
+    ``where`` and, when the error names the failed row of a stacked solve,
+    ``row_name(row)``.  An error left with no prefix passes unchanged."""
     try:
         yield
-    except DivergenceError as exc:
-        raise DivergenceError(
-            f"{prefix(exc.row)}: {exc}", iteration=exc.iteration
-        ) from exc
-    except SpdViolationError as exc:
-        raise SpdViolationError(f"{prefix(exc.row)}: {exc}") from exc
+    except (DivergenceError, SpdViolationError) as exc:
+        named = [row_name(exc.row)] if row_name and exc.row is not None else []
+        prefix = ", ".join(filter(None, [where, *named]))
+        if not prefix:
+            raise
+        if isinstance(exc, SpdViolationError):
+            raise SpdViolationError(f"{prefix}: {exc}") from exc
+        raise DivergenceError(f"{prefix}: {exc}", iteration=exc.iteration) from exc
 
 
 def evaluate_upper(
@@ -207,7 +206,7 @@ def evaluate_upper(
                 ))
     else:
         losses = _bind_losses(train, loss_spec)
-        with _located(lambda row: names[row]):
+        with _located("", names.__getitem__):
             xs = denoiser(np.stack(train.y * len(b0s)), row_b0)
         per_row = [loss.value(x) for loss, x in zip(losses * len(b0s), xs)]
     pairs = [(float(np.mean(per_row[k : k + n])), per_row[k : k + n])
@@ -302,8 +301,8 @@ def _double_loop(
     trace = OptTrace()
     for i in range(1, max_upper + 1):
         t_start = time.perf_counter()
-        problem = LowerProblem(train.A, Y, theta)
-        with _located(f"upper iteration {i}, sample {{row}}"):
+        with _located(f"upper iteration {i}", "sample {}".format):
+            problem = LowerProblem(train.A, Y, theta)
             res = engine(i, problem, losses, start)
         if warm_start:
             start = res.x_final
@@ -437,7 +436,9 @@ def ttsa(
     The lower iterate tracks the batch-mean reconstruction cost; each theta
     gradient uses the implicit formula at the current iterate with CG on the
     batch-mean Hessian.  The upper/lower step-size ratio must vanish.  Each
-    record's extras hold both step sizes and the final CG residual.
+    record's extras hold both step sizes, the final CG residual and
+    ``warnings``, 1.0 when that residual is not within ``cg_tol`` (NaN
+    included) and 0.0 otherwise.
     """
     losses = _bind_losses(train, loss_spec)
     if batch > train.n_samples:
@@ -457,9 +458,9 @@ def ttsa(
         idx = rng.choice(train.n_samples, size=batch, replace=False)
         step_low = low_schedule.at(i)
         step_up = up_schedule.at(i)
-        problems = [LowerProblem(train.A, train.y[j], theta) for j in idx]
         batch_losses = [losses[j] for j in idx]
         with _located(f"upper iteration {i}"):
+            problems = [LowerProblem(train.A, train.y[j], theta) for j in idx]
             g_low = np.mean([p.grad_x(x) for p in problems], axis=0)
             x = x - step_low * g_low
             if not np.all(np.isfinite(x)):
@@ -484,7 +485,8 @@ def ttsa(
         batch_value = float(np.mean([loss.value(x) for loss in batch_losses]))
         trace._record(i, t_start, batch_value, float(np.linalg.norm(g)), 1,
                       theta_new_vec, {"step_upper": step_up, "step_lower": step_low,
-                                      "cg_residual": cg.residual_norm})
+                                      "cg_residual": cg.residual_norm,
+                                      "warnings": float(not cg.residual_norm <= cg_tol)})
     return theta, trace
 
 
@@ -664,23 +666,24 @@ def adam_or_gd_upper(
     iteration count; the minimizer engine reuses ``solver_cfg`` including its
     warm-start flag.  Adam uses beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
     """
-    if engine not in ("minimizer", "reverse", "forward"):
-        raise ConfigError(f"unknown engine {engine!r}")
-    if optimizer not in ("gd", "adam"):
-        raise ConfigError(f"unknown optimizer {optimizer!r}")
-    if engine in ("reverse", "forward"):
-        if unroll_steps is None or unroll_step is None:
-            raise ConfigError(
-                "unrolled engines require unroll_steps and an explicit unroll_step"
-            )
     solver_cfg = solver_cfg or GDConfig(
         max_iters=5000, grad_tol=1e-8, warm_start=True
     )
-    fn, args = {
+    engines = {
         "minimizer": (hypergrad_minimizer, (solver_cfg, cg_tol)),
         "reverse": (hypergrad_unrolled_reverse, (unroll_steps, unroll_step)),
         "forward": (hypergrad_unrolled_forward, (unroll_steps, unroll_step)),
-    }[engine]
+    }
+    if engine not in engines:
+        raise ConfigError(f"unknown engine {engine!r}")
+    if optimizer not in ("gd", "adam"):
+        raise ConfigError(f"unknown optimizer {optimizer!r}")
+    fn, args = engines[engine]
+    unrolled = fn is not hypergrad_minimizer
+    if unrolled and (unroll_steps is None or unroll_step is None):
+        raise ConfigError(
+            "unrolled engines require unroll_steps and an explicit unroll_step"
+        )
 
     def stacked_grad(i, problem, losses, start):
         return fn(problem, losses, start, *args)
@@ -701,7 +704,7 @@ def adam_or_gd_upper(
 
     # the unrolled steps are differentiated from a theta-independent start,
     # so only the implicit engine may warm start
-    warm_start = engine == "minimizer" and solver_cfg.warm_start
+    warm_start = not unrolled and solver_cfg.warm_start
     return _double_loop(
         theta0, x0, train, loss_spec, max_upper, theta_rel_tol, learn_mask,
         warm_start, stacked_grad, update,

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import shutil
@@ -9,6 +10,7 @@ import pytest
 from bilevelreg import cli
 from bilevelreg.cli import main
 from bilevelreg.data import load_params, load_signal, save_params, save_signal
+from bilevelreg.errors import ConfigError
 from bilevelreg.lower import HyperParams
 from bilevelreg.potentials import CornerRounded1Norm
 
@@ -445,3 +447,53 @@ class TestErrors:
         save_signal(ref, np.zeros(4))
         assert main(["eval", "--estimate", str(bad), "--reference", str(ref),
                      "--output", str(tmp_path / "m.csv")]) == 1
+
+
+COMMANDS = ("train", "reconstruct", "eval", "gradcheck", "sweep", "gen-data")
+
+
+class TestCommandTable:
+    def test_each_command_is_named_once(self):
+        """The subcommand table is the only place a command is named, and
+        ``main`` dispatches through it without a branch per command."""
+        tree = ast.parse(Path(cli.__file__).read_text())
+        names = [node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and node.value in COMMANDS]
+        assert sorted(names) == sorted(COMMANDS), names
+        main_def = next(node for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "main")
+        branches = [ast.unparse(node.test) for node in ast.walk(main_def)
+                    if isinstance(node, ast.If) and "command" in ast.unparse(node.test)]
+        assert not branches, branches
+
+    def test_run_looks_up_module_globals_when_called(self, monkeypatch, capsys):
+        def fail(path):
+            raise ConfigError(f"patched load of {path}")
+
+        monkeypatch.setattr(cli, "load_config", fail)
+        assert main(["sweep", "--config", "c.json"]) == 1
+        assert capsys.readouterr().err == "error: patched load of c.json\n"
+
+    @pytest.mark.parametrize("engine, passed", [
+        ({"kind": "minimizer", "cg_tol": 1e-7}, {"cg_tol": 1e-7}),
+        ({"kind": "reverse", "unroll_steps": 3, "unroll_step": 0.05},
+         {"unroll_steps": 3, "unroll_step": 0.05}),
+    ])
+    def test_train_passes_the_engine_section(self, tmp_path, monkeypatch, engine,
+                                             passed):
+        seen = {}
+
+        def capture(*args, **kwargs):
+            seen.update(kwargs)
+            raise ConfigError("captured")
+
+        monkeypatch.setattr(cli, "adam_or_gd_upper", capture)
+        cfg = tmp_path / "engine.json"
+        doc = json.loads((CONFIGS / "toy_train.json").read_text())
+        doc["engine"] = engine
+        cfg.write_text(json.dumps(doc))
+        assert run_in(tmp_path, monkeypatch, ["train", "--config", str(cfg)]) == 1
+        assert seen["engine"] == engine["kind"]
+        engine_args = {k: seen[k] for k in ("cg_tol", "unroll_steps", "unroll_step")
+                       if k in seen}
+        assert engine_args == passed

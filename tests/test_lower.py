@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bilevelreg import lower
+from bilevelreg.errors import DivergenceError
 from bilevelreg.forward import Circulant, Identity, Mask
 from bilevelreg.lower import (
     HyperParams,
@@ -111,6 +112,41 @@ class TestCost:
     def test_scalar_quadratic_closed_form(self):
         problem = scalar_problem(lam=1.0, y=2.0)
         assert problem.cost(np.array([1.0])) == pytest.approx(1.0)
+
+
+class TestWeights:
+    """w_k = exp(b0 + b_k) past the float range fails at construction, with
+    an error naming the filter and, under ``row_beta0``, the lowest row."""
+
+    @staticmethod
+    def theta(beta0, betas):
+        return HyperParams(beta0, betas, [np.array([1.0, -1.0])] * len(betas),
+                           Quadratic())
+
+    @pytest.mark.parametrize("beta0, betas, k, total", [
+        (400.0, [0.0, 400.0], 1, "800"),
+        (800.0, [0.0, 0.0], 0, "800"),
+        (1e308, [1e308], 0, "inf"),
+    ])
+    def test_overflow_names_the_filter(self, beta0, betas, k, total):
+        with pytest.raises(DivergenceError) as err:
+            LowerProblem(Identity(Grid((4,))), np.zeros(4), self.theta(beta0, betas))
+        assert str(err.value) == (f"tuning weight exp(b0 + b_k) of filter {k} "
+                                  f"is not finite (b0 + b_k = {total})")
+        assert err.value.row is None
+
+    def test_row_beta0_names_the_lowest_row(self):
+        hp = self.theta(0.0, [0.0, 400.0])
+        with pytest.raises(DivergenceError) as err:
+            LowerProblem(Identity(Grid((4,))), np.zeros((4, 4)), hp,
+                         row_beta0=[0.0, 800.0, 400.0, 900.0])
+        assert err.value.row == 1
+        assert "of filter 0 " in str(err.value)
+
+    def test_large_finite_weight_is_kept(self):
+        problem = LowerProblem(Identity(Grid((4,))), np.zeros(4),
+                               self.theta(700.0, [0.0]))
+        assert problem.grad_x(np.zeros(4)).tolist() == [0.0] * 4
 
 
 class TestGradX:

@@ -104,7 +104,8 @@ class TestGD:
 
     def test_divergence_error_reports_iteration(self):
         problem, rng = quadratic_problem()
-        with pytest.raises(DivergenceError) as err:
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as err:
             gd_minimize(problem, rng.standard_normal(8),
                         GDConfig(step=1e12, max_iters=10_000))
         assert err.value.iteration is not None

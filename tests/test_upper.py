@@ -142,6 +142,38 @@ class TestEvaluateUpper:
         evaluate_upper(hp, train, SureMCLoss(sigma=0.05, n_probes=2), cfg)
         assert shapes == [(3, 32)] * 4
 
+    def test_mean_hypergradient_is_the_slope_of_the_upper_loss(self):
+        """At a fixed theta on a 2-D blur with 3x3 filters and tight solves,
+        the mean minimizer-engine gradient along a direction equals the
+        central-difference slope of ``evaluate_upper`` along it."""
+        rng = np.random.default_rng(7)
+        grid = Grid((8, 8))
+        blur = np.outer([0.25, 0.5, 0.25], [0.25, 0.5, 0.25])
+        A = Circulant(grid, blur)
+        xs = [gen_piecewise_constant(grid, 3, (0.0, 1.0), seed=40 + s)
+              for s in range(2)]
+        train = TrainSet(xs, [add_noise(x, A, 0.05, seed=60 + s)
+                              for s, x in enumerate(xs)], A)
+        hp = HyperParams(-2.0, [0.1, -0.2],
+                         [rng.standard_normal((3, 3)) for _ in range(2)],
+                         CornerRounded1Norm(0.1), learn_beta0=True)
+        tight = GDConfig(max_iters=500_000, grad_tol=1e-11)
+        Y = np.stack(train.y)
+        losses = [bind_loss(MSELoss(), y, A, x) for x, y in zip(train.x_true, train.y)]
+        res = hypergrad_minimizer(LowerProblem(A, Y, hp), losses, A.adjoint(Y),
+                                  tight, 1e-12)
+        direction = rng.standard_normal(hp.theta_size())
+        direction /= np.linalg.norm(direction)
+        h = 1e-5
+        plus, minus = (
+            evaluate_upper(unpack_theta(hp, pack_theta(hp) + sign * h * direction),
+                           train, MSELoss(), tight)[0]
+            for sign in (1.0, -1.0)
+        )
+        slope = (plus - minus) / (2.0 * h)
+        assert float(np.mean(res.grad, axis=0) @ direction) == pytest.approx(
+            slope, rel=1e-5)
+
 
 class TestHoag:
     def test_reaches_closed_form_optimum(self):
@@ -356,14 +388,24 @@ class TestTtsa:
                     PowerLaw(0.3, 0.5), train, MSELoss(), batch=2, seed=5,
                     **kwargs)
 
+    def test_weight_overflow_stops_the_run(self):
+        """beta0 reaches about 1.9e11 at the tenth step, whose problems are
+        built inside the located block."""
+        with pytest.raises(DivergenceError) as info:
+            self.inpainting_run(max_iter=20)
+        assert re.fullmatch(
+            r"upper iteration 10: tuning weight exp\(b0 \+ b_k\) of filter 0 "
+            r"is not finite \(b0 \+ b_k = \S+\)", str(info.value))
+
     def test_non_finite_lower_iterate_stops_the_run(self):
-        with np.errstate(all="ignore"):
-            with pytest.raises(DivergenceError) as info:
-                self.inpainting_run(max_iter=20)
+        hp, train, _, _ = scalar_toy()
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
+            ttsa(hp, np.array([0.0]), PowerLaw(0.0, 0.75), PowerLaw(1e308, 0.0),
+                 train, MSELoss(), batch=1, seed=0, max_iter=5)
         assert re.fullmatch(
             r"upper iteration (\d+): non-finite lower iterate after lower "
             r"step \1 \(step size \S+\)", str(info.value))
-        assert info.value.iteration == 10
+        assert info.value.iteration == 1
 
     def test_cg_failure_is_located(self, monkeypatch):
         calls = []
@@ -518,17 +560,31 @@ class TestStable:
 
     def test_divergence_is_located(self):
         """A lower step far too large drives theta and x off to 1e47 within
-        four steps; the fifth step's curvature is not finite, and the run
-        raises at that upper iteration, not in the eigenvalue truncation."""
+        four steps; the fifth step's tuning weight is not finite, and the run
+        raises at that upper iteration, before numpy warns of the overflow."""
         grid = Grid((16,))
         train = build_train_set(DatasetSpec(3, 3, (0.0, 1.0), 0.1, 5), grid,
                                 Identity(grid))
         hp = HyperParams(-1.0, [0.0], [np.array([1.0, -1.0])],
                          CornerRounded1Norm(0.01))
-        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+        with pytest.raises(DivergenceError) as err:
             stable_run(hp, np.zeros(16), train, MSELoss(), step_upper=0.1,
                        step_lower=1e3, tau=1.0, c_mix=10.0, mu=1.0, max_iter=10)
-        assert str(err.value) == "upper iteration 5: non-finite curvature estimate"
+        assert str(err.value) == ("upper iteration 5: tuning weight exp(b0 + b_k) "
+                                  "of filter 0 is not finite (b0 + b_k = 1.36619e+47)")
+
+    def test_non_finite_curvature_estimate_raises(self):
+        """The recursion's difference of two huge curvatures overflows at
+        tau < 1; the step raises rather than truncating an infinite matrix."""
+        hp, train, _, _ = scalar_toy()
+        sample = (train.x_true[0], train.y[0])
+        state = StableState(theta=hp, x=np.array([0.0]), step_upper=0.3,
+                            step_lower=0.4)
+        state = stable_step(state, sample, train.A, MSELoss(), 1.0, 10.0, 1.0)
+        state.hess_est, state.prev_hess = np.array([[1e308]]), np.array([[-1e308]])
+        with np.errstate(over="ignore"), pytest.raises(
+                DivergenceError, match="^non-finite curvature estimate$"):
+            stable_step(state, sample, train.A, MSELoss(), 0.5, 10.0, 1.0)
 
     def test_non_finite_iterate_raises(self):
         hp, train, _, _ = scalar_toy()
@@ -766,6 +822,41 @@ class TestUpperFailures:
                 run(hp, train)
         assert info.value.iteration is not None
 
+    @pytest.mark.parametrize("name", sorted(UPPER_DRIVERS))
+    def test_weight_overflow_names_the_iteration(self, name):
+        """The problem of one theta is shared by every sample, so the
+        error names the upper iteration and no sample."""
+        hp = _two_filter_theta()
+        hp.beta0 = 800.0
+        train = filter_train_set(n_samples=2, n=16)
+        with pytest.raises(DivergenceError) as err:
+            UPPER_DRIVERS[name](hp, train, MSELoss(), None)
+        assert str(err.value) == ("upper iteration 1: tuning weight exp(b0 + b_k) "
+                                  "of filter 0 is not finite (b0 + b_k = 800)")
+
+    @pytest.mark.parametrize("loss", [MSELoss(), SureMCLoss(0.05, n_probes=2)],
+                             ids=["mse", "sure-mc"])
+    def test_weight_overflow_names_the_grid_value(self, loss):
+        hp, train, _, cfg = scalar_toy()
+        with pytest.raises(DivergenceError) as err:
+            grid_search([0.0, 800.0, 900.0], hp, train, loss, cfg)
+        assert str(err.value).startswith("beta0 800.0, sample 0: tuning weight ")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"engine": "newton"}, "unknown engine 'newton'"),
+        ({"optimizer": "lbfgs"}, "unknown optimizer 'lbfgs'"),
+        ({"engine": "reverse", "unroll_steps": 3},
+         "unrolled engines require unroll_steps and an explicit unroll_step"),
+        ({"engine": "forward", "unroll_step": 0.1},
+         "unrolled engines require unroll_steps and an explicit unroll_step"),
+    ], ids=["engine", "optimizer", "reverse-no-step", "forward-no-steps"])
+    def test_adam_or_gd_rejects_its_arguments(self, kwargs, message, monkeypatch):
+        monkeypatch.setattr(upper, "_double_loop", None)  # nothing may run
+        hp, train, _, _ = scalar_toy()
+        with pytest.raises(ConfigError) as err:
+            adam_or_gd_upper(hp, None, train, MSELoss(), **kwargs)
+        assert str(err.value) == message
+
 
 class TestTraceExtras:
     def test_ba_records_warnings_and_cg_residual(self):
@@ -827,3 +918,6 @@ class TestTraceExtras:
         _, tight = ttsa(*args, cg_tol=1e-10)
         assert all(r.extra["cg_residual"] > 1e-10 for r in loose.records)
         assert all(r.extra["cg_residual"] <= 1e-10 for r in tight.records)
+        # a solve that stopped short of cg_tol is a warning, as in hoag and ba
+        assert [r.extra["warnings"] for r in loose.records] == [1.0, 1.0]
+        assert [r.extra["warnings"] for r in tight.records] == [0.0, 0.0]
