@@ -153,36 +153,40 @@ def bind_loss(
 
 def sure_mc(
     denoiser: Callable[[np.ndarray], np.ndarray],
-    y: np.ndarray,
+    Y: np.ndarray,
     sigma: float,
     probe_eps: float | None = None,
     n_probes: int = 1,
     seed: int = 0,
-) -> float:
-    """Monte-Carlo SURE: residual power - sigma^2 + (2 sigma^2 / N) div.
+) -> list[float]:
+    """Monte-Carlo SURE of each row y of the stack ``Y``, shaped ``(S, *grid)``:
+    residual power - sigma^2 + (2 sigma^2 / N) div.
 
     The divergence of the denoiser is probed with Rademacher vectors b:
     div ~ b' (xhat(y + eps b) - xhat(y)) / eps, averaged over probes.  The
-    denoiser is called once, on the stack ``[y, y + eps b_1, ...]``, and
-    returns one reconstruction per row.
+    probes are drawn once from ``seed`` and shared by every row; each row
+    takes its own eps, ``probe_eps`` or 1e-3 ||y|| / sqrt(N) (1e-3 for a
+    zero row).  The denoiser is called once, on the ``S (1 + P)``-row stack
+    ``[Y, Y + eps b_1, ...]``, and returns one reconstruction per row.  One
+    signal is the stack ``y[np.newaxis]``.
     """
-    n = y.size
-    if probe_eps is None:
-        probe_eps = 1e-3 * float(np.linalg.norm(y)) / np.sqrt(n)
-        if probe_eps == 0.0:
-            probe_eps = 1e-3
+    n = Y[0].size
+    # a zero row's derived eps, 0, falls back to 1e-3
+    eps = [probe_eps] * len(Y) if probe_eps is not None else [
+        1e-3 * float(np.linalg.norm(y)) / np.sqrt(n) or 1e-3 for y in Y]
     rng = np.random.Generator(np.random.PCG64(seed))
-    probes = [
-        rng.integers(0, 2, size=y.shape).astype(np.float64) * 2.0 - 1.0
-        for _ in range(n_probes)
-    ]
-    x_base, *x_probes = denoiser(np.stack([y] + [y + probe_eps * b for b in probes]))
-    div_total = 0.0
-    for b, x_probe in zip(probes, x_probes):
-        div_total += float(np.vdot(b, x_probe - x_base)) / probe_eps
-    div = div_total / n_probes
-    r = y - x_base
-    return float(np.vdot(r, r)) / n - sigma**2 + (2.0 * sigma**2 / n) * div
+    probes = [rng.integers(0, 2, size=Y.shape[1:]).astype(np.float64) * 2.0 - 1.0
+              for _ in range(n_probes)]
+    eps_col = np.reshape(eps, (-1,) + (1,) * (Y.ndim - 1))
+    xs = denoiser(np.concatenate([Y] + [Y + eps_col * b for b in probes]))
+    x_base, *x_probes = np.split(xs, 1 + n_probes)
+    values = []
+    for j, (y, e) in enumerate(zip(Y, eps)):
+        div = sum(float(np.vdot(b, x_probe[j] - x_base[j])) / e
+                  for b, x_probe in zip(probes, x_probes)) / n_probes
+        r = y - x_base[j]
+        values.append(float(np.vdot(r, r)) / n - sigma**2 + (2.0 * sigma**2 / n) * div)
+    return values
 
 
 class Metrics(NamedTuple):

@@ -179,36 +179,30 @@ def evaluate_upper(
 
     Returns ``(mean, per_sample)`` at ``theta``, or with ``beta0_grid`` one
     such pair per grid value, at ``theta`` with that overall log-weight b0.
-    Every (grid value, sample) pair is one row of a single stacked
-    ``gd_minimize`` call with its own b0, whose rows equal the per-pair
-    solves bit for bit.  Monte-Carlo SURE is a function of the denoiser, not
-    of one reconstruction: ``sure_mc`` solves each sample with its probes as
-    one stack, one solve per (grid value, sample).
+    Every loss takes one stacked ``gd_minimize`` call, whose rows equal the
+    per-row solves bit for bit.  Its rows are the (grid value, sample)
+    pairs, each with its own b0; Monte-Carlo SURE, a function of the
+    denoiser rather than of one reconstruction, adds a copy of those rows
+    per probe, so ``sure_mc`` solves its whole table in that one call.
     """
     b0s = [theta.beta0] if beta0_grid is None else [float(b) for b in beta0_grid]
     n = train.n_samples
     row_b0 = np.repeat(b0s, n)
     names = [f"sample {j}" if beta0_grid is None else f"beta0 {b0}, sample {j}"
              for b0 in b0s for j in range(n)]
+    Y = np.stack(train.y * len(b0s))
 
-    def denoiser(yy, row_beta0):  # a stack of samples, each with its own b0
-        prob = LowerProblem(train.A, yy, theta, row_beta0)
-        return gd_minimize(prob, train.A.adjoint(yy), solver_cfg).x
+    def denoiser(yy):  # copies of Y's rows, each row with its pair's b0
+        with _located("", lambda row: names[row % len(names)]):
+            prob = LowerProblem(train.A, yy, theta, np.tile(row_b0, len(yy) // len(Y)))
+            return gd_minimize(prob, train.A.adjoint(yy), solver_cfg).x
 
     if isinstance(loss_spec, SureMCLoss):
-        per_row = []
-        for b0, y, name in zip(row_b0, train.y * len(b0s), names):
-            with _located(name):
-                per_row.append(sure_mc(
-                    lambda yy: denoiser(yy, np.full(len(yy), b0)), y,
-                    loss_spec.sigma, loss_spec.probe_eps, loss_spec.n_probes,
-                    loss_spec.seed,
-                ))
+        per_row = sure_mc(denoiser, Y, loss_spec.sigma, loss_spec.probe_eps,
+                          loss_spec.n_probes, loss_spec.seed)
     else:
         losses = _bind_losses(train, loss_spec)
-        with _located("", names.__getitem__):
-            xs = denoiser(np.stack(train.y * len(b0s)), row_b0)
-        per_row = [loss.value(x) for loss, x in zip(losses * len(b0s), xs)]
+        per_row = [loss.value(x) for loss, x in zip(losses * len(b0s), denoiser(Y))]
     pairs = [(float(np.mean(per_row[k : k + n])), per_row[k : k + n])
              for k in range(0, len(per_row), n)]
     return pairs[0] if beta0_grid is None else pairs

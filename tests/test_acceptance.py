@@ -302,7 +302,8 @@ def test_criterion_8_sure_fidelity():
     for seed in range(5):
         rng = np.random.default_rng(800 + seed)
         y = sigma * rng.standard_normal(4096)
-        est = sure_mc(lambda yy: yy, y, sigma, n_probes=100, seed=seed)
+        est = sure_mc(lambda yy: yy, y[np.newaxis], sigma, n_probes=100,
+                      seed=seed)[0]
         errs.append(abs(est - sigma**2) / sigma**2)
     identity_ok = all(e <= 0.05 for e in errs)
 
@@ -310,7 +311,8 @@ def test_criterion_8_sure_fidelity():
     n = 16
     w = rng.standard_normal((n, n))
     y = rng.standard_normal(n)
-    est = sure_mc(lambda yy: yy @ w.T, y, 1.0, n_probes=2000, seed=0)
+    est = sure_mc(lambda yy: yy @ w.T, y[np.newaxis], 1.0, n_probes=2000,
+                  seed=0)[0]
     r = y - w @ y
     div_est = (est - float(r @ r) / n + 1.0) * n / 2.0
     trace_rel = abs(div_est - np.trace(w)) / abs(np.trace(w))

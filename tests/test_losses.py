@@ -130,7 +130,7 @@ class TestSureMC:
         rng = np.random.default_rng(7)
         sigma = 0.2
         y = rng.standard_normal(4096) * sigma
-        est = sure_mc(lambda yy: yy, y, sigma, n_probes=100, seed=1)
+        est = sure_mc(lambda yy: yy, y[np.newaxis], sigma, n_probes=100, seed=1)[0]
         # residual term vanishes and b'b = N exactly for Rademacher probes
         assert est == pytest.approx(sigma**2, rel=1e-12)
 
@@ -138,7 +138,8 @@ class TestSureMC:
         rng = np.random.default_rng(8)
         sigma = 0.3
         y = sigma * rng.standard_normal(4096)
-        est = sure_mc(lambda yy: np.zeros_like(yy), y, sigma, n_probes=10, seed=2)
+        est = sure_mc(lambda yy: np.zeros_like(yy), y[np.newaxis], sigma,
+                      n_probes=10, seed=2)[0]
         assert abs(est) <= 0.05 * sigma**2
 
     def test_divergence_matches_trace(self):
@@ -148,7 +149,8 @@ class TestSureMC:
         w = rng.standard_normal((n, n))
         y = rng.standard_normal(n)
         sigma = 1.0
-        est = sure_mc(lambda yy: yy @ w.T, y, sigma, n_probes=2000, seed=0)
+        est = sure_mc(lambda yy: yy @ w.T, y[np.newaxis], sigma, n_probes=2000,
+                      seed=0)[0]
         # back out the divergence estimate from the returned value
         r = y - w @ y
         div_est = (est - float(r @ r) / n + sigma**2) * n / (2 * sigma**2)
@@ -165,7 +167,7 @@ class TestSureMC:
             calls.append(yy.shape)
             return np.tanh(yy) * 0.7
 
-        est = sure_mc(denoiser, y, 0.3, n_probes=3, seed=5)
+        est = sure_mc(denoiser, y[np.newaxis], 0.3, n_probes=3, seed=5)[0]
         assert calls == [(4, 24)]
         probes = np.random.Generator(np.random.PCG64(5))
         eps = 1e-3 * float(np.linalg.norm(y)) / np.sqrt(y.size)
@@ -178,6 +180,23 @@ class TestSureMC:
         assert est == float(np.vdot(r, r)) / y.size - 0.3**2 + (
             2.0 * 0.3**2 / y.size) * (div / 3)
 
+        # a stack equals one call per row, bit for bit, from one call on
+        # [Y, Y + eps b_1, ...]; its zero row takes eps 1e-3
+        Y = np.stack([y, np.zeros_like(y), -2.0 * y])
+        inputs = []
+
+        def recording(yy):
+            inputs.append(yy)
+            return np.tanh(yy) * 0.7
+
+        stacked = sure_mc(recording, Y, 0.3, n_probes=3, seed=5)
+        assert [yy.shape for yy in inputs] == [(12, 24)]
+        assert stacked == [sure_mc(denoiser, row[np.newaxis], 0.3, n_probes=3,
+                                   seed=5)[0] for row in Y]
+        rng = np.random.Generator(np.random.PCG64(5))
+        b_1 = rng.integers(0, 2, size=24) * 2.0 - 1.0
+        np.testing.assert_array_equal(inputs[0][4], 1e-3 * b_1)
+
     def test_probe_statistics(self):
         # Rademacher probes have unit variance by construction; check the
         # divergence of a diagonal map matches the diagonal sum tightly
@@ -185,7 +204,8 @@ class TestSureMC:
         n = 1000
         d = rng.uniform(0.5, 1.5, n)
         y = rng.standard_normal(n)
-        est = sure_mc(lambda yy: d * yy, y, 1.0, n_probes=100, seed=4)
+        est = sure_mc(lambda yy: d * yy, y[np.newaxis], 1.0, n_probes=100,
+                      seed=4)[0]
         r = y - d * y
         div_est = (est - float(r @ r) / n + 1.0) * n / 2.0
         assert div_est == pytest.approx(np.sum(d), rel=0.02)

@@ -608,8 +608,8 @@ def test_grid_search_equals_per_point_reference(spec):
                              for y in yy])
 
         if isinstance(spec, SureMCLoss):
-            values = [sure_mc(alone, y, spec.sigma, spec.probe_eps, spec.n_probes,
-                              spec.seed) for y in Y]
+            values = [sure_mc(alone, y[np.newaxis], spec.sigma, spec.probe_eps,
+                              spec.n_probes, spec.seed)[0] for y in Y]
         else:
             values = [bind_loss(spec, y, A, xt).value(x)
                       for y, xt, x in zip(Y, x_true, alone(Y))]

@@ -22,7 +22,15 @@ from bilevelreg.errors import (
 )
 from bilevelreg.forward import Circulant, Identity, Mask
 from bilevelreg.hypergrad import grad_compare, hypergrad_minimizer
-from bilevelreg.losses import MSELoss, SureMCLoss, bind_loss, sure_mc
+from bilevelreg.losses import (
+    DiscrepancyLoss,
+    HuberLoss,
+    MSELoss,
+    NoiseCorridorLoss,
+    SureMCLoss,
+    bind_loss,
+    sure_mc,
+)
 from bilevelreg.lower import (
     HyperParams,
     LowerProblem,
@@ -121,13 +129,21 @@ class TestEvaluateUpper:
             return gd_minimize(problem, train.A.adjoint(yy), cfg).x
 
         _, per = evaluate_upper(hp, train, spec, cfg)
-        expected = [sure_mc(denoiser, y, spec.sigma, spec.probe_eps,
-                            spec.n_probes, spec.seed) for y in train.y]
+        expected = [sure_mc(denoiser, y[np.newaxis], spec.sigma, spec.probe_eps,
+                            spec.n_probes, spec.seed)[0] for y in train.y]
         np.testing.assert_array_equal(per, expected)
 
-    def test_sure_solves_each_sample_and_probe_once(self, monkeypatch):
-        # S samples and P probes: one solve per sample, on the stack of the
-        # sample and its P probes, and no solve whose result SURE would not read
+    @pytest.mark.parametrize("grid", [None, [-2.0, -1.0, 0.5]], ids=["theta", "grid"])
+    @pytest.mark.parametrize("spec, copies", [
+        (MSELoss(), 1),
+        (HuberLoss(0.1), 1),
+        (DiscrepancyLoss(0.05), 1),
+        (NoiseCorridorLoss(0.001, 0.01), 1),
+        (SureMCLoss(sigma=0.05, n_probes=2), 3),
+    ], ids=["mse", "huber", "discrepancy", "noise-corridor", "sure-mc"])
+    def test_every_loss_takes_one_solve(self, spec, copies, grid, monkeypatch):
+        # every (grid value, sample) pair is a row of one solve; SURE adds a
+        # copy of those rows per probe, S G (1 + P) rows in all
         train = filter_train_set(n_samples=4)
         hp = HyperParams(-1.0, [0.0], [np.array([1.0, -1.0])],
                          CornerRounded1Norm(0.1))
@@ -139,8 +155,36 @@ class TestEvaluateUpper:
             return gd_minimize(problem, x0, solver_cfg)
 
         monkeypatch.setattr(upper, "gd_minimize", counting)
-        evaluate_upper(hp, train, SureMCLoss(sigma=0.05, n_probes=2), cfg)
-        assert shapes == [(3, 32)] * 4
+        evaluate_upper(hp, train, spec, cfg, grid)
+        rows = 4 * (1 if grid is None else len(grid)) * copies
+        assert shapes == [(rows, 32)]
+
+    def test_sure_sweep_takes_one_solve(self, monkeypatch):
+        # the bundled sweep's 11 grid values x 4 samples x (1 + 2 probes)
+        cfg = load_config(CONFIGS / "sweep.json")
+        train = build_train_set(cfg.dataset, cfg.grid, cfg.forward)
+        shapes = []
+
+        def counting(problem, x0, solver_cfg):
+            shapes.append(x0.shape)
+            return gd_minimize(problem, x0, solver_cfg)
+
+        monkeypatch.setattr(upper, "gd_minimize", counting)
+        grid_search(cfg.sweep["beta0_grid"], build_theta(cfg, train), train,
+                    SureMCLoss(0.1, n_probes=2), cfg.solver)
+        assert shapes == [(132, 64)]
+
+    def test_failing_probe_row_names_its_pair(self):
+        # a probe row of the one solve is named by its (grid value, sample)
+        cfg = load_config(CONFIGS / "sweep.json")
+        train = build_train_set(cfg.dataset, cfg.grid, cfg.forward)
+        spec = SureMCLoss(0.1, probe_eps=1e308, n_probes=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                grid_search([-1.0, 0.0], build_theta(cfg, train), train, spec,
+                            cfg.solver)
+        assert str(err.value).startswith(
+            "beta0 -1.0, sample 0: non-finite cost/gradient")
 
     def test_mean_hypergradient_is_the_slope_of_the_upper_loss(self):
         """At a fixed theta on a 2-D blur with 3x3 filters and tight solves,
