@@ -94,6 +94,19 @@ def vanishing_blur_toy():
     return hp, TrainSet(x_true=xs, y=[A.apply(x) for x in xs], A=A)
 
 
+@pytest.fixture
+def solve_shapes(monkeypatch):
+    """The stack shape of every lower solve that ``upper`` starts."""
+    shapes = []
+
+    def counting(problem, x0, solver_cfg):
+        shapes.append(x0.shape)
+        return gd_minimize(problem, x0, solver_cfg)
+
+    monkeypatch.setattr(upper, "gd_minimize", counting)
+    return shapes
+
+
 class TestEvaluateUpper:
     def test_vanishing_regularizer_recovers_truth(self):
         train = filter_train_set(sigma=0.0)
@@ -141,38 +154,24 @@ class TestEvaluateUpper:
         (NoiseCorridorLoss(0.001, 0.01), 1),
         (SureMCLoss(sigma=0.05, n_probes=2), 3),
     ], ids=["mse", "huber", "discrepancy", "noise-corridor", "sure-mc"])
-    def test_every_loss_takes_one_solve(self, spec, copies, grid, monkeypatch):
+    def test_every_loss_takes_one_solve(self, spec, copies, grid, solve_shapes):
         # every (grid value, sample) pair is a row of one solve; SURE adds a
         # copy of those rows per probe, S G (1 + P) rows in all
         train = filter_train_set(n_samples=4)
         hp = HyperParams(-1.0, [0.0], [np.array([1.0, -1.0])],
                          CornerRounded1Norm(0.1))
         cfg = GDConfig(step="one-over-L", max_iters=5_000, grad_tol=1e-8)
-        shapes = []
-
-        def counting(problem, x0, solver_cfg):
-            shapes.append(x0.shape)
-            return gd_minimize(problem, x0, solver_cfg)
-
-        monkeypatch.setattr(upper, "gd_minimize", counting)
         evaluate_upper(hp, train, spec, cfg, grid)
         rows = 4 * (1 if grid is None else len(grid)) * copies
-        assert shapes == [(rows, 32)]
+        assert solve_shapes == [(rows, 32)]
 
-    def test_sure_sweep_takes_one_solve(self, monkeypatch):
+    def test_sure_sweep_takes_one_solve(self, solve_shapes):
         # the bundled sweep's 11 grid values x 4 samples x (1 + 2 probes)
         cfg = load_config(CONFIGS / "sweep.json")
         train = build_train_set(cfg.dataset, cfg.grid, cfg.forward)
-        shapes = []
-
-        def counting(problem, x0, solver_cfg):
-            shapes.append(x0.shape)
-            return gd_minimize(problem, x0, solver_cfg)
-
-        monkeypatch.setattr(upper, "gd_minimize", counting)
         grid_search(cfg.sweep["beta0_grid"], build_theta(cfg, train), train,
                     SureMCLoss(0.1, n_probes=2), cfg.solver)
-        assert shapes == [(132, 64)]
+        assert solve_shapes == [(132, 64)]
 
     def test_failing_probe_row_names_its_pair(self):
         # a probe row of the one solve is named by its (grid value, sample)
