@@ -90,9 +90,11 @@ def hypergrad_minimizer(
     is the solve's final gradient norm, judged against the larger of
     ``solver_cfg.grad_tol`` and 1e-4 (1 + ||grad_x loss||).
 
-    A stacked ``x0`` solves every row at once, ``loss`` holding one loss
-    per row: one linearization of the stack, one CG per row on its row
-    view, whose failure raises SpdViolationError with that ``row``, and one
+    CG is preconditioned by the Hessian's diagonal, the zero-offset row of
+    its stencil (``Linearization.hess_diagonal``).  A stacked ``x0`` solves
+    every row at once, ``loss`` holding one loss per row: one linearization
+    of the stack, one CG per row on its row view and that view's diagonal,
+    whose failure raises SpdViolationError with that ``row``, and one
     Jacobian-adjoint product on the stacked q.  Each row's entries equal
     its own run's bit for bit.
     """
@@ -105,7 +107,7 @@ def hypergrad_minimizer(
     q, residuals, warnings = [], [], []
     for j, (view, b, gnorm) in enumerate(zip(views, rhs, run.row_grad_norms)):
         try:
-            cg = cg_solve(view.hess_vec, b, cg_tol, cg_max_iters)
+            cg = cg_solve(view.hess_vec, b, cg_tol, view.hess_diagonal(), cg_max_iters)
         except SpdViolationError as exc:
             raise SpdViolationError(str(exc), row=j if stacked else None) from exc
         found = []

@@ -25,6 +25,7 @@ evaluates the last three at one x, building z_k, phi' and phi'' once.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -337,7 +338,8 @@ class Linearization:
     product applies it: one gather of v at all offsets, one multiply and one
     reduce in offset order.  Products equal the formula above up to rounding
     (the sums are grouped by offset, not by filter), and repeated ones give
-    the same bytes.  M takes offsets x size x 8 bytes.
+    the same bytes.  M takes offsets x size x 8 bytes.  Its zero-offset row
+    is diag hess(x) (``hess_diagonal``), CG's preconditioner.
 
     A linearization at a stack of iterates serves each iterate through a row
     view (``_rows``), which slices its arrays and assembles its own M: the
@@ -352,7 +354,6 @@ class Linearization:
         self.x = np.array(x, dtype=np.float64) if _terms is None else x
         self._stacked = self._grid.is_stack(self.x)
         self._terms = self._filter_terms() if _terms is None else _terms
-        self._stencil = None  # (half-widths, M), from the first product
 
     def _filter_terms(self) -> list[_FilterTerm]:
         pot = self.problem.theta.potential
@@ -379,15 +380,23 @@ class Linearization:
         """hess(x) v = A'(Av) + sum_k w_k c~_k * (phi''.(z_k) .* (c_k * v)),
         by the stencil M assembled at the first call (see the class docstring).
         """
-        if self._stencil is None:
-            self._stencil = self._assemble()
         half, m = self._stencil
         terms = centred_rows(v, half)
         terms *= m
         return np.add.reduce(terms, axis=0).reshape(v.shape)
 
-    def _assemble(self):
-        """The half-widths of the offset box and M shaped (offsets, x.size)."""
+    def hess_diagonal(self) -> np.ndarray:
+        """diag hess(x), shaped like x: the zero-offset row of the stencil M,
+        which this assembles as the first ``hess_vec`` would.  Read-only."""
+        _, m = self._stencil
+        diagonal = m[len(m) // 2].reshape(self.x.shape)
+        diagonal.flags.writeable = False
+        return diagonal
+
+    @functools.cached_property
+    def _stencil(self):
+        """The half-widths of the offset box and M shaped (offsets, x.size),
+        assembled at the first use."""
         half, base, pairs = self.problem._stencil_plan()
         rows = len(self.x) if self._stacked else 1
         if pairs is None:

@@ -219,14 +219,22 @@ def cg_solve(
     hess_action: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
     tol: float,
+    diagonal: np.ndarray,
     max_iters: int | None = None,
 ) -> CGResult:
-    """Conjugate gradients for SPD systems, from a zero initializer.
+    """Jacobi-preconditioned conjugate gradients for SPD systems, from a
+    zero initializer.
 
-    Stops when ||H q - b|| <= tol; otherwise returns the max_iters iterate
-    (by default 10 times the size of b) with which residual it reached.
-    Raises SpdViolationError, naming the CG iteration, on a direction whose
-    curvature p'Hp is not positive, NaN included.
+    ``diagonal``, shaped like ``b``, is the system's diagonal (or any
+    positive scaling): each residual r is preconditioned to z = r / diagonal
+    (Saad, Iterative Methods for Sparse Linear Systems, 10.2), with an entry
+    that is not positive or not finite left unscaled.  Ones give plain CG.
+    Stops when the unpreconditioned residual ||H q - b|| <= tol; otherwise
+    returns the max_iters iterate (by default 10 times the size of b) with
+    which residual it reached.  Raises SpdViolationError, naming the CG
+    iteration, on a direction whose curvature p'Hp is not positive, NaN
+    included.  CG writes only into arrays of its own: ``hess_action`` may
+    return its argument, a direction CG updates in place after the product.
     """
     if max_iters is None:
         max_iters = 10 * b.size
@@ -235,8 +243,11 @@ def cg_solve(
     rnorm = float(np.linalg.norm(r))
     if rnorm <= tol:
         return CGResult(x=x, iters_run=0, residual_norm=rnorm)
-    p = r.copy()
-    rr = rnorm**2
+    scale = np.where((diagonal > 0.0) & (diagonal < math.inf), diagonal, 1.0)
+    z = r / scale
+    p = z.copy()
+    rz = float(np.vdot(r, z))
+    step = np.empty_like(b)  # alpha p, then alpha Hp
     iters = 0
     while iters < max_iters:
         hp = hess_action(p)
@@ -245,14 +256,16 @@ def cg_solve(
             raise SpdViolationError(
                 f"non-positive curvature p'Hp = {php:.3e} at CG iteration {iters}"
             )
-        alpha = rr / php
-        x += alpha * p
-        r -= alpha * hp
+        alpha = rz / php
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, hp, out=step)
         iters += 1
-        rr_new = float(np.vdot(r, r))
-        rnorm = float(np.sqrt(rr_new))
+        rnorm = float(np.sqrt(np.vdot(r, r)))
         if rnorm <= tol:
             break
-        p = r + (rr_new / rr) * p
-        rr = rr_new
+        np.divide(r, scale, out=z)
+        rz_new = float(np.vdot(r, z))
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
     return CGResult(x=x, iters_run=iters, residual_norm=rnorm)

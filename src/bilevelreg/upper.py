@@ -429,10 +429,13 @@ def ttsa(
 
     The lower iterate tracks the batch-mean reconstruction cost; each theta
     gradient uses the implicit formula at the current iterate with CG on the
-    batch-mean Hessian.  The upper/lower step-size ratio must vanish.  Each
+    batch-mean Hessian, preconditioned by that Hessian's diagonal (see
+    ``cg_solve``).  The upper/lower step-size ratio must vanish.  Each
     record's extras hold both step sizes, the final CG residual and
-    ``warnings``, 1.0 when that residual is not within ``cg_tol`` (NaN
-    included) and 0.0 otherwise.
+    ``warnings``, which counts 1 when that residual is not within ``cg_tol``
+    (NaN included) and 1 when the lower step exceeds 2/L, L the batch
+    problem's ``lipschitz_grad`` at the current theta, past which the lower
+    iteration need not converge (the unrolled engines warn alike).
     """
     losses = _bind_losses(train, loss_spec)
     if batch > train.n_samples:
@@ -455,6 +458,8 @@ def ttsa(
         batch_losses = [losses[j] for j in idx]
         with _located(f"upper iteration {i}"):
             problems = [LowerProblem(train.A, train.y[j], theta) for j in idx]
+            # the batch shares A and theta, so one L serves its mean cost
+            lip = problems[0].lipschitz_grad()
             g_low = np.mean([p.grad_x(x) for p in problems], axis=0)
             x = x - step_low * g_low
             if not np.all(np.isfinite(x)):
@@ -466,10 +471,15 @@ def ttsa(
             b = np.mean([loss.grad_x(x) for loss in batch_losses], axis=0)
             lins = [Linearization(p, x) for p in problems]
 
-            def hess_action(v):
-                return np.mean([lin.hess_vec(v) for lin in lins], axis=0)
+            def hess_action(v):  # the batch mean, summed in batch order
+                total = lins[0].hess_vec(v)
+                for lin in lins[1:]:
+                    total += lin.hess_vec(v)
+                total /= len(lins)
+                return total
 
-            cg = cg_solve(hess_action, b, cg_tol, cg_max_iters)
+            diagonal = np.mean([lin.hess_diagonal() for lin in lins], axis=0)
+            cg = cg_solve(hess_action, b, cg_tol, diagonal, cg_max_iters)
             g = -np.mean([lin.jac_adjoint_apply(cg.x) for lin in lins], axis=0)
         if learn_mask is not None:
             g = g * learn_mask
@@ -480,7 +490,8 @@ def ttsa(
         trace._record(i, t_start, batch_value, float(np.linalg.norm(g)), 1,
                       theta_new_vec, {"step_upper": step_up, "step_lower": step_low,
                                       "cg_residual": cg.residual_norm,
-                                      "warnings": float(not cg.residual_norm <= cg_tol)})
+                                      "warnings": float(not cg.residual_norm <= cg_tol)
+                                      + float(step_low * lip > 2.0)})
     return theta, trace
 
 

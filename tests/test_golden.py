@@ -128,17 +128,17 @@ SEARCH_LOSSES = {
 
 GOLDEN = {
     "hoag/mask-1d":
-        "2560be203f3e9a46b01d396ea6465baa4253c663edc8b384e32adce9904e001d",
+        "0ec0529ea61b26efd81aaf4b6c95753499bb376e50b8d4324430a3e9197c75e6",
     "hoag/blur-2d":
-        "8a4c8f4fe9a2e075d6239c91f989361fef5a9d3e267c5a7e2fef1c5fd2440810",
+        "0d7ab301465c8c8768aa648d9d3ebe49c2ed728079d10a7efeb205e83ae26239",
     "ba/mask-1d":
-        "dfb0727faa59557db3fe929262c171adefa5b51e12bd4d3d316666c3768f092a",
+        "1efbf5052f522139e17baab0a5898dca4799f831cfcd75af319734a60447744a",
     "ba/blur-2d":
-        "b10a82725a28916684059881dff02ef19071a3d1fdbbefe61a6163d2e231df59",
+        "bbaefd0287f6c35d81091f51b15aea6e15661e7bb27f41f34fa59071e9bf7447",
     "adam-minimizer/mask-1d":
-        "90686ae3e84d832fbc80288dd6ef4d8794b0b0fb722c3f2180a483eafc8805b3",
+        "ba1591e88ec3f89510ac51a33d595700be2eb439ae4d339779fb11a478b51290",
     "adam-minimizer/blur-2d":
-        "123a019501f1e4e3854f229a12f7cb6811364f34aa90e83593729a01ad5422f5",
+        "9b2ba738b7b23da6285d0eba07192090e50a86b03a1145b8b22419f4e7a78992",
     "adam-reverse/mask-1d":
         "303f861e27c56d4cf49e946e7ac03ad415b341aeb3c8e5fa6d3f6bee0807735b",
     "adam-reverse/blur-2d":
@@ -148,17 +148,17 @@ GOLDEN = {
     "gd-forward/blur-2d":
         "22f2ac5702f51f0c14f25870b8ebdee54eee515b5de88e30820808dfce76d990",
     "ttsa/mask-1d":
-        "4d28c05003e0d0338c091694c1e219fe760776c3c63e8e6b5ce90274ddc9e408",
+        "f7a5bd6693c541a7cf62d2d1e0df3bff32f7870092858e22384d42415ec4d546",
     "ttsa/blur-2d":
-        "42de7252f0508c95fcf050cc5124c679885253078979c570a4143b9ed60cd5e3",
+        "1626abc78eecec7644351273d9a00e4cabe471526c70e37b0621fa6cb9c04337",
     "stable/mask-1d":
         "47dee6906f082e9e9c9e5f738bc1b48653f024bbfc2923b1cdf7ad69ddc5a105",
     "stable/blur-2d":
         "785537c6f22dca4e3264ba5c88da5f7963408e91b11a76b33c42f0a0c8749d9c",
     "engine-minimizer/mask-1d":
-        "c96f31dad50ef9094dc4f7c1fac00c8e6a1a2be3fecec99784cb06850444b5fe",
+        "0f8c40ea7d5c6d1093c4ba6f399750d18ec4a8256a7546f7b0b9b04f4adfb093",
     "engine-minimizer/blur-2d":
-        "bbbfa4a342aee7fda43de083071beccb3ce6ef6e909ea714a4453dcd81099269",
+        "03fe8f2b7de17cce40a64156aa943f67623e796a9796d429360766c08b5da737",
     "engine-reverse/mask-1d":
         "65df61fbe58a7087628b18a5db56435e1f0496a54eab4f6cafcaf05e425f7a8e",
     "engine-reverse/blur-2d":

@@ -857,12 +857,12 @@ class TestStackedDrivers:
         calls = []
         original = hypergrad.cg_solve
 
-        def failing_cg(hess_action, b, tol, max_iters=None):
+        def failing_cg(hess_action, b, tol, diagonal, max_iters=None):
             calls.append(b)
             if len(calls) == 5:  # upper iteration 2, sample 1
                 raise SpdViolationError("non-positive curvature p'Hp = nan "
                                         "at CG iteration 0")
-            return original(hess_action, b, tol, max_iters)
+            return original(hess_action, b, tol, diagonal, max_iters)
 
         monkeypatch.setattr(hypergrad, "cg_solve", failing_cg)
         with pytest.raises(SpdViolationError) as info:

@@ -33,6 +33,7 @@ from bilevelreg.losses import (
 )
 from bilevelreg.lower import (
     HyperParams,
+    Linearization,
     LowerProblem,
     pack_theta,
     theta_mask,
@@ -59,6 +60,7 @@ from bilevelreg.upper import (
     truncate_eigenvalues,
     ttsa,
 )
+from test_golden import blur_2d
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TARGET_LAMBDA = 1.0 / 3.0  # argmin of (y/(1+lam) - x_true)^2 for y=2, x_true=1.5
@@ -453,12 +455,12 @@ class TestTtsa:
     def test_cg_failure_is_located(self, monkeypatch):
         calls = []
 
-        def failing_cg(hess_action, b, tol, max_iters=None):
+        def failing_cg(hess_action, b, tol, diagonal, max_iters=None):
             calls.append(b)
             if len(calls) == 3:
                 raise SpdViolationError("non-positive curvature p'Hp = nan "
                                         "at CG iteration 0")
-            return cg_solve(hess_action, b, tol, max_iters)
+            return cg_solve(hess_action, b, tol, diagonal, max_iters)
 
         monkeypatch.setattr(upper, "cg_solve", failing_cg)
         with pytest.raises(SpdViolationError) as info:
@@ -964,3 +966,43 @@ class TestTraceExtras:
         # a solve that stopped short of cg_tol is a warning, as in hoag and ba
         assert [r.extra["warnings"] for r in loose.records] == [1.0, 1.0]
         assert [r.extra["warnings"] for r in tight.records] == [0.0, 0.0]
+
+    def test_ttsa_counts_a_lower_step_above_two_over_l(self):
+        # the golden corpus's 8x8 blur has 2/L = 0.134 at its start, so the
+        # lower steps 0.5 i^-0.5 exceed it for the first 14 records
+        hp, train, _ = blur_2d()
+        _, trace = ttsa(hp, train.A.adjoint(train.y[0]), PowerLaw(0.1, 0.75),
+                        PowerLaw(0.5, 0.5), train, MSELoss(), batch=2, seed=0,
+                        max_iter=20)
+        theta, warned = hp, []
+        for r in trace.records:
+            lip = LowerProblem(train.A, train.y[0], theta).lipschitz_grad()
+            assert r.extra["cg_residual"] <= 1e-10
+            assert r.extra["warnings"] == (1.0 if r.extra["step_lower"] * lip > 2.0
+                                           else 0.0)
+            warned.append(r.extra["warnings"])
+            theta = unpack_theta(theta, r.theta)
+        assert warned[:3] == [1.0] * 3 and warned[-1] == 0.0
+
+    def test_ttsa_takes_batch_hessian_products_per_cg_iteration(self, monkeypatch):
+        """Each CG iteration applies the batch-mean Hessian: one product
+        per batch sample, and none outside CG."""
+        hess_calls, cg_iters = [0], []
+        hess_vec, solve = Linearization.hess_vec, upper.cg_solve
+
+        def counting_hess_vec(lin, v):
+            hess_calls[0] += 1
+            return hess_vec(lin, v)
+
+        def counting_cg(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            cg_iters.append(res.iters_run)
+            return res
+
+        monkeypatch.setattr(Linearization, "hess_vec", counting_hess_vec)
+        monkeypatch.setattr(upper, "cg_solve", counting_cg)
+        hp, train, _ = blur_2d()
+        ttsa(hp, train.A.adjoint(train.y[0]), PowerLaw(0.1, 0.75),
+             PowerLaw(0.1, 0.5), train, MSELoss(), batch=2, seed=0, max_iter=5)
+        assert len(cg_iters) == 5 and sum(cg_iters) > 5
+        assert hess_calls[0] == 2 * sum(cg_iters)
