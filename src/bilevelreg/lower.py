@@ -419,18 +419,22 @@ class Linearization:
         ``(S, P)``, one theta vector per row.
         """
         dots = self._grid.dots
-        betas, taps = [], []
-        for t in self._terms:
+        hp = self.problem.theta
+        # one theta column per row of x, so every part is a view to fill
+        out = np.zeros((hp.theta_size(), len(self.x) if self._stacked else 1))
+        b0, betas, taps = _split(hp, out)
+        for t, beta, run in zip(self._terms, betas, taps):
             curv_cu = t.curv * circ_conv(u, t.taps)
-            betas.append(t.weight * dots(t.adj_slope, u))
+            beta[:] = t.weight * dots(t.adj_slope, u)
             # <circshift(slope,-s), u> = <slope, circshift(u,s)>;
             # <c~*(curv.*circshift(x,s)), u> = <circshift(x,s), curv.*(c*u)>
-            taps.append(t.weight * (
+            run[:] = (t.weight * (
                 dots(shifted(u, t.taps.shape, 1), t.slope) + dots(t.x_shifts, curv_cu)
-            ))
-        # w_k = e^{b0 + b_k}, so the b0 entry sums the beta entries in order
-        out = _join(self.problem.theta, [sum(betas, 0.0)], betas, taps)
-        return np.ascontiguousarray(out.T) if self._stacked else out
+            )).reshape(run.shape)
+        if b0 is not None:
+            # w_k = e^{b0 + b_k}, so the b0 entry sums the beta entries in order
+            b0[:] = sum(betas, 0.0)
+        return np.ascontiguousarray(out.T) if self._stacked else out[:, 0]
 
     def jac_columns(self) -> np.ndarray:
         """All columns of d(grad_x Phi)/d theta, shaped (P, *x.shape).

@@ -83,6 +83,22 @@ class TestTrain:
         assert [row["lower_iters"] for row in rows] == ["10"] * 3  # 5 per sample
         assert load_params(tmp_path / "params.json").n_filters == 1
 
+    @pytest.mark.parametrize("optimizer", [{"kind": "adam", "step": 0.05, "max_upper": 3},
+                                           {"kind": "ttsa", "max_upper": 3}])
+    def test_no_filters_give_a_zero_gradient(self, tmp_path, monkeypatch, recwarn,
+                                             optimizer):
+        # theta holds no entry, so every hypergradient is empty, of norm 0
+        doc = json.loads((CONFIGS / "toy_train.json").read_text())
+        doc["theta_init"]["n_filters"] = 0
+        doc["optimizer"] = optimizer
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_in(tmp_path, monkeypatch, ["train", "--config", str(cfg)]) == 0
+        with open(tmp_path / "trace.csv", newline="") as fh:
+            assert [row["grad_norm"] for row in csv.DictReader(fh)] == ["0.0"] * 3
+        assert not recwarn.list
+        assert load_params(tmp_path / "params.json").n_filters == 0
+
     def test_byte_determinism_excluding_wall_time(self, tmp_path, monkeypatch):
         outputs = []
         for name in ("a", "b"):

@@ -443,15 +443,18 @@ class TestLinearization:
     @pytest.mark.parametrize("learn_beta0", [False, True])
     # nine filters pin the left-to-right order of the b0 entry and column
     # (numpy's pairwise sum regroups from eight terms up); no filters pin
-    # the empty shapes (0,), (1,) and (P, *grid)
-    @pytest.mark.parametrize("dims,taps", [((16,), [(2,), (3,)]),
-                                           ((6, 5), [(2, 2), (1, 3)]),
-                                           ((16,), [(2,)] * 9),
-                                           ((6, 5), [(1, 2)] * 9),
-                                           ((16,), []),
-                                           ((6, 5), [])])
+    # the empty shapes (0,), (1,) and (P, *grid), and on a stack of three
+    # rows (3, 0), (3, 1) and (P, 3, *grid)
+    @pytest.mark.parametrize("dims,taps,stack", [((16,), [(2,), (3,)], ()),
+                                                 ((6, 5), [(2, 2), (1, 3)], ()),
+                                                 ((16,), [(2,)] * 9, ()),
+                                                 ((6, 5), [(1, 2)] * 9, ()),
+                                                 ((16,), [], ()),
+                                                 ((6, 5), [], ()),
+                                                 ((16,), [], (3,)),
+                                                 ((6, 5), [], (3,))])
     @pytest.mark.parametrize("model", ["identity", "mask", "circulant"])
-    def test_products_equal_per_call_formulas_bitwise(self, model, dims, taps,
+    def test_products_equal_per_call_formulas_bitwise(self, model, dims, taps, stack,
                                                       learn_beta0):
         rng = np.random.default_rng(14)
         grid = Grid(dims)
@@ -463,19 +466,26 @@ class TestLinearization:
             learn_beta0=learn_beta0,
         )
         problem = LowerProblem(_forward_model(model, grid, rng),
-                               rng.standard_normal(dims), hp)
-        x, v = rng.standard_normal((2,) + dims)
+                               rng.standard_normal(stack + dims), hp)
+        x, v = rng.standard_normal((2,) + stack + dims)
         lin = Linearization(problem, x)
         x[...] = 0.0  # the linearization keeps its own copy of x
         x = lin.x
+
+        def per_row(reference, *args):  # a stack's reference, row by row
+            if not stack:
+                return reference(problem, *args)
+            return np.stack([reference(problem, *row) for row in zip(*args)])
+
         for _ in range(2):  # products do not disturb the cached state
             # hess_vec applies the assembled stencil, whose sums are grouped
             # by offset, so it matches to rounding (TestStencil pins its bytes)
-            assert_stencil_close(lin.hess_vec(v), reference_hess_vec(problem, x, v))
+            assert_stencil_close(lin.hess_vec(v), per_row(reference_hess_vec, x, v))
             np.testing.assert_array_equal(
-                lin.jac_adjoint_apply(v), reference_jac_adjoint_apply(problem, x, v))
-            np.testing.assert_array_equal(lin.jac_columns(),
-                                          reference_jac_columns(problem, x))
+                lin.jac_adjoint_apply(v), per_row(reference_jac_adjoint_apply, x, v))
+            np.testing.assert_array_equal(
+                lin.jac_columns(),
+                np.moveaxis(per_row(reference_jac_columns, x), 0, len(stack)))
 
 
 STENCIL_CASES = [
