@@ -665,7 +665,7 @@ def build_theta(cfg: ExperimentConfig, train: TrainSet | None) -> HyperParams:
             potential=cfg.potential,
             learn_beta0=learn_beta0,
         )
-    n_filters = sec.number("n_filters", integer=True)
+    n_filters = sec.number("n_filters", integer=True, nonneg=True)
     tap_extents = sec.numbers("tap_extents", integer=True, positive=True)
     sec.build("tap_extents", _check_filter_fits, cfg.grid.dims, tap_extents)
     seed = sec.number("seed", cfg.seed, integer=True)

@@ -298,6 +298,7 @@ class TestErrors:
         ("theta_init", "filters", [[1.0] * 40]),
         ("theta_init", "tap_extents", [40]),
         ("theta_init", "tap_extents", [2, 2]),
+        ("theta_init", "n_filters", -1),
         ("loss", "weights", -1.0),
     ])
     def test_bad_config_value_is_one_line_error(self, tmp_path, monkeypatch, capsys,

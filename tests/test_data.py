@@ -663,7 +663,7 @@ class TestConfig:
     @pytest.mark.parametrize("theta_init,key,wanted", [
         ({"n_filters": 1, "tap_extents": [2], "learn_beta0": "yes"}, "learn_beta0",
          "true or false"),
-        ({"n_filters": 1.5, "tap_extents": [2]}, "n_filters", "an integer"),
+        ({"n_filters": 1.5, "tap_extents": [2]}, "n_filters", "an integer >= 0"),
         ({"n_filters": 1, "tap_extents": [2], "beta0": None}, "beta0",
          'a finite number or "auto"'),
         ({"filters": [[1.0, -1.0]], "beta0": "auto"}, "beta0", "a finite number"),
