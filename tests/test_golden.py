@@ -60,13 +60,15 @@ def mask_1d():
     return hp, train, theta_mask(hp, taps=False)
 
 
-def blur_2d():
-    """Two 8x8 signals under a 3x3 binomial blur; three 2x2 filters and a
-    learnable b0, every entry of theta learned.  With three filters the
-    order of the b0 entry's sum over the filters shows in its bits."""
+def blur_2d(n_samples=2):
+    """``n_samples`` 8x8 signals under a 3x3 binomial blur; three 2x2
+    filters and a learnable b0, every entry of theta learned.  With three
+    filters the order of the b0 entry's sum over the filters shows in its
+    bits."""
     grid = Grid((8, 8))
     A = Circulant(grid, np.outer([0.25, 0.5, 0.25], [0.25, 0.5, 0.25]))
-    xs = [gen_piecewise_constant(grid, 3, (0.0, 1.0), seed=40 + s) for s in range(2)]
+    xs = [gen_piecewise_constant(grid, 3, (0.0, 1.0), seed=40 + s)
+          for s in range(n_samples)]
     train = TrainSet(xs, [add_noise(x, A, 0.05, seed=60 + s)
                           for s, x in enumerate(xs)], A)
     hp = HyperParams(-2.0, [0.1, -0.2, 0.3],
@@ -151,6 +153,8 @@ GOLDEN = {
         "f7a5bd6693c541a7cf62d2d1e0df3bff32f7870092858e22384d42415ec4d546",
     "ttsa/blur-2d":
         "1626abc78eecec7644351273d9a00e4cabe471526c70e37b0621fa6cb9c04337",
+    "ttsa-batch3/blur-2d-4":
+        "b197940ee5b247c9fd471679ca9c8e8a0354610a3ac57213beee9d64eae858ba",
     "stable/mask-1d":
         "47dee6906f082e9e9c9e5f738bc1b48653f024bbfc2923b1cdf7ad69ddc5a105",
     "stable/blur-2d":
@@ -187,8 +191,10 @@ GOLDEN = {
 
 
 def driver_digest(driver, problem):
-    hp, train, mask = PROBLEMS[problem]()
-    theta, trace = DRIVERS[driver](hp, train, mask)
+    return run_digest(*DRIVERS[driver](*PROBLEMS[problem]()))
+
+
+def run_digest(theta, trace):
     h = hashlib.sha256(pack_theta(theta).tobytes())
     for r in trace.records:
         h.update(repr((r.iteration, float(r.loss), float(r.grad_norm), r.lower_iters,
@@ -233,6 +239,16 @@ def sweep_digest(loss, tmp_path):
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 def test_driver_bytes(driver, problem):
     assert driver_digest(driver, problem) == GOLDEN[f"{driver}/{problem}"]
+
+
+def test_ttsa_batch_of_three_bytes():
+    # four samples, three per batch: the lower gradient's batch mean adds
+    # three rows, whose order shows in the bits, where two add alike either
+    # way (the Hessian and Jacobian do not depend on y, so neither can show)
+    hp, train, _ = blur_2d(n_samples=4)
+    run = ttsa(hp, train.A.adjoint(train.y[0]), PowerLaw(0.1, 0.75),
+               PowerLaw(0.1, 0.5), train, MSELoss(), batch=3, seed=0, max_iter=3)
+    assert run_digest(*run) == GOLDEN["ttsa-batch3/blur-2d-4"]
 
 
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
