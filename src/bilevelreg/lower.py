@@ -420,9 +420,9 @@ class Linearization:
         """
         dots = self._grid.dots
         hp = self.problem.theta
-        # one theta column per row of x, so every part is a view to fill
-        out = np.zeros((hp.theta_size(), len(self.x) if self._stacked else 1))
-        b0, betas, taps = _split(hp, out)
+        # one theta row per row of x, split along its columns into views
+        out = np.zeros((len(self.x) if self._stacked else 1, hp.theta_size()))
+        b0, betas, taps = _split(hp, out.T)
         for t, beta, run in zip(self._terms, betas, taps):
             curv_cu = t.curv * circ_conv(u, t.taps)
             beta[:] = t.weight * dots(t.adj_slope, u)
@@ -434,7 +434,7 @@ class Linearization:
         if b0 is not None:
             # w_k = e^{b0 + b_k}, so the b0 entry sums the beta entries in order
             b0[:] = sum(betas, 0.0)
-        return np.ascontiguousarray(out.T) if self._stacked else out[:, 0]
+        return out if self._stacked else out[0]
 
     def jac_columns(self) -> np.ndarray:
         """All columns of d(grad_x Phi)/d theta, shaped (P, *x.shape).
