@@ -427,21 +427,21 @@ def ttsa(
 ) -> tuple[HyperParams, OptTrace]:
     """Single loop alternating one stochastic lower step and one theta step.
 
-    The lower iterate tracks the batch-mean reconstruction cost; each theta
-    gradient uses the implicit formula at the current iterate with CG on the
-    batch-mean Hessian, preconditioned by that Hessian's diagonal (see
-    ``cg_solve``).  The upper/lower step-size ratio must vanish.  Each
-    record's extras hold both step sizes, the final CG residual and
+    Each step stacks the batch into one problem with the shared lower
+    iterate in every row.  The iterate tracks the batch-mean reconstruction
+    cost; each theta gradient uses the implicit formula at it: CG on the
+    batch-mean Hessian over one linearization's row views, preconditioned
+    by its diagonal (see ``cg_solve``), then the row mean of one stacked
+    Jacobian-adjoint product.  The upper/lower step-size ratio must vanish.
+    Each record's extras hold both step sizes, the final CG residual and
     ``warnings``, which counts 1 when that residual is not within ``cg_tol``
     (NaN included) and 1 when the lower step exceeds 2/L, L the batch
-    problem's ``lipschitz_grad`` at the current theta, past which the lower
-    iteration need not converge (the unrolled engines warn alike).
+    problem's ``lipschitz_grad``, past which the lower iteration need not
+    converge (the unrolled engines warn alike).
     """
     losses = _bind_losses(train, loss_spec)
     if batch > train.n_samples:
-        raise ConfigError(
-            f"batch {batch} exceeds training set size {train.n_samples}"
-        )
+        raise ConfigError(f"batch {batch} exceeds training set size {train.n_samples}")
     if up_schedule.a != 0.0 and up_schedule.exponent <= low_schedule.exponent:
         raise ConfigError(
             "two-timescale schedules need the upper exponent to exceed the lower"
@@ -449,6 +449,7 @@ def ttsa(
     rng = np.random.Generator(np.random.PCG64(seed))
     theta = theta0
     x = np.array(x0, dtype=np.float64, copy=True)
+    Y = np.stack(train.y)
     trace = OptTrace()
     for i in range(1, max_iter + 1):
         t_start = time.perf_counter()
@@ -457,30 +458,26 @@ def ttsa(
         step_up = up_schedule.at(i)
         batch_losses = [losses[j] for j in idx]
         with _located(f"upper iteration {i}"):
-            problems = [LowerProblem(train.A, train.y[j], theta) for j in idx]
-            # the batch shares A and theta, so one L serves its mean cost
-            lip = problems[0].lipschitz_grad()
-            g_low = np.mean([p.grad_x(x) for p in problems], axis=0)
-            x = x - step_low * g_low
+            problem = LowerProblem(train.A, Y[idx], theta)
+            lip = problem.lipschitz_grad()
+            x = x - step_low * np.mean(problem.grad_x(np.stack([x] * batch)), axis=0)
             if not np.all(np.isfinite(x)):
-                raise DivergenceError(
-                    f"non-finite lower iterate after lower step {i} "
-                    f"(step size {step_low:.3e})",
-                    iteration=i,
-                )
+                raise DivergenceError(f"non-finite lower iterate after lower step {i} "
+                                      f"(step size {step_low:.3e})", iteration=i)
             b = np.mean([loss.grad_x(x) for loss in batch_losses], axis=0)
-            lins = [Linearization(p, x) for p in problems]
+            lin = Linearization(problem, np.stack([x] * batch))
+            rows = [lin._rows(j) for j in range(batch)]
 
             def hess_action(v):  # the batch mean, summed in batch order
-                total = lins[0].hess_vec(v)
-                for lin in lins[1:]:
-                    total += lin.hess_vec(v)
-                total /= len(lins)
+                total = rows[0].hess_vec(v)
+                for row in rows[1:]:
+                    total += row.hess_vec(v)
+                total /= batch
                 return total
 
-            diagonal = np.mean([lin.hess_diagonal() for lin in lins], axis=0)
+            diagonal = np.mean([row.hess_diagonal() for row in rows], axis=0)
             cg = cg_solve(hess_action, b, cg_tol, diagonal, cg_max_iters)
-            g = -np.mean([lin.jac_adjoint_apply(cg.x) for lin in lins], axis=0)
+            g = -np.mean(lin.jac_adjoint_apply(np.stack([cg.x] * batch)), axis=0)
         if learn_mask is not None:
             g = g * learn_mask
         theta_vec = pack_theta(theta)

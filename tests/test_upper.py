@@ -1006,3 +1006,29 @@ class TestTraceExtras:
              PowerLaw(0.1, 0.5), train, MSELoss(), batch=2, seed=0, max_iter=5)
         assert len(cg_iters) == 5 and sum(cg_iters) > 5
         assert hess_calls[0] == 2 * sum(cg_iters)
+
+    def test_ttsa_stacks_each_batch_into_one_problem(self, monkeypatch):
+        """Each step builds one problem and one linearization of its batch, a
+        row view per sample, and takes one grad_x and one Jacobian-adjoint
+        product on the stack."""
+        calls = dict.fromkeys(["LowerProblem", "Linearization", "_rows", "grad_x",
+                               "jac_adjoint_apply"], 0)
+
+        def counting(name, method):
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return count
+
+        for owner, name, method in [(upper, "LowerProblem", LowerProblem),
+                                    (upper, "Linearization", Linearization),
+                                    (Linearization, "_rows", Linearization._rows),
+                                    (LowerProblem, "grad_x", LowerProblem.grad_x),
+                                    (Linearization, "jac_adjoint_apply",
+                                     Linearization.jac_adjoint_apply)]:
+            monkeypatch.setattr(owner, name, counting(name, method))
+        hp, train, _ = blur_2d()
+        ttsa(hp, train.A.adjoint(train.y[0]), PowerLaw(0.1, 0.75),
+             PowerLaw(0.1, 0.5), train, MSELoss(), batch=2, seed=0, max_iter=5)
+        assert calls == {"LowerProblem": 5, "Linearization": 5, "_rows": 10,
+                         "grad_x": 5, "jac_adjoint_apply": 5}
