@@ -429,19 +429,19 @@ def ttsa(
 
     Each step stacks the batch into one problem with the shared lower
     iterate in every row.  The iterate tracks the batch-mean reconstruction
-    cost; each theta gradient uses the implicit formula at it: CG on the
-    batch-mean Hessian over one linearization's row views, preconditioned
-    by its diagonal (see ``cg_solve``), then the row mean of one stacked
-    Jacobian-adjoint product.  The upper/lower step-size ratio must vanish.
-    Each record's extras hold both step sizes, the final CG residual and
-    ``warnings``, which counts 1 when that residual is not within ``cg_tol``
-    (NaN included) and 1 when the lower step exceeds 2/L, L the batch
-    problem's ``lipschitz_grad``, past which the lower iteration need not
-    converge (the unrolled engines warn alike).
+    cost; each theta gradient uses the implicit formula at it with CG on
+    the batch-mean Hessian, preconditioned by its diagonal (see
+    ``cg_solve``).  The upper/lower step-size ratio must vanish.  Each
+    record's extras hold both step sizes, the final CG residual and
+    ``warnings``: 1 when that residual is not within ``cg_tol`` (NaN
+    included), plus 1 when the lower step exceeds 2/L (L the batch problem's
+    ``lipschitz_grad``), past which the lower iteration need not converge.
     """
     losses = _bind_losses(train, loss_spec)
     if batch > train.n_samples:
-        raise ConfigError(f"batch {batch} exceeds training set size {train.n_samples}")
+        raise ConfigError(
+            f"batch {batch} exceeds training set size {train.n_samples}"
+        )
     if up_schedule.a != 0.0 and up_schedule.exponent <= low_schedule.exponent:
         raise ConfigError(
             "two-timescale schedules need the upper exponent to exceed the lower"
@@ -462,8 +462,11 @@ def ttsa(
             lip = problem.lipschitz_grad()
             x = x - step_low * np.mean(problem.grad_x(np.stack([x] * batch)), axis=0)
             if not np.all(np.isfinite(x)):
-                raise DivergenceError(f"non-finite lower iterate after lower step {i} "
-                                      f"(step size {step_low:.3e})", iteration=i)
+                raise DivergenceError(
+                    f"non-finite lower iterate after lower step {i} "
+                    f"(step size {step_low:.3e})",
+                    iteration=i,
+                )
             b = np.mean([loss.grad_x(x) for loss in batch_losses], axis=0)
             lin = Linearization(problem, np.stack([x] * batch))
             rows = [lin._rows(j) for j in range(batch)]
