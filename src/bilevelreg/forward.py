@@ -8,6 +8,8 @@ each row as on one signal, bit for bit.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .signals import (
@@ -120,13 +122,19 @@ class Circulant(ForwardModel):
     def adjoint(self, u):
         return circ_conv_adjoint(u, self.grid.lift(u, self.taps))
 
+    @functools.cached_property
+    def _power(self) -> np.ndarray:
+        """|A^|^2, taken once per operator; read-only, as it is shared."""
+        power = filter_power(self.taps, self.grid)
+        power.flags.writeable = False
+        return power
+
     def spectral_bounds(self):
-        power = filter_power(self.taps, self.grid)  # |A^|^2
-        return (float(np.max(power)), float(np.min(power)))
+        return (float(np.max(self._power)), float(np.min(self._power)))
 
     def gram_symbol(self):
         # A'A is circulant: its own symbol |A^|^2
-        return filter_power(self.taps, self.grid)
+        return self._power
 
     def gram_stencil(self):
         # the autocorrelation of the taps, the same at every position

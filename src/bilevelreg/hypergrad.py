@@ -150,7 +150,9 @@ def hypergrad_unrolled_reverse(
     iterates at once, as one ``(T S, *grid)`` stack (about T S N (taps + 4)
     floats).  The backward sweep takes one Hessian-vector and one
     Jacobian-adjoint product per step from that linearization's view of the
-    step's iterate.  A stacked ``x0`` runs every row at once, ``loss``
+    step's iterate; a step's fixed cost is that view, its stencil assembly
+    and the two products (see ``Linearization``), and both updates are
+    made in place.  A stacked ``x0`` runs every row at once, ``loss``
     holding one loss per row; each row's gradient equals its own run's bit
     for bit.  ``warning`` is set when ``step`` exceeds 2/L.
     """
@@ -159,14 +161,19 @@ def hypergrad_unrolled_reverse(
     grid = problem.A.grid
     lead = run.x.shape[: run.x.ndim - grid.rank]
     grad = np.zeros(lead + (problem.theta.theta_size(),))
-    delta = _loss_grad(problem, loss, run.x)
+    delta = np.array(_loss_grad(problem, loss, run.x), dtype=np.float64)
     if n_steps:
         path = Linearization(problem, np.reshape(run.trajectory[:n_steps], (-1,) + grid.dims))
     for t in range(n_steps, 0, -1):
         # iterate t - 1 is row t - 1 of the path, or rows (t-1)S .. tS-1 of it
         lin = path._rows(slice((t - 1) * lead[0], t * lead[0]) if lead else t - 1)
-        grad -= step * lin.jac_adjoint_apply(delta)
-        delta = delta - step * lin.hess_vec(delta)
+        # grad -= step J'delta and delta -= step H delta, into fresh products
+        product = lin.jac_adjoint_apply(delta)
+        product *= step
+        grad -= product
+        product = lin.hess_vec(delta)
+        product *= step
+        delta -= product
     return _unrolled_result(problem, grad, run.x, n_steps, step)
 
 

@@ -8,7 +8,8 @@ The cost is
 with log tuning weights b0, b1..bK and circular filters c_k.  The learnable
 parameter vector packs [b0 (optional), b1..bK, c_1 taps, ..., c_K taps] in
 row-major tap order; the layout is frozen and tagged so parameter files stay
-forward-compatible.  ``_join`` and ``_split`` are the only code that knows it.
+forward-compatible.  ``_join`` and ``_layout`` (which ``_split`` reads) are
+the only code that knows it.
 
 Derivative conventions (validated against finite differences; see README):
 
@@ -30,10 +31,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DimensionError, DivergenceError
 from .forward import ForwardModel
 from .potentials import Potential
 from .signals import (
+    _check_filter_fits,
     as_filter,
     centred_rows,
     circ_conv,
@@ -87,21 +89,26 @@ def _join(hp: HyperParams, b0, betas, taps) -> np.ndarray:
     return np.concatenate([*head, betas, *taps])
 
 
+def _layout(hp: HyperParams):
+    """Where ``_join`` puts each part: the layout size, the b0 entry's index
+    (None unless learnable), the betas' slice and one slice of taps per
+    filter."""
+    pos = (1 if hp.learn_beta0 else 0) + hp.n_filters
+    betas = slice(pos - hp.n_filters, pos)
+    taps = []
+    for c in hp.filters:
+        taps.append(slice(pos, pos + c.size))
+        pos += c.size
+    return pos, 0 if hp.learn_beta0 else None, betas, taps
+
+
 def _split(hp: HyperParams, theta: np.ndarray):
     """Inverse of ``_join``: the b0 entry (None unless learnable), the betas
     and one run of taps per filter, as views along axis 0 of ``theta``."""
-    if len(theta) != hp.theta_size():
-        raise ValueError(
-            f"theta length {len(theta)} does not match layout size {hp.theta_size()}"
-        )
-    b0 = theta[0] if hp.learn_beta0 else None
-    pos = (1 if hp.learn_beta0 else 0) + hp.n_filters
-    betas = theta[pos - hp.n_filters : pos]
-    taps = []
-    for c in hp.filters:
-        taps.append(theta[pos : pos + c.size])
-        pos += c.size
-    return b0, betas, taps
+    size, b0, betas, taps = _layout(hp)
+    if len(theta) != size:
+        raise ValueError(f"theta length {len(theta)} does not match layout size {size}")
+    return None if b0 is None else theta[b0], theta[betas], [theta[run] for run in taps]
 
 
 def pack_theta(hp: HyperParams) -> np.ndarray:
@@ -184,11 +191,29 @@ class LowerProblem:
         self._weights = [self.A.grid.per_row(wk) for wk in w]
         self._plan = None  # see _stencil_plan
 
+    @functools.cached_property
+    def _theta_layout(self):
+        """``_layout`` of theta, fixed for the problem: every Jacobian-adjoint
+        product of its linearizations writes into it."""
+        return _layout(self.theta)
+
+    @functools.cached_property
+    def _filter_powers(self) -> np.ndarray:
+        """|C_k^|^2 of every filter, shaped ``(K, *rfft grid)``: one FFT of
+        the filters, zero-padded to the grid and stacked."""
+        dims = self.A.grid.dims
+        bank = np.zeros((self.theta.n_filters,) + dims)
+        for row, c in zip(bank, self.theta.filters):
+            _check_filter_fits(dims, c.shape)
+            row[tuple(slice(0, n) for n in c.shape)] = c
+        return filter_power(bank, self.A.grid)
+
     def _rows(self, keep) -> "LowerProblem":
         """The problem of the stack's rows ``keep``, in that order: one
         signal for an index, a stack for a list (which ``row_beta0`` needs).
         A shallow copy that slices ``y``, ``row_beta0`` and the weights and
-        shares the stencil plan, so it checks and computes nothing."""
+        shares the stencil plan, theta layout and filter spectra, so it
+        checks and computes nothing."""
         rows = copy.copy(self)
         rows.y = self.y[keep]
         if self.row_beta0 is not None:
@@ -263,12 +288,13 @@ class LowerProblem:
         ``phi'' <= L_phi'`` and ``A'A <= |A^|^2`` (``gram_symbol``) give
         ``H(x) <= P`` at every x.  Shaped ``(S, *rfft grid)``, one symbol
         per row, for ``row_beta0`` with filters; a constant for ``Identity``
-        or ``Mask`` without filters.
+        or ``Mask`` without filters.  The filter spectra are one FFT of the
+        bank, taken at the problem's first call.
         """
         l_dphi = self.theta.potential.curvature_bound()
         total = self.A.gram_symbol()
-        for w, c in zip(self._weights, self.theta.filters):
-            total = total + w * l_dphi * filter_power(c, self.A.grid)
+        for w, power in zip(self._weights, self._filter_powers):
+            total = total + w * l_dphi * power
         return total
 
     def regularity_report(self, x_norm_bound: float) -> dict:
@@ -283,8 +309,8 @@ class LowerProblem:
         mu = float(self.A.spectral_bounds()[1])
         l_dphi = self.theta.potential.curvature_bound()
         l_ddphi = self.theta.potential.curvature_lipschitz()
-        pairs = [(w, float(np.max(filter_power(c, self.A.grid))))  # (w_k, s_k^2)
-                 for w, c in zip(self._weights, self.theta.filters)]
+        pairs = [(w, float(np.max(power)))  # (w_k, s_k^2)
+                 for w, power in zip(self._weights, self._filter_powers)]
         return {
             "mu": mu,
             "strongly_convex": mu > 0.0,
@@ -327,6 +353,8 @@ class Linearization:
     caller's array do not reach the linearization.  ``x`` may be a stack
     ``(S, *grid)`` of one iterate per row of a stacked problem: every product
     then acts on each row, bit for bit as that row's own linearization would.
+    A product takes a vector shaped like ``x`` and raises DimensionError,
+    naming both shapes, on any other.
 
     ``hess_vec`` applies the Hessian as a position-dependent stencil over
     centred offsets d,
@@ -344,16 +372,22 @@ class Linearization:
     A linearization at a stack of iterates serves each iterate through a row
     view (``_rows``), which slices its arrays and assembles its own M: the
     unrolled reverse engine linearizes its whole trajectory at once this way.
+    A reverse step's fixed cost is then one view (a few slices, no checks),
+    one assembly (a gather of phi'' per filter and one matrix product per
+    row, written straight into M), one Hessian product and one
+    Jacobian-adjoint product (a convolution, a gather and three
+    ``Grid.dots`` per filter, written into the problem's cached theta
+    layout).
     """
 
-    def __init__(self, problem: LowerProblem, x: np.ndarray, _terms=None):
+    def __init__(self, problem: LowerProblem, x: np.ndarray):
         problem._shared_beta0("a linearization")
         self.problem = problem
         self._grid = problem.A.grid
-        # a row view (``_rows``) passes views of its parent's x and terms
-        self.x = np.array(x, dtype=np.float64) if _terms is None else x
+        self.x = np.array(x, dtype=np.float64)
         self._stacked = self._grid.is_stack(self.x)
-        self._terms = self._filter_terms() if _terms is None else _terms
+        self._terms = self._filter_terms()
+        self._m = None  # see _stencil
 
     def _filter_terms(self) -> list[_FilterTerm]:
         pot = self.problem.theta.potential
@@ -368,19 +402,27 @@ class Linearization:
     def _rows(self, keep) -> "Linearization":
         """The linearization at rows ``keep`` of this stacked x: one signal
         for an index, a stack for a slice.  It views this one's arrays and
-        recomputes nothing, so its products equal those of a linearization
-        built at ``x[keep]`` bit for bit."""
-        x = self.x[keep]
-        stacked = self._grid.is_stack(x)
-        return Linearization(
-            self.problem, x, [t.rows(keep, stacked) for t in self._terms]
-        )
+        checks and recomputes nothing, so its products equal those of a
+        linearization built at ``x[keep]`` bit for bit."""
+        view = object.__new__(Linearization)
+        view.problem, view._grid = self.problem, self._grid
+        view.x = self.x[keep]
+        view._stacked = view.x.ndim == self.x.ndim
+        view._terms = [t.rows(keep, view._stacked) for t in self._terms]
+        view._m = None
+        return view
+
+    def _check(self, v: np.ndarray, name: str) -> None:
+        if v.shape != self.x.shape:
+            raise DimensionError(f"{name} of shape {v.shape} does not match the "
+                                 f"linearization's x of shape {self.x.shape}")
 
     def hess_vec(self, v: np.ndarray) -> np.ndarray:
         """hess(x) v = A'(Av) + sum_k w_k c~_k * (phi''.(z_k) .* (c_k * v)),
         by the stencil M assembled at the first call (see the class docstring).
         """
-        half, m = self._stencil
+        self._check(v, "v")
+        half, m = self._stencil()
         terms = centred_rows(v, half)
         terms *= m
         return np.add.reduce(terms, axis=0).reshape(v.shape)
@@ -388,29 +430,34 @@ class Linearization:
     def hess_diagonal(self) -> np.ndarray:
         """diag hess(x), shaped like x: the zero-offset row of the stencil M,
         which this assembles as the first ``hess_vec`` would.  Read-only."""
-        _, m = self._stencil
+        _, m = self._stencil()
         diagonal = m[len(m) // 2].reshape(self.x.shape)
         diagonal.flags.writeable = False
         return diagonal
 
-    @functools.cached_property
     def _stencil(self):
         """The half-widths of the offset box and M shaped (offsets, x.size),
-        assembled at the first use."""
+        assembled at the first call and kept."""
+        if self._m is not None:
+            return self._m
         half, base, pairs = self.problem._stencil_plan()
         rows = len(self.x) if self._stacked else 1
+        shape = (len(base), rows, self.x.size // rows)
         if pairs is None:
-            m = np.broadcast_to(base, (len(base), rows, self.x.size // rows))
-            return half, m.reshape(len(base), -1)
-        # curv[s] = phi''.(z_k)_{i+s}, the filters side by side along s
-        curv = np.concatenate([
-            shifted(t.curv, t.taps.shape, -1).reshape(t.taps.size, rows, -1)
-            for t in self._terms
-        ])
-        # one matrix product per row, so a stack's rows equal their own
-        m = np.matmul(pairs, curv.transpose(1, 0, 2))
-        m += base.reshape(len(base), -1)
-        return half, m.transpose(1, 0, 2).reshape(len(base), -1)
+            self._m = half, np.broadcast_to(base, shape).reshape(len(base), -1)
+            return self._m
+        # curv[s] = phi''.(z_k)_{i+s}, the filters side by side along s (one
+        # filter's gather is already whole)
+        parts = [shifted(t.curv, t.taps.shape, -1).reshape(t.taps.size, rows, -1)
+                 for t in self._terms]
+        curv = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        # one matrix product per row, so a stack's rows equal their own,
+        # each written straight into its rows of M
+        m = np.empty(shape)
+        np.matmul(pairs, curv.transpose(1, 0, 2), out=m.transpose(1, 0, 2))
+        m += base
+        self._m = half, m.reshape(len(base), -1)
+        return self._m
 
     def jac_adjoint_apply(self, u: np.ndarray) -> np.ndarray:
         """(d(grad_x Phi)/d theta)' u as a flat theta-shaped vector.
@@ -418,23 +465,23 @@ class Linearization:
         For a stack, ``u`` has one row per row of x and the result is
         ``(S, P)``, one theta vector per row.
         """
+        self._check(u, "u")
         dots = self._grid.dots
-        hp = self.problem.theta
-        # one theta row per row of x, split along its columns into views
-        out = np.zeros((len(self.x) if self._stacked else 1, hp.theta_size()))
-        b0, betas, taps = _split(hp, out.T)
-        for t, beta, run in zip(self._terms, betas, taps):
+        size, b0, betas, taps = self.problem._theta_layout
+        out = np.zeros(self.x.shape[:1] + (size,) if self._stacked else size)
+        cols = out.T  # one entry of theta, or one per row, at each index
+        for t, beta, run in zip(self._terms, range(betas.start, betas.stop), taps):
             curv_cu = t.curv * circ_conv(u, t.taps)
-            beta[:] = t.weight * dots(t.adj_slope, u)
+            cols[beta] = t.weight * dots(t.adj_slope, u)
             # <circshift(slope,-s), u> = <slope, circshift(u,s)>;
             # <c~*(curv.*circshift(x,s)), u> = <circshift(x,s), curv.*(c*u)>
-            run[:] = (t.weight * (
+            cols[run] = t.weight * (
                 dots(shifted(u, t.taps.shape, 1), t.slope) + dots(t.x_shifts, curv_cu)
-            )).reshape(run.shape)
+            )
         if b0 is not None:
             # w_k = e^{b0 + b_k}, so the b0 entry sums the beta entries in order
-            b0[:] = sum(betas, 0.0)
-        return out if self._stacked else out[0]
+            cols[b0] = sum(cols[betas], 0.0)
+        return out
 
     def jac_columns(self) -> np.ndarray:
         """All columns of d(grad_x Phi)/d theta, shaped (P, *x.shape).

@@ -74,12 +74,15 @@ class Grid:
         with numpy broadcasting over the leading axes.
 
         ``np.vecdot`` of contiguous rows equals ``float(np.vdot(...))`` of
-        each pair bit for bit: both reach the same dot kernel.
+        each pair bit for bit: both reach the same dot kernel.  It contracts
+        the last axis, so only a grid of several axes is flattened first.
+        The engines take every grid inner product here (a Jacobian-adjoint
+        product takes three per filter), so none pays for more than this.
         """
-        def flat(v):
-            return v.reshape(v.shape[: v.ndim - self.rank] + (-1,))
-
-        return np.vecdot(flat(a), flat(b))
+        if len(self.dims) > 1:
+            a = a.reshape(a.shape[: a.ndim - len(self.dims)] + (-1,))
+            b = b.reshape(b.shape[: b.ndim - len(self.dims)] + (-1,))
+        return np.vecdot(a, b)
 
     def fourier_multiply(self, x: np.ndarray, symbol) -> np.ndarray:
         """irfft(symbol . rfft(x)) over the grid axes of one signal or of
@@ -263,9 +266,16 @@ def filter_power(c: np.ndarray, grid: Grid) -> np.ndarray:
     library reads comes from here; real taps give |c^(-m)| = |c^(m)|, so
     the half grid holds every value of the full one.
 
+    ``c`` may also be a bank of K filters zero-padded to one shape and
+    stacked along a leading axis, ``(K, *taps)``: one FFT then gives one
+    symbol per filter, ``(K, *rfft grid)``, each equal to that filter's own
+    bit for bit (zero padding changes no value the transform reads).
+
     A kernel that vanishes at a frequency by symmetry, such as ``[0.5, 0.5]``
     at Nyquist, gives an exact 0 there.
     """
     c = np.asarray(c, dtype=np.float64)
-    _check_filter_fits(grid.dims, c.shape)
-    return np.abs(np.fft.rfftn(c, s=grid.dims, axes=tuple(range(grid.rank)))) ** 2
+    lead = 1 if c.ndim == grid.rank + 1 else 0  # a bank's filter axis
+    _check_filter_fits(grid.dims, c.shape[lead:])
+    axes = tuple(range(lead, c.ndim))
+    return np.abs(np.fft.rfftn(c, s=grid.dims, axes=axes)) ** 2

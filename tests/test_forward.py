@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from bilevelreg import forward
 from bilevelreg.errors import DimensionError
 from bilevelreg.forward import Circulant, Identity, Mask
-from bilevelreg.signals import Grid
+from bilevelreg.signals import Grid, filter_power
 
 
 def all_models(grid):
@@ -93,6 +94,20 @@ class TestSpectralBounds:
                 ax = float(np.vdot(model.apply(x), model.apply(x)))
                 xx = float(np.vdot(x, x))
                 assert lo * xx - 1e-10 <= ax <= hi * xx + 1e-10
+
+    def test_circulant_symbol_is_taken_once(self, monkeypatch):
+        """A blur's |A^|^2 is one FFT per operator, shared read-only by
+        ``gram_symbol`` and ``spectral_bounds``, and equal to a fresh one."""
+        calls = []
+        monkeypatch.setattr(forward, "filter_power",
+                            lambda c, g, _f=forward.filter_power: calls.append(c) or _f(c, g))
+        grid = Grid((6, 8))
+        model = Circulant(grid, [[0.5, 0.25], [0.25, 0.0]])
+        symbol = model.gram_symbol()
+        assert model.gram_symbol() is symbol and not symbol.flags.writeable
+        assert model.spectral_bounds() == (float(np.max(symbol)), float(np.min(symbol)))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(symbol, filter_power(model.taps, grid))
 
 
 class TestValidation:

@@ -1,11 +1,12 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bilevelreg import lower
-from bilevelreg.errors import DivergenceError
+from bilevelreg.errors import DimensionError, DivergenceError
 from bilevelreg.forward import Circulant, Identity, Mask
 from bilevelreg.lower import (
     HyperParams,
@@ -488,6 +489,40 @@ class TestLinearization:
                 np.moveaxis(per_row(reference_jac_columns, x), 0, len(stack)))
 
 
+class TestProductShapes:
+    """A product takes a vector shaped like x; any other shape raises a
+    DimensionError naming both, where numpy would broadcast, wrap a flat
+    stack's circular shifts across its rows, or fail unlocated."""
+
+    # (stack of x, shape of the wrong vector), on the (8,) grid; "view" is
+    # row view 1:3 of a 4-row stack, and "flat" the 2-row stack's 16
+    # samples in one row
+    CASES = {
+        "stacked": ((2,), (3, 8)),
+        "unstacked": ((), (2, 8)),
+        "view": ((4,), (3, 8)),
+        "flat": ((2,), (16,)),
+    }
+
+    @pytest.mark.parametrize("method", ["hess_vec", "jac_adjoint_apply"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_wrong_shape_is_a_located_error(self, case, method):
+        stack, wrong = self.CASES[case]
+        rng = np.random.default_rng(5)
+        hp = HyperParams(-0.4, [0.2], [rng.standard_normal(2)], CornerRounded1Norm(0.1))
+        problem = LowerProblem(Identity(Grid((8,))), rng.standard_normal(stack + (8,)), hp)
+        lin = Linearization(problem, rng.standard_normal(stack + (8,)))
+        if case == "view":
+            lin = lin._rows(slice(1, 3))
+        product = getattr(lin, method)
+        name = "v" if method == "hess_vec" else "u"
+        with pytest.raises(DimensionError, match=re.escape(
+                f"{name} of shape {wrong} does not match the linearization's x "
+                f"of shape {lin.x.shape}")):
+            product(rng.standard_normal(wrong))
+        product(rng.standard_normal(lin.x.shape))  # the right shape still serves
+
+
 STENCIL_CASES = [
     (model, rank, filters)
     for model in ("identity", "mask", "circulant")
@@ -538,9 +573,14 @@ class TestRowView:
     """``Linearization._rows``: the linearization at some rows of a stacked
     x, sliced from the stack's arrays (the reverse engine's per-step view)."""
 
+    # with b0 learnable the Jacobian-adjoint product writes one more entry,
+    # the sum of the betas, into the problem's cached layout
+    @pytest.mark.parametrize("learn_beta0", [False, True])
     @pytest.mark.parametrize("model,rank,filters", STENCIL_CASES)
-    def test_products_equal_own_linearization_bitwise(self, model, rank, filters):
-        lin, _, rng = stencil_case(model, rank, filters, stacked=True)
+    def test_products_equal_own_linearization_bitwise(self, model, rank, filters,
+                                                      learn_beta0):
+        lin, _, rng = stencil_case(model, rank, filters, stacked=True,
+                                   learn_beta0=learn_beta0)
         problem = lin.problem
         for keep in (1, slice(1, 3)):
             view = lin._rows(keep)
@@ -767,10 +807,11 @@ class TestRegularityReport:
 
 
 SRC = Path(lower.__file__).resolve().parent
+# ``_split`` reads the layout through ``_layout``, which a problem caches
 LAYOUT_HOMES = {
     ("lower.py", "HyperParams.theta_size"),
     ("lower.py", "_join"),
-    ("lower.py", "_split"),
+    ("lower.py", "_layout"),
     ("data.py", "save_params"),
 }
 

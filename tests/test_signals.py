@@ -214,6 +214,31 @@ class TestSpectrum:
         top = np.max(np.linalg.eigvalsh(dense.T @ dense))
         assert power_max(c, grid) == pytest.approx(top, abs=1e-10)
 
+    @pytest.mark.parametrize("dims,shapes", [((16,), [(2,), (4,), (1,)]),
+                                             ((15,), [(3,), (2,)]),
+                                             ((6, 8), [(2, 3), (3, 1), (1, 1)]),
+                                             ((5, 7), [(3, 2), (2, 3)])])
+    @pytest.mark.parametrize("pad_to", ["taps", "grid"])
+    def test_filter_bank_equals_each_filter_bitwise(self, dims, shapes, pad_to):
+        """One FFT of a bank of mixed filter shapes, zero-padded to their
+        common extents or to the grid and stacked, gives each filter's own
+        symbol bit for bit."""
+        rng = np.random.default_rng(11)
+        grid = Grid(dims)
+        filters = [rng.standard_normal(shape) for shape in shapes]
+        extents = dims if pad_to == "grid" else tuple(np.max(shapes, axis=0))
+        bank = np.zeros((len(filters),) + extents)
+        for row, c in zip(bank, filters):
+            row[tuple(slice(0, n) for n in c.shape)] = c
+        powers = filter_power(bank, grid)
+        assert powers.shape == (len(filters),) + dims[:-1] + (dims[-1] // 2 + 1,)
+        for power, c in zip(powers, filters):
+            np.testing.assert_array_equal(power, filter_power(c, grid))
+
+    def test_filter_bank_that_does_not_fit_is_rejected(self):
+        with pytest.raises(DimensionError, match=r"filter extents \(2, 5\) exceed"):
+            filter_power(np.ones((3, 2, 5)), Grid((4, 4)))
+
     @pytest.mark.parametrize("dims,taps", [((16,), (4,)), ((15,), (4,)),
                                            ((6, 8), (2, 3)), ((5, 7), (3, 2))])
     def test_half_grid_holds_the_full_grid_extremes(self, dims, taps):

@@ -141,7 +141,8 @@ class TestGD:
 
     def test_step_is_built_at_the_first_step(self, monkeypatch):
         """The step (1/L, or the majorizer's P+) takes one filter spectrum
-        per filter, and a budget of 0, which takes no step, takes none."""
+        per filter, all in one FFT of the filter bank, and a budget of 0,
+        which takes no step, takes none."""
         grid = Grid((16,))
         A = Identity(grid)
         rng = np.random.default_rng(0)
@@ -158,8 +159,9 @@ class TestGD:
             calls.clear()
             hypergrad_minimizer(LowerProblem(A, y, hp),
                                 bind_loss(MSELoss(), y, A, x_true), y, cfg, 1e-10)
-            spectra.append(len(calls))
-        assert spectra == [0, 2, 2, 0]  # zero budget, budget, tolerance, explicit step
+            spectra.append((len(calls), sum(len(c) for c in calls)))
+        # (FFTs, filters) at zero budget, budget, tolerance and explicit step
+        assert spectra == [(0, 0), (1, 2), (1, 2), (0, 0)]
 
 
 class TestCG:
