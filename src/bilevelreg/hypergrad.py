@@ -161,7 +161,7 @@ def hypergrad_unrolled_reverse(
     grid = problem.A.grid
     lead = run.x.shape[: run.x.ndim - grid.rank]
     grad = np.zeros(lead + (problem.theta.theta_size(),))
-    delta = np.array(_loss_grad(problem, loss, run.x), dtype=np.float64)
+    delta = np.array(_loss_grad(problem, loss, run.x), dtype=np.float64)  # ours to update
     if n_steps:
         path = Linearization(problem, np.reshape(run.trajectory[:n_steps], (-1,) + grid.dims))
     for t in range(n_steps, 0, -1):

@@ -387,7 +387,7 @@ class Linearization:
         self.x = np.array(x, dtype=np.float64)
         self._stacked = self._grid.is_stack(self.x)
         self._terms = self._filter_terms()
-        self._m = None  # see _stencil
+        self._m = None  # (half-widths, M), see _stencil
 
     def _filter_terms(self) -> list[_FilterTerm]:
         pot = self.problem.theta.potential
@@ -412,17 +412,17 @@ class Linearization:
         view._m = None
         return view
 
-    def _check(self, v: np.ndarray, name: str) -> None:
-        if v.shape != self.x.shape:
-            raise DimensionError(f"{name} of shape {v.shape} does not match the "
-                                 f"linearization's x of shape {self.x.shape}")
+    def _mismatch(self, name: str, v: np.ndarray) -> DimensionError:
+        return DimensionError(f"{name} of shape {v.shape} does not match the "
+                              f"linearization's x of shape {self.x.shape}")
 
     def hess_vec(self, v: np.ndarray) -> np.ndarray:
         """hess(x) v = A'(Av) + sum_k w_k c~_k * (phi''.(z_k) .* (c_k * v)),
         by the stencil M assembled at the first call (see the class docstring).
         """
-        self._check(v, "v")
-        half, m = self._stencil()
+        if v.shape != self.x.shape:
+            raise self._mismatch("v", v)
+        half, m = self._m or self._stencil()
         terms = centred_rows(v, half)
         terms *= m
         return np.add.reduce(terms, axis=0).reshape(v.shape)
@@ -430,16 +430,14 @@ class Linearization:
     def hess_diagonal(self) -> np.ndarray:
         """diag hess(x), shaped like x: the zero-offset row of the stencil M,
         which this assembles as the first ``hess_vec`` would.  Read-only."""
-        _, m = self._stencil()
+        _, m = self._m or self._stencil()
         diagonal = m[len(m) // 2].reshape(self.x.shape)
         diagonal.flags.writeable = False
         return diagonal
 
     def _stencil(self):
         """The half-widths of the offset box and M shaped (offsets, x.size),
-        assembled at the first call and kept."""
-        if self._m is not None:
-            return self._m
+        assembled and kept at the first product."""
         half, base, pairs = self.problem._stencil_plan()
         rows = len(self.x) if self._stacked else 1
         shape = (len(base), rows, self.x.size // rows)
@@ -465,7 +463,8 @@ class Linearization:
         For a stack, ``u`` has one row per row of x and the result is
         ``(S, P)``, one theta vector per row.
         """
-        self._check(u, "u")
+        if u.shape != self.x.shape:
+            raise self._mismatch("u", u)
         dots = self._grid.dots
         size, b0, betas, taps = self.problem._theta_layout
         out = np.zeros(self.x.shape[:1] + (size,) if self._stacked else size)
