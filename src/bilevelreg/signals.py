@@ -76,8 +76,7 @@ class Grid:
         ``np.vecdot`` of contiguous rows equals ``float(np.vdot(...))`` of
         each pair bit for bit: both reach the same dot kernel.  It contracts
         the last axis, so only a grid of several axes is flattened first.
-        The engines take every grid inner product here (a Jacobian-adjoint
-        product takes three per filter), so none pays for more than this.
+        ``lower`` and ``hypergrad`` take every grid inner product here.
         """
         if len(self.dims) > 1:
             a = a.reshape(a.shape[: a.ndim - len(self.dims)] + (-1,))
