@@ -148,13 +148,17 @@ def hypergrad_unrolled_reverse(
 
     Stores the full trajectory (memory O(T N)) and linearizes its first T
     iterates at once, as one ``(T S, *grid)`` stack (about T S N (taps + 4)
-    floats).  The backward sweep takes one Hessian-vector and one
-    Jacobian-adjoint product per step from that linearization's view of the
-    step's iterate; a step's fixed cost is that view, its stencil assembly
-    and the two products (see ``Linearization``), and both updates are
-    made in place.  A stacked ``x0`` runs every row at once, ``loss``
-    holding one loss per row; each row's gradient equals its own run's bit
-    for bit.  ``warning`` is set when ``step`` exceeds 2/L.
+    floats).  The backward sweep walks the trajectory in blocks of
+    ``span = ceil(T / offsets)`` steps, ``offsets`` the size of the
+    problem's Hessian stencil box: it assembles the stencil M of each
+    block's view once, which holds at most (T + offsets) S N floats, and
+    takes one Hessian-vector and one Jacobian-adjoint product per step from
+    the block's view of the step's iterate, which takes its rows of that M.
+    A step's fixed cost is that view and the two products (see
+    ``Linearization``), and both updates are made in place.  A stacked
+    ``x0`` runs every row at once, ``loss`` holding one loss per row; each
+    row's gradient equals its own run's bit for bit.  ``warning`` is set
+    when ``step`` exceeds 2/L.
     """
     cfg = GDConfig(step=step, max_iters=n_steps, grad_tol=0.0, record_trajectory=True)
     run = gd_minimize(problem, x0, cfg)
@@ -162,18 +166,27 @@ def hypergrad_unrolled_reverse(
     lead = run.x.shape[: run.x.ndim - grid.rank]
     grad = np.zeros(lead + (problem.theta.theta_size(),))
     delta = np.array(_loss_grad(problem, loss, run.x), dtype=np.float64)  # ours to update
-    if n_steps:
-        path = Linearization(problem, np.reshape(run.trajectory[:n_steps], (-1,) + grid.dims))
-    for t in range(n_steps, 0, -1):
-        # iterate t - 1 is row t - 1 of the path, or rows (t-1)S .. tS-1 of it
-        lin = path._rows(slice((t - 1) * lead[0], t * lead[0]) if lead else t - 1)
-        # grad -= step J'delta and delta -= step H delta, into fresh products
-        product = lin.jac_adjoint_apply(delta)
-        product *= step
-        grad -= product
-        product = lin.hess_vec(delta)
-        product *= step
-        delta -= product
+    if not n_steps:
+        return _unrolled_result(problem, grad, run.x, n_steps, step)
+    path = Linearization(problem, np.reshape(run.trajectory[:n_steps], (-1,) + grid.dims))
+    rows = lead[0] if lead else 1
+    span = -(-n_steps // len(problem._stencil_plan()[1]))  # ceil(T / offsets)
+    for stop in range(n_steps, 0, -span):
+        # iterates start .. stop - 1 as one stack, whose M their views share
+        start = max(stop - span, 0)
+        block = path._rows(slice(start * rows, stop * rows))
+        block._stencil()  # assembled before its views are taken
+        for t in range(stop - start, 0, -1):
+            # iterate start + t - 1 is row t - 1 of the block, or rows
+            # (t-1)S .. tS-1 of it
+            lin = block._rows(slice((t - 1) * rows, t * rows) if lead else t - 1)
+            # grad -= step J'delta and delta -= step H delta, into fresh products
+            product = lin.jac_adjoint_apply(delta)
+            product *= step
+            grad -= product
+            product = lin.hess_vec(delta)
+            product *= step
+            delta -= product
     return _unrolled_result(problem, grad, run.x, n_steps, step)
 
 

@@ -370,14 +370,18 @@ class Linearization:
     is diag hess(x) (``hess_diagonal``), CG's preconditioner.
 
     A linearization at a stack of iterates serves each iterate through a row
-    view (``_rows``), which slices its arrays and assembles its own M: the
-    unrolled reverse engine linearizes its whole trajectory at once this way.
-    A reverse step's fixed cost is then one view (a few slices, no checks),
-    one assembly (a gather of phi'' per filter and one matrix product per
-    row, written straight into M), one Hessian product and one
-    Jacobian-adjoint product (a convolution, a gather and three
-    ``Grid.dots`` per filter, written into the problem's cached theta
-    layout).
+    view (``_rows``), which slices its arrays.  A view of a linearization
+    that has assembled M takes its rows of that M; any other view assembles
+    its own at its first product.  The unrolled reverse engine linearizes its
+    whole trajectory at once this way, assembles M once per block of steps
+    (a view of the block's rows) and serves each step from a view of the
+    block.  A reverse step's fixed cost is then one view (a few slices, no
+    checks, and a slice of the block's M), one Hessian product and one
+    Jacobian-adjoint product (one gather of u per filter, from which it takes
+    c_k * u and the shift products, and three ``Grid.dots`` per filter,
+    written into the problem's cached theta layout).  An assembly is a gather
+    of phi'' per filter and one matrix product per row, written straight
+    into M.
     """
 
     def __init__(self, problem: LowerProblem, x: np.ndarray):
@@ -410,6 +414,9 @@ class Linearization:
         view._stacked = view.x.ndim == self.x.ndim
         view._terms = [t.rows(keep, view._stacked) for t in self._terms]
         view._m = None
+        if self._m is not None:  # its rows of this one's M
+            half, m = self._m
+            view._m = half, m.reshape(len(m), len(self.x), -1)[:, keep].reshape(len(m), -1)
         return view
 
     def _mismatch(self, name: str, v: np.ndarray) -> DimensionError:
@@ -437,7 +444,8 @@ class Linearization:
 
     def _stencil(self):
         """The half-widths of the offset box and M shaped (offsets, x.size),
-        assembled and kept at the first product."""
+        assembled and kept at the first product, or before it by an engine
+        whose views of this linearization are to share M."""
         half, base, pairs = self.problem._stencil_plan()
         rows = len(self.x) if self._stacked else 1
         shape = (len(base), rows, self.x.size // rows)
@@ -470,13 +478,16 @@ class Linearization:
         out = np.zeros(self.x.shape[:1] + (size,) if self._stacked else size)
         cols = out.T  # one entry of theta, or one per row, at each index
         for t, beta, run in zip(self._terms, range(betas.start, betas.stop), taps):
-            curv_cu = t.curv * circ_conv(u, t.taps)
+            # circshift(u, s) for every tap s; c * u = sum_s c_s circshift(u, s),
+            # summed as ``circ_conv`` sums it
+            u_shifts = shifted(u, t.taps.shape, 1)
+            curv_cu = np.add.reduce(u_shifts * t.taps.reshape((-1,) + (1,) * u.ndim),
+                                    axis=0, initial=0.0)
+            curv_cu *= t.curv
             cols[beta] = t.weight * dots(t.adj_slope, u)
             # <circshift(slope,-s), u> = <slope, circshift(u,s)>;
             # <c~*(curv.*circshift(x,s)), u> = <circshift(x,s), curv.*(c*u)>
-            cols[run] = t.weight * (
-                dots(shifted(u, t.taps.shape, 1), t.slope) + dots(t.x_shifts, curv_cu)
-            )
+            cols[run] = t.weight * (dots(u_shifts, t.slope) + dots(t.x_shifts, curv_cu))
         if b0 is not None:
             # w_k = e^{b0 + b_k}, so the b0 entry sums the beta entries in order
             cols[b0] = sum(cols[betas], 0.0)

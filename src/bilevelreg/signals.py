@@ -75,12 +75,13 @@ class Grid:
 
         ``np.vecdot`` of contiguous rows equals ``float(np.vdot(...))`` of
         each pair bit for bit: both reach the same dot kernel.  It contracts
-        the last axis, so only a grid of several axes is flattened first.
+        the last axis, so only a grid of several axes is flattened first, by
+        its size ``n``, which an empty leading axis leaves well defined.
         ``lower`` and ``hypergrad`` take every grid inner product here.
         """
         if len(self.dims) > 1:
-            a = a.reshape(a.shape[: a.ndim - len(self.dims)] + (-1,))
-            b = b.reshape(b.shape[: b.ndim - len(self.dims)] + (-1,))
+            a = a.reshape(a.shape[: a.ndim - len(self.dims)] + (self.n,))
+            b = b.reshape(b.shape[: b.ndim - len(self.dims)] + (self.n,))
         return np.vecdot(a, b)
 
     def fourier_multiply(self, x: np.ndarray, symbol) -> np.ndarray:

@@ -143,10 +143,16 @@ def gd_minimize(problem: LowerProblem, x0: np.ndarray, cfg: GDConfig) -> GDResul
     while True:
         grad = problem.grad_x(x)
         g = grad.reshape(len(idx), -1)
-        norms = np.sqrt(np.vecdot(g, g)).tolist()
-        stop = list(range(len(idx))) if iters >= cfg.max_iters else [
-            p for p, n in enumerate(norms) if not tol < n < math.inf
-        ]
+        squares = np.vecdot(g, g)
+        # before a fixed budget ends only a non-finite gradient stops a row,
+        # and then the sum of the squared norms is not finite either
+        if iters < cfg.max_iters and tol == -math.inf and sum(squares.tolist()) < math.inf:
+            stop = None
+        else:
+            norms = np.sqrt(squares).tolist()
+            stop = list(range(len(idx))) if iters >= cfg.max_iters else [
+                p for p, n in enumerate(norms) if not tol < n < math.inf
+            ]
         if stop:
             for p in stop:
                 r = int(idx[p])
@@ -189,7 +195,8 @@ def gd_minimize(problem: LowerProblem, x0: np.ndarray, cfg: GDConfig) -> GDResul
             np.subtract(y, np.multiply(b, d, out=d), out=y)
             x_prev, g_prev = x_next, g
         else:
-            x -= step * grad
+            grad *= step
+            x -= grad
         iters += 1
         if trajectory is not None:
             if x is not out:

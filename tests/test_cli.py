@@ -99,6 +99,24 @@ class TestTrain:
         assert not recwarn.list
         assert load_params(tmp_path / "params.json").n_filters == 0
 
+    def test_no_filters_on_a_2d_grid_under_the_forward_engine(self, tmp_path,
+                                                              monkeypatch, recwarn):
+        # the forward engine's sensitivities are (0, S, 8, 8): Grid.dots
+        # flattens their grid axes by the grid's size
+        doc = json.loads((CONFIGS / "toy_train.json").read_text())
+        doc["grid"] = [8, 8]
+        doc["theta_init"] = {"n_filters": 0, "tap_extents": [2, 2], "seed": 12,
+                             "beta0": -2.5}
+        doc["engine"] = {"kind": "forward", "unroll_steps": 5, "unroll_step": 0.1}
+        doc["optimizer"] = {"kind": "adam", "step": 0.05, "max_upper": 3}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_in(tmp_path, monkeypatch, ["train", "--config", str(cfg)]) == 0
+        with open(tmp_path / "trace.csv", newline="") as fh:
+            assert [row["grad_norm"] for row in csv.DictReader(fh)] == ["0.0"] * 3
+        assert not recwarn.list
+        assert load_params(tmp_path / "params.json").n_filters == 0
+
     def test_byte_determinism_excluding_wall_time(self, tmp_path, monkeypatch):
         outputs = []
         for name in ("a", "b"):

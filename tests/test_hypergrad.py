@@ -258,34 +258,66 @@ def _pin_model(kind, grid, rng):
     return Circulant(grid, rng.random((3,) if grid.rank == 1 else (2, 3)))
 
 
+def _pin_case(kind, dims, learn_beta0, rows, shapes, seed=7):
+    """A problem for ``hypergrad_unrolled_reverse``: its loss, start and 1/L
+    step, with one filter of each shape in ``shapes``."""
+    rng = np.random.default_rng(seed)
+    grid = Grid(dims)
+    hp = HyperParams(-1.0, rng.standard_normal(len(shapes)) * 0.3,
+                     [rng.standard_normal(t) for t in shapes],
+                     CornerRounded1Norm(0.1), learn_beta0=learn_beta0)
+    A = _pin_model(kind, grid, rng)
+    shape = ((rows,) if rows else ()) + dims
+    x_true = rng.standard_normal(shape)
+    y = A.apply(x_true) + 0.1 * rng.standard_normal(shape)
+    problem = LowerProblem(A, y, hp)
+    if rows:
+        loss = [bind_loss(MSELoss(), yj, A, xj) for yj, xj in zip(y, x_true)]
+    else:
+        loss = bind_loss(MSELoss(), y, A, x_true)
+    return problem, loss, A.adjoint(y), 1.0 / problem.lipschitz_grad()
+
+
+def _filter_shapes(dims):
+    return [(2,), (3,)] if len(dims) == 1 else [(2, 2), (1, 3)]
+
+
 class TestReverseSweepPin:
     """The stacked-trajectory sweep against ``reference_unrolled_reverse``,
-    bit for bit, over forward models, ranks, learnable b0, stacking and T."""
+    bit for bit, over forward models, ranks, learnable b0, stacking and T.
 
-    @pytest.mark.parametrize("n_steps", [0, 1, 7])
+    The sweep assembles M once per block of ``span = ceil(T / offsets)``
+    steps, offsets 5 on the 1-D grid and 15 on the 2-D one: T = 1 and, in
+    2-D, 7 lie below offsets (one step per block), 16 is a multiple of the
+    span (4 in 1-D, 2 in 2-D) and 17 one step past it, 7 in 1-D too (span 2).
+    """
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 7, 16, 17])
     @pytest.mark.parametrize("rows", [None, 2])
     @pytest.mark.parametrize("learn_beta0", [False, True])
     @pytest.mark.parametrize("dims", [(12,), (5, 4)])
     @pytest.mark.parametrize("kind", ["identity", "mask", "circulant"])
     def test_equals_a_linearization_per_step(self, kind, dims, learn_beta0,
                                              rows, n_steps):
-        rng = np.random.default_rng(7)
-        grid = Grid(dims)
-        shapes = [(2,), (3,)] if grid.rank == 1 else [(2, 2), (1, 3)]
-        hp = HyperParams(-1.0, rng.standard_normal(2) * 0.3,
-                         [rng.standard_normal(t) for t in shapes],
-                         CornerRounded1Norm(0.1), learn_beta0=learn_beta0)
-        A = _pin_model(kind, grid, rng)
-        shape = ((rows,) if rows else ()) + dims
-        x_true = rng.standard_normal(shape)
-        y = A.apply(x_true) + 0.1 * rng.standard_normal(shape)
-        problem = LowerProblem(A, y, hp)
-        if rows:
-            loss = [bind_loss(MSELoss(), yj, A, xj) for yj, xj in zip(y, x_true)]
-        else:
-            loss = bind_loss(MSELoss(), y, A, x_true)
-        x0 = A.adjoint(y)
-        step = 1.0 / problem.lipschitz_grad()
+        grad = self._check(kind, dims, learn_beta0, rows, n_steps, _filter_shapes(dims))
+        if n_steps:
+            assert np.any(grad != 0.0)
+
+    @pytest.mark.parametrize("n_steps", [1, 16, 17])
+    @pytest.mark.parametrize("rows", [None, 2])
+    @pytest.mark.parametrize("learn_beta0", [False, True])
+    @pytest.mark.parametrize("dims", [(12,), (5, 4)])
+    @pytest.mark.parametrize("kind", ["identity", "mask", "circulant"])
+    def test_no_filters_equal_a_linearization_per_step(self, kind, dims, learn_beta0,
+                                                       rows, n_steps):
+        # theta is empty, or b0 alone, whose entry sums no betas: all zeros
+        grad = self._check(kind, dims, learn_beta0, rows, n_steps, [])
+        assert grad.shape[-1] == (1 if learn_beta0 else 0)
+        assert not np.any(grad)
+
+    @staticmethod
+    def _check(kind, dims, learn_beta0, rows, n_steps, shapes):
+        problem, loss, x0, step = _pin_case(kind, dims, learn_beta0, rows, shapes)
         res = hypergrad_unrolled_reverse(problem, loss, x0, n_steps, step)
         grad, x_final = reference_unrolled_reverse(problem, loss, x0, n_steps, step)
         assert res.grad.shape == grad.shape
@@ -293,8 +325,42 @@ class TestReverseSweepPin:
         np.testing.assert_array_equal(res.x_final, x_final)
         assert res.lower_iters == ([n_steps] * rows if rows else n_steps)
         assert res.warning == ([None] * rows if rows else None)
-        if n_steps:
-            assert np.any(grad != 0.0)
+        return grad
+
+
+class TestReverseSweepCounts:
+    """Per reverse call: T Hessian and T Jacobian-adjoint products, one
+    stencil assembly per block of ``span = ceil(T / offsets)`` steps, and no
+    M above (T + offsets) S N floats."""
+
+    @pytest.mark.parametrize("n_steps", [1, 3, 7, 16, 17, 40])
+    @pytest.mark.parametrize("rows", [None, 2])
+    @pytest.mark.parametrize("dims,filters", [((12,), True), ((5, 4), True),
+                                              ((12,), False)])
+    @pytest.mark.parametrize("kind", ["identity", "circulant"])
+    def test_products_and_assemblies(self, kind, dims, filters, rows, n_steps,
+                                     monkeypatch):
+        shapes = _filter_shapes(dims) if filters else []
+        problem, loss, x0, step = _pin_case(kind, dims, False, rows, shapes)
+        calls = {"hess_vec": 0, "jac_adjoint_apply": 0}
+        for name in calls:
+            def counted(self, v, _f=getattr(Linearization, name), _name=name):
+                calls[_name] += 1
+                return _f(self, v)
+            monkeypatch.setattr(Linearization, name, counted)
+        sizes = []
+        stencil = Linearization._stencil
+
+        def assembled(self):
+            sizes.append(stencil(self)[1].size)
+            return self._m
+        monkeypatch.setattr(Linearization, "_stencil", assembled)
+        hypergrad_unrolled_reverse(problem, loss, x0, n_steps, step)
+        offsets = len(problem._stencil_plan()[1])
+        span = -(-n_steps // offsets)
+        assert calls == {"hess_vec": n_steps, "jac_adjoint_apply": n_steps}
+        assert len(sizes) == -(-n_steps // span)
+        assert max(sizes) <= (n_steps + offsets) * (rows or 1) * problem.A.grid.n
 
 
 class TestAngleSweep:

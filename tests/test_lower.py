@@ -594,25 +594,60 @@ class TestRowView:
                                               own.jac_adjoint_apply(v))
             np.testing.assert_array_equal(view.jac_columns(), own.jac_columns())
 
+    @pytest.mark.parametrize("model,rank,filters", STENCIL_CASES)
+    def test_view_of_an_assembled_stack_takes_its_rows_of_m(self, model, rank,
+                                                            filters, monkeypatch):
+        """Once the stack has assembled M, a view (and a view of that view)
+        takes its rows of that M and assembles none, bit for bit as its own
+        linearization's."""
+        lin, _, rng = stencil_case(model, rank, filters, stacked=True)
+        problem = lin.problem
+        lin.hess_vec(rng.standard_normal(lin.x.shape))
+        assembled = []
+        stencil = Linearization._stencil
+        monkeypatch.setattr(Linearization, "_stencil",
+                            lambda self: assembled.append(self) or stencil(self))
+        block = lin._rows(slice(1, 3))
+        views = ((block, slice(1, 3)), (block._rows(1), 2),
+                 (block._rows(slice(0, 1)), slice(1, 2)), (lin._rows(0), 0))
+        for view, keep in views:
+            own = Linearization(
+                LowerProblem(problem.A, problem.y[keep], problem.theta), lin.x[keep])
+            assert np.shares_memory(view._m[1], lin._m[1])
+            for _ in range(2):
+                v = rng.standard_normal(own.x.shape)
+                np.testing.assert_array_equal(view.hess_vec(v), own.hess_vec(v))
+            np.testing.assert_array_equal(view.hess_diagonal(), own.hess_diagonal())
+        assert not [a for a in assembled if any(a is view for view, _ in views)]
+
     def test_views_share_the_stack_slope_term(self, monkeypatch):
-        """Linearizing the stack takes one z_k = c_k * x and one c~_k * phi'
-        per filter for all its rows; its views take none, and each view's
-        Jacobian product convolves only its own u."""
+        """Linearizing the stack takes one z_k = c_k * x, one c~_k * phi' and
+        one gather of the tap shifts of x per filter for all its rows; its
+        views take none, and each view's Jacobian product gathers the tap
+        shifts of its own u once per filter, from which it also takes c_k * u."""
         built, _, rng = stencil_case("identity", 1, "mixed", stacked=True)
-        calls = {"circ_conv": 0, "circ_conv_adjoint": 0}
+        calls = {"circ_conv": 0, "circ_conv_adjoint": 0, "shifted": 0}
+        gathered = []
         for name in calls:
             def counted(*args, _f=getattr(lower, name), _name=name):
                 calls[_name] += 1
+                gathered.append(args[0])
                 return _f(*args)
             monkeypatch.setattr(lower, name, counted)
         lin = Linearization(built.problem, built.x)
-        assert calls == {"circ_conv": 2, "circ_conv_adjoint": 2}
+        stack_work = {"circ_conv": 2, "circ_conv_adjoint": 2, "shifted": 2}
+        assert calls == stack_work
         views = [lin._rows(j) for j in range(len(lin.x))]
-        assert calls == {"circ_conv": 2, "circ_conv_adjoint": 2}
+        assert calls == stack_work
+        del gathered[:]
+        us = []
         for view in views:
             for _ in range(2):
-                view.jac_adjoint_apply(rng.standard_normal(view.x.shape))
-        assert calls == {"circ_conv": 2 + 2 * 2 * len(views), "circ_conv_adjoint": 2}
+                us.append(rng.standard_normal(view.x.shape))
+                view.jac_adjoint_apply(us[-1])
+        n = len(us)
+        assert calls == {"circ_conv": 2, "circ_conv_adjoint": 2, "shifted": 2 + 2 * n}
+        assert [id(u) for u in gathered] == [id(u) for u in us for _ in range(2)]
 
 
 class TestLipschitz:

@@ -386,6 +386,18 @@ def test_grid_dots_are_vdot(rows, dims, seed, exponent):
             assert dots[k, j] == float(np.vdot(a[k, j], b[j]))
 
 
+@pytest.mark.parametrize("dims", [(8,), (8, 8), (3, 5)])
+@pytest.mark.parametrize("lead", [(0,), (0, 2), (2, 0)])
+def test_grid_dots_on_an_empty_leading_axis(dims, lead):
+    """No sample, or no tap: an empty leading axis gives an empty result of
+    the leading shape, on either rank."""
+    a = np.ones(lead + dims)
+    b = np.ones(lead[1:] + dims)
+    dots = Grid(dims).dots(a, b)
+    assert dots.shape == lead
+    assert Grid(dims).dots(b, a).shape == lead
+
+
 class TestShapeChecks:
     def test_unlifted_filter_rank_still_raises(self):
         with pytest.raises(DimensionError):
