@@ -247,7 +247,7 @@ class LowerProblem:
     def _stencil_plan(self):
         """What the Hessian stencils of all linearizations of this problem
         share: the half-widths h of the offset box -h..h, A'A on that box
-        shaped (offsets, 1, N or 1), and the tap-pair weights
+        shaped (offsets, N or 1), and the tap-pair weights
         w_k c_{k,s} c_{k,s-d} shaped (offsets, taps) with the filters side
         by side along s (None without filters)."""
         if self._plan is None:
@@ -264,7 +264,7 @@ class LowerProblem:
             ]
             self._plan = (
                 half,
-                base.reshape(-1, 1, int(np.prod(gram.shape[rank:]))),
+                base.reshape(-1, int(np.prod(gram.shape[rank:]))),
                 np.concatenate(pairs, axis=1) if pairs else None,
             )
         return self._plan
@@ -366,8 +366,10 @@ class Linearization:
     product applies it: one gather of v at all offsets, one multiply and one
     reduce in offset order.  Products equal the formula above up to rounding
     (the sums are grouped by offset, not by filter), and repeated ones give
-    the same bytes.  M takes offsets x size x 8 bytes.  Its zero-offset row
-    is diag hess(x) (``hess_diagonal``), CG's preconditioner.
+    the same bytes.  M takes offsets x size x 8 bytes, laid out as
+    ``centred_rows`` gathers v: each row of a stack holds its offsets side by
+    side, so a view's rows of M are one contiguous block.  Its zero-offset
+    row is diag hess(x) (``hess_diagonal``), CG's preconditioner.
 
     A linearization at a stack of iterates serves each iterate through a row
     view (``_rows``), which slices its arrays.  A view of a linearization
@@ -416,7 +418,7 @@ class Linearization:
         view._m = None
         if self._m is not None:  # its rows of this one's M
             half, m = self._m
-            view._m = half, m.reshape(len(m), len(self.x), -1)[:, keep].reshape(len(m), -1)
+            view._m = half, m[keep]
         return view
 
     def _mismatch(self, name: str, v: np.ndarray) -> DimensionError:
@@ -432,37 +434,37 @@ class Linearization:
         half, m = self._m or self._stencil()
         terms = centred_rows(v, half)
         terms *= m
-        return np.add.reduce(terms, axis=0).reshape(v.shape)
+        return np.add.reduce(terms, axis=-2).reshape(v.shape)
 
     def hess_diagonal(self) -> np.ndarray:
         """diag hess(x), shaped like x: the zero-offset row of the stencil M,
         which this assembles as the first ``hess_vec`` would.  Read-only."""
         _, m = self._m or self._stencil()
-        diagonal = m[len(m) // 2].reshape(self.x.shape)
+        diagonal = m[..., m.shape[-2] // 2, :].reshape(self.x.shape)
         diagonal.flags.writeable = False
         return diagonal
 
     def _stencil(self):
-        """The half-widths of the offset box and M shaped (offsets, x.size),
-        assembled and kept at the first product, or before it by an engine
-        whose views of this linearization are to share M."""
+        """The half-widths of the offset box and M, shaped as
+        ``centred_rows`` gathers v: (rows, offsets, N) for a stack and
+        (offsets, N) for one signal.  Assembled and kept at the first
+        product, or before it by an engine whose views of this linearization
+        are to share M."""
         half, base, pairs = self.problem._stencil_plan()
         rows = len(self.x) if self._stacked else 1
-        shape = (len(base), rows, self.x.size // rows)
+        shape = (rows, len(base), self._grid.n)
         if pairs is None:
-            self._m = half, np.broadcast_to(base, shape).reshape(len(base), -1)
-            return self._m
-        # curv[s] = phi''.(z_k)_{i+s}, the filters side by side along s (one
-        # filter's gather is already whole)
-        parts = [shifted(t.curv, t.taps.shape, -1).reshape(t.taps.size, rows, -1)
-                 for t in self._terms]
-        curv = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        # one matrix product per row, so a stack's rows equal their own,
-        # each written straight into its rows of M
-        m = np.empty(shape)
-        np.matmul(pairs, curv.transpose(1, 0, 2), out=m.transpose(1, 0, 2))
-        m += base
-        self._m = half, m.reshape(len(base), -1)
+            m = np.broadcast_to(base, shape)
+        else:
+            # curv[s] = phi''.(z_k)_{i+s}, the filters side by side along s
+            # (one filter's gather is already whole)
+            parts = [shifted(t.curv, t.taps.shape, -1).reshape(t.taps.size, rows, -1)
+                     for t in self._terms]
+            curv = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            # one matrix product per row, so a stack's rows equal their own
+            m = np.matmul(pairs, curv.transpose(1, 0, 2))
+            m += base
+        self._m = half, m if self._stacked else m[0]
         return self._m
 
     def jac_adjoint_apply(self, u: np.ndarray) -> np.ndarray:

@@ -207,24 +207,31 @@ def shifted(x: np.ndarray, c_shape: tuple[int, ...], sign: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _centred_index(half: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
-    """Flat gather index of every centred offset, shaped (offsets, size) and
-    read-only.
+    """Flat gather index of every centred offset, read-only: shaped
+    (offsets, N) for one signal of ``shape`` on a grid of rank
+    ``len(half)``, and (rows, offsets, N) for a stack along one leading axis.
 
-    Row k (offsets d in -half..half, row-major) holds the flat indices of
-    ``circshift(x, -d)``, i.e. of x_{i+d}, for an array of ``shape`` whose
-    trailing ``len(half)`` axes form the grid; leading axes do not shift.
+    Entry [..., k, i] (offsets d in -half..half, row-major) is the flat index
+    of x_{i+d}, an entry of ``circshift(x, -d)``; the leading axis does not
+    shift.
     """
     lead = (0,) * (len(shape) - len(half))
     box = np.ndindex(tuple(2 * h + 1 for h in half))
-    return _gather_index(shape, [lead + tuple(h - k for k, h in zip(d, half)) for d in box])
+    index = _gather_index(shape, [lead + tuple(h - k for k, h in zip(d, half)) for d in box])
+    if lead:  # each row's offsets side by side
+        index = index.reshape(len(index), shape[0], -1).transpose(1, 0, 2).copy()
+        index.flags.writeable = False
+    return index
 
 
 def centred_rows(x: np.ndarray, half: tuple[int, ...]) -> np.ndarray:
-    """x_{i+d} for every offset d of the box -half..half, as (offsets, x.size).
+    """x_{i+d} for every offset d of the box -half..half: shaped (offsets, N)
+    for one signal and (rows, offsets, N) for a stack ``(rows, *grid)``.
 
     Offsets are in row-major order over the trailing ``len(half)`` axes of
     ``x`` (the grid); a stack's leading axis does not shift.  So a stencil M
-    shaped (offsets, x.size) applies as (M v)_i = sum_d M[d, i] v_{i+d}.
+    of the same shape applies as (M v)_i = sum_d M[..., d, i] v_{i+d}, and
+    each row of a stack reads a contiguous block of it.
     """
     return x.reshape(-1)[_centred_index(tuple(half), x.shape)]
 
