@@ -139,6 +139,33 @@ class TestGD:
                             GDConfig(step=1.0, max_iters=max_iters))
             assert err.value.iteration == iteration
 
+    def test_fixed_budget_stops_a_row_only_on_a_non_finite_gradient(self):
+        """Under a fixed budget the loop tests no row while the squared
+        gradient norms sum to a finite value.  Two rows whose squares are
+        finite but sum past the largest float stop no row and keep their
+        norms; a NaN in row 0 at the third gradient stops the loop there."""
+        class Rows:
+            A = Identity(Grid((3,)))
+
+            def __init__(self, nan_call=None):
+                self.calls, self.nan_call = 0, nan_call
+
+            def grad_x(self, x):
+                self.calls += 1
+                g = np.full(x.shape, 6e153)  # each row's square is 1.08e308
+                if self.calls == self.nan_call:
+                    g[0, 1] = np.nan
+                return g
+
+        cfg = GDConfig(step=1e-160, max_iters=5)
+        problem = Rows()
+        res = gd_minimize(problem, np.zeros((2, 3)), cfg)
+        assert (res.iters_run, res.row_iters, problem.calls) == (5, [5, 5], 6)
+        assert res.row_grad_norms == [float(np.linalg.norm(np.full(3, 6e153)))] * 2
+        with pytest.raises(DivergenceError) as err:
+            gd_minimize(Rows(nan_call=3), np.zeros((2, 3)), cfg)
+        assert (err.value.row, err.value.iteration) == (0, 2)
+
     def test_step_is_built_at_the_first_step(self, monkeypatch):
         """The step (1/L, or the majorizer's P+) takes one filter spectrum
         per filter, all in one FFT of the filter bank, and a budget of 0,
