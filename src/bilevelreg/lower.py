@@ -36,6 +36,7 @@ from .forward import ForwardModel
 from .potentials import Potential
 from .signals import (
     _check_filter_fits,
+    _shift_index,
     as_filter,
     centred_rows,
     circ_conv,
@@ -456,11 +457,16 @@ class Linearization:
         if pairs is None:
             m = np.broadcast_to(base, shape)
         else:
-            # curv[s] = phi''.(z_k)_{i+s}, the filters side by side along s
-            # (one filter's gather is already whole)
-            parts = [shifted(t.curv, t.taps.shape, -1).reshape(t.taps.size, rows, -1)
-                     for t in self._terms]
-            curv = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            # curv[s] = phi''.(z_k)_{i+s}, the filters side by side along s,
+            # each filter's shifts gathered straight into its rows
+            curv = np.empty((pairs.shape[1], rows, self._grid.n))
+            lo = 0
+            for t in self._terms:
+                # the index is in range, so "clip" changes nothing and spares
+                # the buffered copy that "raise" makes of an ``out``
+                np.take(t.curv.reshape(-1), _shift_index(t.taps.shape, t.curv.shape, -1),
+                        out=curv[lo:lo + t.taps.size].reshape(t.taps.size, -1), mode="clip")
+                lo += t.taps.size
             # one matrix product per row, so a stack's rows equal their own
             m = np.matmul(pairs, curv.transpose(1, 0, 2))
             m += base
