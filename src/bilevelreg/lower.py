@@ -325,6 +325,14 @@ class LowerProblem:
         }
 
 
+def _tap_sum(shifts: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """c * x from ``shifts = shifted(x, c.shape, 1)``: sum_s c_s
+    circshift(x, s), summed in the order ``circ_conv`` sums it, so it equals
+    ``circ_conv(x, c)`` bit for bit."""
+    return np.add.reduce(shifts * c.reshape((-1,) + (1,) * (shifts.ndim - 1)),
+                         axis=0, initial=0.0)
+
+
 @dataclass
 class _FilterTerm:
     """One filter's share of a linearization: w_k, c_k and what x fixes."""
@@ -348,9 +356,9 @@ class _FilterTerm:
 class Linearization:
     """Hessian and mixed Jacobian of the lower cost at a fixed ``x``.
 
-    Builds z_k = c_k * x, phi'.(z_k), phi''.(z_k), the tap shifts of x and
-    c~_k * phi'.(z_k) once, so every product a CG solve or an unrolled step
-    takes at this x reuses them.  ``x`` is copied; later changes to the
+    Builds the tap shifts of x, z_k = c_k * x from them, phi'.(z_k),
+    phi''.(z_k) and c~_k * phi'.(z_k) once, so every product a CG solve or an
+    unrolled step takes at this x reuses them.  ``x`` is copied; later changes to the
     caller's array do not reach the linearization.  ``x`` may be a stack
     ``(S, *grid)`` of one iterate per row of a stacked problem: every product
     then acts on each row, bit for bit as that row's own linearization would.
@@ -401,9 +409,9 @@ class Linearization:
         terms = []
         for w, c in zip(self.problem._weights, self.problem.theta.filters):
             c = self._grid.lift(self.x, c)
-            _, slope, curv = pot.derivatives(circ_conv(self.x, c))
-            terms.append(_FilterTerm(w, c, slope, curv, shifted(self.x, c.shape, 1),
-                                     circ_conv_adjoint(slope, c)))
+            x_shifts = shifted(self.x, c.shape, 1)
+            _, slope, curv = pot.derivatives(_tap_sum(x_shifts, c))
+            terms.append(_FilterTerm(w, c, slope, curv, x_shifts, circ_conv_adjoint(slope, c)))
         return terms
 
     def _rows(self, keep) -> "Linearization":
@@ -486,11 +494,8 @@ class Linearization:
         out = np.zeros(self.x.shape[:1] + (size,) if self._stacked else size)
         cols = out.T  # one entry of theta, or one per row, at each index
         for t, beta, run in zip(self._terms, range(betas.start, betas.stop), taps):
-            # circshift(u, s) for every tap s; c * u = sum_s c_s circshift(u, s),
-            # summed as ``circ_conv`` sums it
             u_shifts = shifted(u, t.taps.shape, 1)
-            curv_cu = np.add.reduce(u_shifts * t.taps.reshape((-1,) + (1,) * u.ndim),
-                                    axis=0, initial=0.0)
+            curv_cu = _tap_sum(u_shifts, t.taps)
             curv_cu *= t.curv
             cols[beta] = t.weight * dots(t.adj_slope, u)
             # <circshift(slope,-s), u> = <slope, circshift(u,s)>;
