@@ -358,8 +358,8 @@ class Linearization:
 
     Builds the tap shifts of x, z_k = c_k * x from them, phi'.(z_k),
     phi''.(z_k) and c~_k * phi'.(z_k) once, so every product a CG solve or an
-    unrolled step takes at this x reuses them.  ``x`` is copied; later changes to the
-    caller's array do not reach the linearization.  ``x`` may be a stack
+    unrolled step takes at this x reuses them.  ``x`` is copied; later
+    changes to the caller's array do not reach the linearization.  ``x`` may be a stack
     ``(S, *grid)`` of one iterate per row of a stacked problem: every product
     then acts on each row, bit for bit as that row's own linearization would.
     A product takes a vector shaped like ``x`` and raises DimensionError,
@@ -390,9 +390,9 @@ class Linearization:
     checks, and a slice of the block's M), one Hessian product and one
     Jacobian-adjoint product (one gather of u per filter, from which it takes
     c_k * u and the shift products, and three ``Grid.dots`` per filter,
-    written into the problem's cached theta layout).  An assembly is a gather
-    of phi'' per filter and one matrix product per row, written straight
-    into M.
+    written into the problem's cached theta layout).  An assembly is one
+    gather of phi'' per filter, into one array, and one matrix product per
+    row, which writes M.
     """
 
     def __init__(self, problem: LowerProblem, x: np.ndarray):
