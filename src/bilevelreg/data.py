@@ -535,7 +535,7 @@ def build_optimizer(spec: dict) -> dict:
     else:  # ttsa
         out["up_a"] = sec.number("up_a", 0.1)
         out["up_exponent"] = sec.number("up_exponent", 0.75)
-        out["low_a"] = sec.number("low_a", 0.5)
+        out["low_a"] = sec.number("low_a", 0.5, positive=True)
         out["low_exponent"] = sec.number("low_exponent", 0.5)
         if out["up_a"] != 0.0 and out["up_exponent"] <= out["low_exponent"]:
             sec.reject("up_exponent", f"a finite number > low_exponent "

@@ -146,16 +146,13 @@ def hypergrad_unrolled_reverse(
 ) -> HypergradResult:
     """Backpropagation through ``n_steps`` gradient-descent updates.
 
-    Stores the full trajectory (memory O(T N)) and linearizes its first T
-    iterates at once, as one ``(T S, *grid)`` stack (about T S N (taps + 4)
-    floats).  The backward sweep walks the trajectory in blocks of
-    ``span = ceil(T / offsets)`` steps, ``offsets`` the size of the
-    problem's Hessian stencil box: it assembles the stencil M of each
-    block's view once, which holds at most (T + offsets) S N floats, and
-    takes one Hessian-vector and one Jacobian-adjoint product per step from
-    the block's view of the step's iterate, which takes its rows of that M.
-    A step's fixed cost is that view and the two products (see
-    ``Linearization``), and both updates are made in place.  A stacked
+    Stores the full trajectory (memory O(T N), no checkpointing) and walks
+    it backward in blocks of ``span = ceil(T / offsets)`` steps, ``offsets``
+    the size of the problem's Hessian stencil box.  Each block is one
+    ``Linearization`` of its iterates, a ``(span S, *grid)`` stack whose
+    stencil M it assembles once, and each step takes one Hessian-vector and
+    one Jacobian-adjoint product from the block's view of its iterate
+    (see ``Linearization``); both updates are made in place.  A stacked
     ``x0`` runs every row at once, ``loss`` holding one loss per row; each
     row's gradient equals its own run's bit for bit.  ``warning`` is set
     when ``step`` exceeds 2/L.
@@ -168,13 +165,12 @@ def hypergrad_unrolled_reverse(
     delta = np.array(_loss_grad(problem, loss, run.x), dtype=np.float64)  # ours to update
     if not n_steps:
         return _unrolled_result(problem, grad, run.x, n_steps, step)
-    path = Linearization(problem, np.reshape(run.trajectory[:n_steps], (-1,) + grid.dims))
     rows = lead[0] if lead else 1
     span = -(-n_steps // len(problem._stencil_plan()[1]))  # ceil(T / offsets)
     for stop in range(n_steps, 0, -span):
         # iterates start .. stop - 1 as one stack, whose M their views share
         start = max(stop - span, 0)
-        block = path._rows(slice(start * rows, stop * rows))
+        block = Linearization(problem, np.reshape(run.trajectory[start:stop], (-1,) + grid.dims))
         block._stencil()  # assembled before its views are taken
         for t in range(stop - start, 0, -1):
             # iterate start + t - 1 is row t - 1 of the block, or rows

@@ -383,16 +383,13 @@ class Linearization:
     A linearization at a stack of iterates serves each iterate through a row
     view (``_rows``), which slices its arrays.  A view of a linearization
     that has assembled M takes its rows of that M; any other view assembles
-    its own at its first product.  The unrolled reverse engine linearizes its
-    whole trajectory at once this way, assembles M once per block of steps
-    (a view of the block's rows) and serves each step from a view of the
-    block.  A reverse step's fixed cost is then one view (a few slices, no
-    checks, and a slice of the block's M), one Hessian product and one
-    Jacobian-adjoint product (one gather of u per filter, from which it takes
-    c_k * u and the shift products, and three ``Grid.dots`` per filter,
-    written into the problem's cached theta layout).  An assembly is one
-    gather of phi'' per filter, into one array, and one matrix product per
-    row, which writes M.
+    its own at its first product.  The unrolled reverse engine linearizes one
+    block of steps at a time, assembles its M once and serves each step from
+    a view of the block: one view (a few slices and a slice of M), one
+    Hessian product and one Jacobian-adjoint product (one gather of u per
+    filter, for c_k * u and the shift products, and three ``Grid.dots`` per
+    filter).  An assembly is one gather of phi'' per filter, into one array,
+    and one matrix product per row, which writes M.
     """
 
     def __init__(self, problem: LowerProblem, x: np.ndarray):

@@ -446,6 +446,8 @@ def ttsa(
         raise ConfigError(
             "two-timescale schedules need the upper exponent to exceed the lower"
         )
+    if not low_schedule.a > 0.0:
+        raise ConfigError(f"the lower step scale must be > 0, got {low_schedule.a!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     theta = theta0
     x = np.array(x0, dtype=np.float64, copy=True)

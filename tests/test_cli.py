@@ -307,6 +307,7 @@ class TestErrors:
         ("optimizer", "inner_iters", -1),
         ("optimizer", "eps0", -0.1),
         ("optimizer", "up_exponent", 0.5),
+        ("optimizer", "low_a", -0.5),
         ("gradcheck", "fd_step", 0),
         ("gradcheck", "unroll_steps", -3),
         ("gradcheck", "tolerances", [-1.0]),
@@ -340,6 +341,7 @@ class TestErrors:
                                     "engine": {"kind": "minimizer"}},
             ("optimizer", "up_exponent"): {"optimizer": {"kind": "ttsa", "max_upper": 2,
                                                          "low_exponent": 0.75}},
+            ("optimizer", "low_a"): {"optimizer": {"kind": "ttsa", "max_upper": 2}},
         }.get((section, key), {}))
         doc.setdefault(section, {})[key] = value
         cfg = tmp_path / "bad.json"

@@ -503,6 +503,13 @@ class TestTtsa:
             ttsa(hp, np.array([0.0]), PowerLaw(0.1, 0.5), PowerLaw(0.5, 0.75),
                  train, MSELoss(), batch=1, seed=0, max_iter=2)
 
+    @pytest.mark.parametrize("low_a", [0.0, -0.5, float("nan")])
+    def test_rejects_a_lower_step_scale_not_above_zero(self, low_a):
+        hp, train, _, _ = scalar_toy()
+        with pytest.raises(ConfigError, match="lower step scale"):
+            ttsa(hp, np.array([0.0]), PowerLaw(0.1, 0.75), PowerLaw(low_a, 0.5),
+                 train, MSELoss(), batch=1, seed=0, max_iter=2)
+
 
 class TestStable:
     def test_eigenvalue_truncation(self):
